@@ -41,7 +41,7 @@ class ModelSpec:
     offset: np.ndarray     # (S,) log expected counts
     unit_idx: np.ndarray   # (S,) stratum -> leaf index
     group_idx: np.ndarray  # (S,) stratum -> group index
-    adjacency: Adjacency | None = None
+    plan: CarPlan | None = None  # spatial structure, present when include_spatial
     include_spatial: bool = True
     include_overdispersion: bool = True
     prior_beta_var: float = 1e5
@@ -72,7 +72,7 @@ ZERO_FLOOR = 1e-6
 def build_spec(
     expected: ExpectedCounts,
     covariate: np.ndarray | None,
-    adjacency: Adjacency | None,
+    adjacency: Adjacency | CarPlan | None,
     *,
     include_spatial: bool = True,
     include_overdispersion: bool = True,
@@ -86,6 +86,10 @@ def build_spec(
     """Assemble the design from expected counts, an optional area covariate,
     and the leaf adjacency.
 
+    ``adjacency`` is either a prebuilt :class:`CarPlan`, which callers that
+    fit many specs on one adjacency share, or an ``Adjacency``, for which
+    the spec builds its own plan.
+
     Cells with zero expected count cannot enter the likelihood (their log
     offset is undefined); by default they are excluded and reported, or with
     ``zero_policy="floor"`` the offset is floored at a tiny constant.
@@ -96,6 +100,9 @@ def build_spec(
         raise ModelError("spatial effects need an adjacency")
     if include_spatial and adjacency.leaf_ids != expected.unit_ids:
         raise ModelError("adjacency leaves do not match expected-count units")
+    plan = None
+    if include_spatial:
+        plan = adjacency if isinstance(adjacency, CarPlan) else CarPlan(adjacency)
 
     n, n_groups = expected.values.shape
     p_vals = expected.values
@@ -139,7 +146,7 @@ def build_spec(
         offset=offset,
         unit_idx=unit_idx,
         group_idx=group_idx,
-        adjacency=adjacency,
+        plan=plan,
         include_spatial=include_spatial,
         include_overdispersion=include_overdispersion,
         prior_beta_var=prior_beta_var,
@@ -215,6 +222,37 @@ def greedy_coloring(weights: np.ndarray) -> np.ndarray:
             c += 1
         colors[i] = c
     return colors
+
+
+class CarPlan:
+    """The spatial structure of one leaf adjacency, as the sampler uses it.
+
+    Holds the degrees w_i+, the weights in CSR form, the greedy color
+    classes, and the eigenvalues of D^-1/2 W D^-1/2, through which the
+    log-det of the CAR precision is
+    log|D - rho W| = sum log d_i + sum log(1 - rho lambda_i) (Ord 1975).
+    All of it depends on the adjacency alone, so one plan serves every fit
+    on that adjacency.
+
+    A graph that is not connected (an island, or several components) gets
+    ``connected`` False and no spectrum; fitting on it raises ModelError.
+    """
+
+    def __init__(self, adjacency: Adjacency):
+        w_dense = adjacency.weights
+        self.leaf_ids = list(adjacency.leaf_ids)
+        self.connected = adjacency.is_connected()
+        self.degrees = adjacency.row_sums
+        self.weights = scipy.sparse.csr_matrix(w_dense)
+        colors = greedy_coloring(w_dense)
+        self.color_classes = [np.flatnonzero(colors == c) for c in range(colors.max(initial=-1) + 1)]
+        self.eigenvalues: np.ndarray | None = None
+        self.log_det_d: float | None = None
+        if self.connected:  # every degree is positive, so 1/sqrt(deg) is finite
+            d_isqrt = 1.0 / np.sqrt(self.degrees)
+            sym = d_isqrt[:, None] * w_dense * d_isqrt[None, :]
+            self.eigenvalues = scipy.linalg.eigh(sym, eigvals_only=True)
+            self.log_det_d = float(np.sum(np.log(self.degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +434,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
         raise ModelError("counts must be non-negative integers")
     if not np.all(np.isfinite(spec.offset)):
         raise ModelError("offsets must be finite; exclude or floor zero expected counts")
-    if spec.include_spatial and not spec.adjacency.is_connected():
+    if spec.include_spatial and not spec.plan.connected:
         raise ModelError("adjacency must be connected for the spatial prior")
 
     rng = np.random.default_rng(np.random.SeedSequence([mcmc.seed]))
@@ -428,16 +466,9 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     y_by_unit = np.bincount(spec.unit_idx, weights=y, minlength=n_units)
 
     if spec.include_spatial:
-        w_dense = spec.adjacency.weights
-        w_sparse = scipy.sparse.csr_matrix(w_dense)
-        deg = spec.adjacency.row_sums
-        colors = greedy_coloring(w_dense)
-        color_masks = [np.flatnonzero(colors == c) for c in range(colors.max() + 1)]
-        # eigenvalues of D^-1/2 W D^-1/2 for the spatial-dependence determinant
-        d_isqrt = 1.0 / np.sqrt(deg)
-        sym = d_isqrt[:, None] * w_dense * d_isqrt[None, :]
-        car_eigs = scipy.linalg.eigh(sym, eigvals_only=True)
-        log_det_d = float(np.sum(np.log(deg)))
+        plan = spec.plan
+        w_sparse, deg, color_masks = plan.weights, plan.degrees, plan.color_classes
+        car_eigs, log_det_d = plan.eigenvalues, plan.log_det_d
 
     beta_adapt = _Adapter(p, 0.1)
     theta_adapt = _Adapter(n_units, 0.5)

@@ -232,7 +232,15 @@ def require_inputs(out_dir: Path, rels: list[str]) -> list[Path]:
     return paths
 
 
-def append_manifest(out_dir: Path, cfg: dict, stage: str, inputs: list[Path], outputs: list[Path], extra: dict | None = None) -> None:
+def append_manifest(
+    out_dir: Path,
+    cfg: dict,
+    stage: str,
+    inputs: list[Path],
+    outputs: list[Path],
+    extra: dict | None = None,
+    wall_s: float | None = None,
+) -> None:
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
@@ -241,7 +249,7 @@ def append_manifest(out_dir: Path, cfg: dict, stage: str, inputs: list[Path], ou
         manifest = {"tool": "privmap", "version": __version__, "seed": cfg["seed"], "config": cfg, "stages": []}
     entry = {
         "stage": stage,
-        "wall_s": None,  # filled by the caller
+        "wall_s": wall_s,
         "inputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in inputs},
         "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
@@ -261,12 +269,7 @@ class _Timer:
 
 
 def _finish(out_dir, cfg, stage, inputs, outputs, timer, extra=None):
-    extra = dict(extra or {})
-    append_manifest(out_dir, cfg, stage, inputs, outputs, extra)
-    manifest_path = Path(out_dir) / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["stages"][-1]["wall_s"] = round(timer.wall, 3)
-    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+    append_manifest(out_dir, cfg, stage, inputs, outputs, extra, round(timer.wall, 3))
 
 
 # ---------------------------------------------------------------------------

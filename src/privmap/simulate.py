@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carmodel import (
+    CarPlan,
     McmcConfig,
     ModelSpec,
     build_spec,
@@ -389,6 +390,8 @@ def run_study(
     standardized ratio is the replicate's Poisson mean over the unprotected
     expected count. Replicates run in parallel when ``jobs`` > 1; results
     are reduced in replicate order so worker scheduling cannot change them.
+    One CAR plan is built from ``adjacency`` and shared by every source's
+    spec, every replicate and every forked worker.
     """
     tags = [s.source for s in sources]
     if len(set(tags)) != len(tags):
@@ -401,9 +404,8 @@ def run_study(
             raise SimulationError(f"source {s.source!r} is not aligned with the truth source")
 
     opts = dict(spec_options or {})
-    specs = {
-        s.source: build_spec(s, covariate, adjacency, **opts) for s in sources
-    }
+    plan = CarPlan(adjacency) if opts.get("include_spatial", True) else None
+    specs = {s.source: build_spec(s, covariate, plan, **opts) for s in sources}
     p = specs[truth_tag].x.shape[1]
     if len(dgp.beta) != p:
         raise SimulationError(f"dgp beta has {len(dgp.beta)} entries, model has {p} columns")

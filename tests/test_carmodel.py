@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from privmap.carmodel import (
+    CarPlan,
     McmcConfig,
     PosteriorDraws,
     build_spec,
@@ -219,9 +220,17 @@ def test_fit_reproducible_bit_exact():
     y = r.poisson(ec.values.reshape(-1))
     spec = build_spec(ec, None, adj)
     d1 = fit(spec.flatten(y.reshape(9, 2)), spec, McmcConfig(600, 300, 2, seed=9))
-    d2 = fit(spec.flatten(y.reshape(9, 2)), spec, McmcConfig(600, 300, 2, seed=9))
-    for field in ("beta", "theta", "phi", "tau2", "sigma2", "rho"):
-        assert np.array_equal(getattr(d1, field), getattr(d2, field))
+    # a plan shared with another source's spec, as a study shares it, after
+    # that spec has been fitted
+    shared = CarPlan(adj)
+    other = build_spec(ExpectedCounts(ec.unit_ids, ec.groups, 2 * ec.values, "other"), None, shared)
+    fit(other.flatten(y.reshape(9, 2)), other, McmcConfig(600, 300, 2, seed=4))
+    on_shared = build_spec(ec, None, shared)
+    assert on_shared.plan is shared
+    for spec2 in (spec, on_shared):
+        d2 = fit(spec2.flatten(y.reshape(9, 2)), spec2, McmcConfig(600, 300, 2, seed=9))
+        for field in ("beta", "theta", "phi", "tau2", "sigma2", "rho"):
+            assert np.array_equal(getattr(d1, field), getattr(d2, field))
 
 
 def test_offset_invariance():
@@ -259,6 +268,22 @@ def test_fit_input_validation():
         fit(np.array([1.0, -2.0, 0.0, 1.0]), spec)
     with pytest.raises(ModelError):
         fit(np.array([1.5, 2.0, 0.0, 1.0]), spec)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1), (1, 2)], [(0, 1), (2, 3)]],
+    ids=["island", "two-components"],
+)
+def test_fit_rejects_disconnected_adjacency(edges):
+    w = np.zeros((4, 4))
+    for i, k in edges:
+        w[i, k] = w[k, i] = 1.0
+    adj = Adjacency([f"u{i}" for i in range(4)], w)
+    ec = make_expected(4, groups=("a",), seed=1)
+    spec = build_spec(ec, None, adj)
+    with pytest.raises(ModelError, match="adjacency must be connected for the spatial prior"):
+        fit(np.round(ec.values[:, 0]), spec, McmcConfig(200, 100, 1, seed=0))
 
 
 def test_fit_divergent_initialization_reported():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from privmap import carmodel
 from privmap.carmodel import McmcConfig
 from privmap.errors import SimulationError
 from privmap.geo import build_synthetic_geography
@@ -207,6 +208,26 @@ def test_run_study_rejects_misaligned_sources():
     )
     with pytest.raises(SimulationError, match="aligned"):
         run_study(DgpConfig(n_reps=1), [truth, bad], pov, adj, McmcConfig(200, 100, 1, 0))
+
+
+def test_run_study_builds_one_car_plan(monkeypatch):
+    # three sources x two replicates share one eigen-decomposition
+    _, adj, truth, pov = make_world(n=16, branching=(4, 4), seed=9)
+    sources = [truth] + [
+        ExpectedCounts(truth.unit_ids, truth.groups, c * truth.values, tag)
+        for c, tag in ((0.9, "low"), (1.1, "high"))
+    ]
+    calls = []
+    eigh = carmodel.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(carmodel.scipy.linalg, "eigh", counting_eigh)
+    report = run_study(DgpConfig(n_reps=2, master_seed=5), sources, pov, adj, McmcConfig(200, 100, 1, 0))
+    assert sum(map(len, report.coef_estimates.values())) == 6
+    assert calls == [(16, 16)]
 
 
 def test_run_study_parallel_matches_serial():
