@@ -40,7 +40,6 @@ from .das import (
     inject_noise,
     project_children,
     run_topdown,
-    sample_noise,
 )
 from .standardize import (
     ExpectedCounts,

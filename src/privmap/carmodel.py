@@ -24,6 +24,7 @@ import scipy.sparse
 from .errors import ModelError
 from .geo import Adjacency
 from .standardize import ExpectedCounts
+from .tables import fmt, write_table
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +659,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
 def write_draws(draws: PosteriorDraws, path, *, include_effects: bool = False, spec: ModelSpec | None = None) -> None:
     """One row per stored iteration, named columns, 10 significant digits."""
-    import csv as _csv
-
     header = ["iteration"] + [f"beta:{c}" for c in draws.colnames] + ["tau2", "sigma2", "rho"]
     if include_effects:
         if spec is None:
@@ -670,13 +669,12 @@ def write_draws(draws: PosteriorDraws, path, *, include_effects: bool = False, s
             if draws.phi.shape[1]
             else []
         )
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
         for k in range(draws.n_stored):
-            row = [k] + [format(v, ".10g") for v in draws.beta[k]]
-            row += [format(draws.tau2[k], ".10g"), format(draws.sigma2[k], ".10g"), format(draws.rho[k], ".10g")]
+            row = [k, *map(fmt, draws.beta[k]), *map(fmt, (draws.tau2[k], draws.sigma2[k], draws.rho[k]))]
             if include_effects:
-                row += [format(v, ".10g") for v in draws.theta[k]]
-                row += [format(v, ".10g") for v in draws.phi[k]]
-            writer.writerow(row)
+                row += [*map(fmt, draws.theta[k]), *map(fmt, draws.phi[k])]
+            yield row
+
+    write_table(path, header, rows())

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 
+from .das import VARIANTS
 from .errors import ConfigError, MissingInputError, PrivmapError
 from .pipeline import (
     load_config,
@@ -78,7 +79,7 @@ def geo(ctx):
 
 
 @main.command()
-@click.option("--variant", type=click.Choice(["v19", "v20", "v22", "custom"]), default=None)
+@click.option("--variant", type=click.Choice(VARIANTS), default=None)
 @click.pass_context
 def protect(ctx, variant):
     """Protect the population cube with the top-down mechanism."""

@@ -9,13 +9,13 @@ fit the age-by-group detail subject to those totals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProtectionError
+from .tables import fmt, write_table
 from .tabulation import TabulationCube, leveled_cubes, unit_totals
 
 TOTALS_LABEL = "__all__"
@@ -84,11 +84,6 @@ class NoiseModel:
         return _sample_dgauss(dlaplace_variance(eps), n, rng)
 
 
-def sample_noise(model: NoiseModel, eps_q: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` iid integer noise values for a query with budget ``eps_q``."""
-    return model.sample(eps_q, n, rng)
-
-
 # ---------------------------------------------------------------------------
 # budgets and configuration
 
@@ -144,12 +139,12 @@ class PrivacyBudget:
         return self.epsilon_total * shares
 
 
-VARIANTS = ("v19", "v20", "v22", "custom")
-
-# v19/v20 share one population-table budget and differ only in post-processing;
-# v22 raises the budget substantially. v19 is single-pass, the others multi-pass.
-_PRESET_EPS = {"v19": 4.0, "v20": 4.0, "v22": 20.82}
-_PRESET_MULTIPASS = {"v19": False, "v20": True, "v22": True}
+# variant -> (epsilon_total, multi-pass). v19/v20 share one population-table
+# budget and differ only in post-processing; v22 raises the budget
+# substantially. v19 is single-pass, the others multi-pass.
+PRESETS = {"v19": (4.0, False), "v20": (4.0, True), "v22": (20.82, True)}
+# the order keys each variant's DAS seed in the pipeline
+VARIANTS = (*PRESETS, "custom")
 
 
 @dataclass(frozen=True)
@@ -162,14 +157,14 @@ class DasConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ProtectionError(f"unknown variant {self.variant!r}")
-        if self.variant in _PRESET_EPS and not self.budget.infinite:
-            want = _PRESET_EPS[self.variant]
+        if self.variant in PRESETS and not self.budget.infinite:
+            want, multi_pass = PRESETS[self.variant]
             if abs(self.budget.epsilon_total - want) > 1e-9:
                 raise ProtectionError(
                     f"variant {self.variant} pins epsilon_total={want}, got {self.budget.epsilon_total}"
                 )
-            if self.budget.multi_pass != _PRESET_MULTIPASS[self.variant]:
-                mode = "multi-pass" if _PRESET_MULTIPASS[self.variant] else "single-pass"
+            if self.budget.multi_pass != multi_pass:
+                mode = "multi-pass" if multi_pass else "single-pass"
                 raise ProtectionError(f"variant {self.variant} is {mode}")
 
 
@@ -181,16 +176,17 @@ def das_preset(
     pass_shares=None,
 ) -> DasConfig:
     """Build one of the pinned variant configurations."""
-    if variant not in _PRESET_EPS:
+    if variant not in PRESETS:
         raise ProtectionError(f"no preset for variant {variant!r}")
-    if _PRESET_MULTIPASS[variant]:
+    eps, multi_pass = PRESETS[variant]
+    if multi_pass:
         passes = tuple(pass_shares) if pass_shares is not None else (0.5, 0.5)
     else:
         if pass_shares is not None:
             raise ProtectionError(f"variant {variant} is single-pass")
         passes = None
     budget = PrivacyBudget(
-        _PRESET_EPS[variant],
+        eps,
         tuple(level_shares) if level_shares is not None else None,
         passes,
     )
@@ -531,25 +527,19 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
 def write_audit(audit: AuditRecord, path) -> None:
     """Per-cell epsilon and raw noise for every noisy query, totals flagged
     with the reserved band/group label."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "age_band", "group", "epsilon", "noise"])
+
+    def rows():
         for rank in sorted(audit.detail_noise):
             cube = audit.published[rank]
-            eps = audit.epsilons[(rank, "detail")]
+            eps = fmt(audit.epsilons[(rank, "detail")])
             noise = audit.detail_noise[rank]
             for i, uid in enumerate(cube.unit_ids):
                 for a, band in enumerate(cube.ages.bands):
                     for g, group in enumerate(cube.groups.groups):
-                        writer.writerow(
-                            [uid, band, group, format(eps, ".10g"), int(noise[i, a, g])]
-                        )
-        if audit.totals_noise:
-            for rank in sorted(audit.totals_noise):
-                cube = audit.published[rank]
-                eps = audit.epsilons[(rank, "totals")]
-                noise = audit.totals_noise[rank]
-                for i, uid in enumerate(cube.unit_ids):
-                    writer.writerow(
-                        [uid, TOTALS_LABEL, TOTALS_LABEL, format(eps, ".10g"), int(noise[i])]
-                    )
+                        yield [uid, band, group, eps, int(noise[i, a, g])]
+        for rank in sorted(audit.totals_noise or {}):
+            eps = fmt(audit.epsilons[(rank, "totals")])
+            for uid, n in zip(audit.published[rank].unit_ids, audit.totals_noise[rank]):
+                yield [uid, TOTALS_LABEL, TOTALS_LABEL, eps, int(n)]
+
+    write_table(path, ["unit_id", "age_band", "group", "epsilon", "noise"], rows())

@@ -7,12 +7,12 @@ leaf adjacency as an undirected graph with binary weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeographyError
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class GeoUnit:
     parent_id: str | None
 
 
+LAYOUTS = ("grid", "random-planar")
 DEFAULT_LEVEL_NAMES = ["root", "region", "county", "tract", "blockgroup", "block"]
 
 
@@ -276,7 +277,7 @@ def build_synthetic_geography(
         raise GeographyError(
             f"branching {branching} supports at most {cap} leaves, requested {n_leaves}"
         )
-    if layout not in ("grid", "random-planar"):
+    if layout not in LAYOUTS:
         raise GeographyError(f"unknown layout {layout!r}")
 
     depth = len(branching) + 1
@@ -317,49 +318,35 @@ def build_synthetic_geography(
 
 
 def write_hierarchy(h: Hierarchy, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "level", "parent_id"])
-        for u in h.units:
-            writer.writerow([u.id, h.levels[u.rank].name, u.parent_id or ""])
+    rows = ([u.id, h.levels[u.rank].name, u.parent_id or ""] for u in h.units)
+    write_table(path, ["unit_id", "level", "parent_id"], rows)
 
 
 def read_hierarchy(path) -> Hierarchy:
     units = []
     level_names: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["unit_id", "level", "parent_id"]:
-            raise GeographyError(f"bad hierarchy header {header}")
-        for row in reader:
-            uid, level_name, parent = row
-            if level_name not in level_names:
-                level_names[level_name] = len(level_names)
-            units.append(GeoUnit(uid, level_names[level_name], parent or None))
+    for uid, level_name, parent in read_table(path, ["unit_id", "level", "parent_id"], GeographyError):
+        rank = level_names.setdefault(level_name, len(level_names))
+        units.append(GeoUnit(uid, rank, parent or None))
     levels = [GeoLevel(rank, name) for name, rank in level_names.items()]
-    return Hierarchy(units, levels)
+    try:
+        return Hierarchy(units, levels)
+    except GeographyError as exc:
+        raise GeographyError(f"{path}: {exc}") from None
 
 
 def write_adjacency(a: Adjacency, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_a", "unit_b"])
-        for ua, ub in a.edges():
-            writer.writerow([ua, ub])
+    write_table(path, ["unit_a", "unit_b"], a.edges())
 
 
 def read_adjacency(path, leaf_ids: list[str]) -> Adjacency:
     index = {uid: i for i, uid in enumerate(leaf_ids)}
     w = np.zeros((len(leaf_ids), len(leaf_ids)))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["unit_a", "unit_b"]:
-            raise GeographyError(f"bad adjacency header {header}")
-        for ua, ub in reader:
-            if ua not in index or ub not in index:
-                raise GeographyError(f"adjacency edge ({ua}, {ub}) references unknown leaf")
-            i, k = index[ua], index[ub]
-            w[i, k] = w[k, i] = 1.0
+    for ua, ub in read_table(path, ["unit_a", "unit_b"], GeographyError):
+        if ua not in index or ub not in index:
+            raise GeographyError(f"{path}: edge ({ua}, {ub}) references unknown leaf")
+        i, k = index[ua], index[ub]
+        if w[i, k]:
+            raise GeographyError(f"{path}: duplicate edge ({ua}, {ub})")
+        w[i, k] = w[k, i] = 1.0
     return Adjacency(leaf_ids, w)

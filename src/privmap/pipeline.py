@@ -18,9 +18,13 @@ import numpy as np
 
 from . import __version__
 from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
-from .das import DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
-from .errors import ConfigError, MissingInputError
-from .geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
+from .das import (
+    NOISE_FAMILIES, VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
+)
+from .errors import ConfigError, MissingInputError, SimulationError
+from .geo import (
+    LAYOUTS, build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
+)
 from .simulate import (
     DEFAULT_HAZARDS as DEFAULT_HAZARD_SCHEDULE,
     DgpConfig,
@@ -39,6 +43,7 @@ from .standardize import (
     write_expected,
     zero_count_percent,
 )
+from .tables import fmt, read_table, write_table
 from .tabulation import (
     AgeSchema,
     GroupSchema,
@@ -154,15 +159,15 @@ def _validate_config(cfg: dict) -> None:
         isinstance(b, int) and b >= 1 for b in geo["branching"]
     ):
         raise ConfigError("geo.branching must be a list of positive integers")
-    if geo["layout"] not in ("grid", "random-planar"):
-        raise ConfigError(f"geo.layout must be grid or random-planar, got {geo['layout']!r}")
+    if geo["layout"] not in LAYOUTS:
+        raise ConfigError(f"geo.layout must be {' or '.join(LAYOUTS)}, got {geo['layout']!r}")
     das = cfg["das"]
-    if das["variant"] not in ("v19", "v20", "v22", "custom"):
-        raise ConfigError(f"das.variant must be one of v19/v20/v22/custom, got {das['variant']!r}")
+    if das["variant"] not in VARIANTS:
+        raise ConfigError(f"das.variant must be one of {'/'.join(VARIANTS)}, got {das['variant']!r}")
     _parse_eps(das["epsilon_total"])
     if das["variant"] == "custom" and das["epsilon_total"] is None:
         raise ConfigError("das.variant 'custom' requires das.epsilon_total")
-    if das["noise_family"] not in ("discrete-laplace", "discrete-gaussian"):
+    if das["noise_family"] not in NOISE_FAMILIES:
         raise ConfigError(f"unknown das.noise_family {das['noise_family']!r}")
     std = cfg["std"]
     if not isinstance(std["age_bands"], list) or len(std["age_bands"]) < 1:
@@ -179,7 +184,7 @@ def _validate_config(cfg: dict) -> None:
     if not isinstance(sim["sources"], list) or "truth" not in sim["sources"]:
         raise ConfigError("sim.sources must be a list containing 'truth'")
     for src in sim["sources"]:
-        if src not in ("truth", "v19", "v20", "v22", "custom"):
+        if src != "truth" and src not in VARIANTS:
             raise ConfigError(f"unknown simulation source {src!r}")
 
 
@@ -280,15 +285,19 @@ def _schemas(cfg) -> tuple[AgeSchema, GroupSchema]:
     return AgeSchema(tuple(cfg["std"]["age_bands"])), default_group_schema()
 
 
-def _load_geo(cfg, out_dir: Path):
-    require_inputs(out_dir, ["geo/hierarchy.csv", "geo/adjacency.csv"])
-    h = read_hierarchy(out_dir / "geo" / "hierarchy.csv")
-    adj = read_adjacency(out_dir / "geo" / "adjacency.csv", h.leaf_ids)
-    return h, adj
+def _load_hierarchy(out_dir: Path):
+    require_inputs(out_dir, ["geo/hierarchy.csv"])
+    return read_hierarchy(out_dir / "geo" / "hierarchy.csv")
+
+
+def _load_geo(out_dir: Path):
+    h = _load_hierarchy(out_dir)
+    require_inputs(out_dir, ["geo/adjacency.csv"])
+    return h, read_adjacency(out_dir / "geo" / "adjacency.csv", h.leaf_ids)
 
 
 def _das_seed(cfg, variant: str) -> int:
-    vidx = ("v19", "v20", "v22", "custom").index(variant)
+    vidx = VARIANTS.index(variant)
     return int(np.random.SeedSequence([cfg["seed"], 7700 + vidx]).generate_state(1)[0])
 
 
@@ -357,7 +366,7 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
     variant = variant or cfg["das"]["variant"]
     ages, groups = _schemas(cfg)
     with _Timer() as t:
-        h, _ = _load_geo(cfg, out_dir)
+        h = _load_hierarchy(out_dir)
         inputs = require_inputs(out_dir, ["geo/population.csv"])
         pop = ingest(out_dir / "geo" / "population.csv", ages, groups, h)
         das_cfg = _das_config(cfg, variant)
@@ -375,7 +384,7 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     source = source or "truth"
     ages, groups = _schemas(cfg)
     with _Timer() as t:
-        h, _ = _load_geo(cfg, out_dir)
+        h = _load_hierarchy(out_dir)
         inputs = require_inputs(out_dir, ["geo/population.csv", "geo/deaths.csv"])
         pop_true = ingest(out_dir / "geo" / "population.csv", ages, groups, h)
         deaths = ingest(out_dir / "geo" / "deaths.csv", ages, groups, h, value_column="deaths")
@@ -407,7 +416,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     source = source or "truth"
     ages, groups = _schemas(cfg)
     with _Timer() as t:
-        h, adj = _load_geo(cfg, out_dir)
+        h, adj = _load_geo(out_dir)
         inputs = require_inputs(
             out_dir, ["geo/deaths.csv", "geo/covariates.csv", f"expect/expected_{source}.csv"]
         )
@@ -443,40 +452,44 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
             f"fit/summary_{source}.json",
             lambda p: Path(p).write_text(json.dumps(payload, indent=2, sort_keys=True)),
         )
-
-        def _write_smr(p):
-            import csv as _csv
-
-            with open(p, "w", newline="") as fh:
-                wr = _csv.writer(fh)
-                wr.writerow(["unit_id", "group", "predicted", "smr"])
-                for i, uid in enumerate(smr.unit_ids):
-                    for g, grp in enumerate(smr.groups):
-                        wr.writerow(
-                            [uid, grp, format(smr.yhat[i, g], ".10g"), format(smr.smr[i, g], ".10g")]
-                        )
-
-        w.write_via(f"fit/smr_{source}.csv", _write_smr)
+        smr_rows = [
+            [uid, grp, fmt(smr.yhat[i, g]), fmt(smr.smr[i, g])]
+            for i, uid in enumerate(smr.unit_ids)
+            for g, grp in enumerate(smr.groups)
+        ]
+        w.write_via(
+            f"fit/smr_{source}.csv",
+            lambda p: write_table(p, ["unit_id", "group", "predicted", "smr"], smr_rows),
+        )
     _finish(out_dir, cfg, f"fit:{source}", inputs, w.outputs, t, {"source": source})
     return {"outputs": [str(p) for p in w.outputs], "converged": summary.converged}
 
 
-def _write_table(path, rows: list[dict]) -> None:
-    import csv as _csv
+def _write_table(path, header: list[str], rows) -> None:
+    """Rows of labels and numbers, reals at 10 significant digits."""
+    write_table(path, header, ([fmt(v) if isinstance(v, float) else v for v in row] for row in rows))
 
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            fh.write("")
-            return
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: (format(v, ".10g") if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-            )
+
+DENOMINATORS_HEADER = [
+    "source", "group", "mean_pct_error", "sd_pct_error", "q25", "median", "q75", "under_pct", "zero_pct"
+]
+# the simulate tables the report reads back, as StudyReport.tables writes them
+FRACTIONS_HEADER = [
+    "source", "group", "mean_smr_bias", "mean_smr_mape", "upward_bias_pct",
+    "underestimated_expected_pct", "zero_expected_pct",
+]
+COEF_BIAS_HEADER = ["source", "coefficient", "true_value", "mean_bias", "sd_bias"]
+
+
+def _read_study_table(path: Path, header: list[str]) -> list[list]:
+    """A simulate table's rows: two label fields naming the row, then numbers."""
+    rows = read_table(path, header, SimulationError)
+    if len({(a, b) for a, b, *_ in rows}) != len(rows):
+        raise SimulationError(f"{path}: more than one row for the same {header[0]} and {header[1]}")
+    try:
+        return [[a, b, *map(float, rest)] for a, b, *rest in rows]
+    except ValueError as exc:
+        raise SimulationError(f"{path}: {exc}") from None
 
 
 def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
@@ -485,7 +498,7 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     ages, groups = _schemas(cfg)
     sim = cfg["sim"]
     with _Timer() as t:
-        h, adj = _load_geo(cfg, out_dir)
+        h, adj = _load_geo(out_dir)
         inputs = require_inputs(out_dir, ["geo/covariates.csv"])
         inputs += require_inputs(
             out_dir, [f"expect/expected_{s}.csv" for s in sim["sources"]]
@@ -517,7 +530,9 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         tables = report.tables()
         w = StageWriter(out_dir)
         for name in ("coef_bias", "smr_bias", "smr_mape", "fractions", "replicates"):
-            w.write_via(f"simulate/{name}.csv", lambda p, rows=tables[name]: _write_table(p, rows))
+            w.write_via(
+                f"simulate/{name}.csv", lambda p, r=tables[name]: _write_table(p, list(r[0]), map(dict.values, r))
+            )
         convergence = {src: report.convergence[src] for src in report.sources}
     _finish(
         out_dir,
@@ -537,82 +552,45 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
     ages, groups = _schemas(cfg)
     sim = cfg["sim"]
     with _Timer() as t:
-        h, _ = _load_geo(cfg, out_dir)
+        h = _load_hierarchy(out_dir)
         inputs = require_inputs(out_dir, [f"expect/expected_{s}.csv" for s in sim["sources"]])
         sources = {s: _load_expected(cfg, out_dir, s, h, groups) for s in sim["sources"]}
         truth = sources["truth"]
-        denom_rows = []
+        denom_rows = []  # one row per source and group, in DENOMINATORS_HEADER order
         for s, ec in sources.items():
+            zp = zero_count_percent(ec)
             if s == "truth":
-                zp = zero_count_percent(ec)
-                for group in ec.groups:
-                    denom_rows.append(
-                        {
-                            "source": s,
-                            "group": group,
-                            "mean_pct_error": 0.0,
-                            "sd_pct_error": 0.0,
-                            "q25": 0.0,
-                            "median": 0.0,
-                            "q75": 0.0,
-                            "under_pct": 0.0,
-                            "zero_pct": zp[group],
-                        }
-                    )
+                denom_rows += [[s, group, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, zp[group]] for group in ec.groups]
                 continue
             pe = percent_error(ec, truth)
             under = underestimation_fraction(ec, truth)
-            zp = zero_count_percent(ec)
             for group in ec.groups:
-                s_stats = pe.summary[group]
-                denom_rows.append(
-                    {
-                        "source": s,
-                        "group": group,
-                        "mean_pct_error": s_stats.get("mean", float("nan")),
-                        "sd_pct_error": s_stats.get("sd", float("nan")),
-                        "q25": s_stats.get("q25", float("nan")),
-                        "median": s_stats.get("median", float("nan")),
-                        "q75": s_stats.get("q75", float("nan")),
-                        "under_pct": under[group],
-                        "zero_pct": zp[group],
-                    }
-                )
+                stats = [pe.summary[group].get(k, math.nan) for k in ("mean", "sd", "q25", "median", "q75")]
+                denom_rows.append([s, group, *stats, under[group], zp[group]])
         w = StageWriter(out_dir)
-        w.write_via("report/denominators.csv", lambda p: _write_table(p, denom_rows))
+        w.write_via("report/denominators.csv", lambda p: _write_table(p, DENOMINATORS_HEADER, denom_rows))
 
         lines = ["privmap study report", "====================", ""]
         lines.append("Denominator accuracy against the unprotected source")
-        for row in denom_rows:
+        for src, group, mean, sd, _, _, _, under_pct, zero_pct in denom_rows:
             lines.append(
-                f"  {row['source']:>6} {row['group']:>8}: "
-                f"mean %err {row['mean_pct_error']:+.3f}, sd {row['sd_pct_error']:.3f}, "
-                f"under-estimated {row['under_pct']:.2f}%, zero cells {row['zero_pct']:.2f}%"
+                f"  {src:>6} {group:>8}: mean %err {mean:+.3f}, sd {sd:.3f}, "
+                f"under-estimated {under_pct:.2f}%, zero cells {zero_pct:.2f}%"
             )
         sim_frac = out_dir / "simulate" / "fractions.csv"
         if sim_frac.exists():
             inputs.append(sim_frac)
             lines += ["", "Simulation study (per source and group)"]
-            import csv as _csv
-
-            with open(sim_frac, newline="") as fh:
-                for row in _csv.DictReader(fh):
-                    lines.append(
-                        f"  {row['source']:>6} {row['group']:>8}: "
-                        f"SMR bias {float(row['mean_smr_bias']):+.4f}, "
-                        f"MAPE {float(row['mean_smr_mape']):.4f}, "
-                        f"upward {float(row['upward_bias_pct']):.2f}%"
-                    )
+            for src, group, bias, mape, upward, _, _ in _read_study_table(sim_frac, FRACTIONS_HEADER):
+                lines.append(
+                    f"  {src:>6} {group:>8}: SMR bias {bias:+.4f}, MAPE {mape:.4f}, upward {upward:.2f}%"
+                )
             coef_path = out_dir / "simulate" / "coef_bias.csv"
             if coef_path.exists():
                 inputs.append(coef_path)
                 lines += ["", "Coefficient bias (mean over replicates)"]
-                with open(coef_path, newline="") as fh:
-                    for row in _csv.DictReader(fh):
-                        lines.append(
-                            f"  {row['source']:>6} {row['coefficient']:>12}: "
-                            f"{float(row['mean_bias']):+.5f}"
-                        )
+                for src, coef, _, mean_bias, _ in _read_study_table(coef_path, COEF_BIAS_HEADER):
+                    lines.append(f"  {src:>6} {coef:>12}: {mean_bias:+.5f}")
         lines.append("")
         w.write_via("report/report.txt", lambda p: Path(p).write_text("\n".join(lines)))
     _finish(out_dir, cfg, "report", inputs, w.outputs, t)

@@ -9,12 +9,12 @@ denominator error introduced by the protection mechanism.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StandardizationError
+from .tables import fmt, read_cells, read_table, write_table
 from .tabulation import AgeSchema, GroupSchema, TabulationCube, aggregate
 
 
@@ -187,27 +187,15 @@ def zero_count_percent(source: ExpectedCounts) -> dict[str, float]:
 
 
 def write_expected(ec: ExpectedCounts, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "group", "expected"])
-        for i, uid in enumerate(ec.unit_ids):
-            for g, group in enumerate(ec.groups):
-                writer.writerow([uid, group, format(ec.values[i, g], ".10g")])
+    rows = (
+        [uid, group, fmt(ec.values[i, g])]
+        for i, uid in enumerate(ec.unit_ids)
+        for g, group in enumerate(ec.groups)
+    )
+    write_table(path, ["unit_id", "group", "expected"], rows)
 
 
 def read_expected(path, unit_ids: list[str], groups: tuple[str, ...], source: str = "custom") -> ExpectedCounts:
-    index = {uid: i for i, uid in enumerate(unit_ids)}
-    gindex = {g: j for j, g in enumerate(groups)}
-    values = np.full((len(unit_ids), len(groups)), np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["unit_id", "group", "expected"]:
-            raise StandardizationError(f"bad expected-counts header {header}")
-        for uid, group, raw in reader:
-            if uid not in index or group not in gindex:
-                raise StandardizationError(f"unknown cell ({uid}, {group}) in {path}")
-            values[index[uid], gindex[group]] = float(raw)
-    if np.any(np.isnan(values)):
-        raise StandardizationError(f"incomplete expected-counts file {path}")
+    rows = read_table(path, ["unit_id", "group", "expected"], StandardizationError)
+    values = read_cells(path, rows, [unit_ids, groups], StandardizationError)
     return ExpectedCounts(list(unit_ids), tuple(groups), values, source)

@@ -7,13 +7,13 @@ intermediate cubes carry reals and may go negative.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TabulationError
 from .geo import Hierarchy
+from .tables import fmt, read_cells, read_table, write_table
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -123,54 +123,34 @@ class TabulationCube:
 
 def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_column: str = "count") -> TabulationCube:
     """Read a complete leaf-or-other-level cube; missing or duplicate cells fail."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["unit_id", "age_band", "group", value_column]:
-            raise TabulationError(f"bad tabulation header {header}")
-        rows = list(reader)
+    rows = read_table(path, ["unit_id", "age_band", "group", value_column], TabulationError)
     if not rows:
         raise TabulationError(f"{path}: empty tabulation file")
-
-    ranks = set()
-    for uid, _, _, _ in rows:
-        ranks.add(h.unit(uid).rank)  # raises GeographyError for unknown units
+    # h.unit raises GeographyError for unknown units
+    ranks = {h.unit(uid).rank for uid in {row[0] for row in rows}}
     if len(ranks) != 1:
-        raise TabulationError(f"tabulation mixes units from ranks {sorted(ranks)}")
+        raise TabulationError(f"{path}: tabulation mixes units from ranks {sorted(ranks)}")
     rank = ranks.pop()
-
-    unit_ids = h.units_at(rank)
-    index = {uid: i for i, uid in enumerate(unit_ids)}
-    values = np.full((len(unit_ids), ages.n, groups.n), np.nan)
-    for uid, band, group, raw in rows:
-        i, a, g = index[uid], ages.index(band), groups.index(group)
-        if not np.isnan(values[i, a, g]):
-            raise TabulationError(f"duplicate cell ({uid}, {band}, {group})")
-        val = float(raw)
-        if val < 0:
-            raise TabulationError(f"negative count {raw} in cell ({uid}, {band}, {group})")
-        values[i, a, g] = val
-    missing = np.argwhere(np.isnan(values))
-    if len(missing):
-        i, a, g = missing[0]
+    values = read_cells(path, rows, [h.units_at(rank), ages.bands, groups.groups], TabulationError)
+    if np.any(values < 0):
+        i, a, g = np.argwhere(values < 0)[0]
         raise TabulationError(
-            f"missing cell ({unit_ids[i]}, {ages.bands[a]}, {groups.groups[g]}) "
-            f"and {len(missing) - 1} more"
+            f"{path}: negative count {values[i, a, g]:g} in cell "
+            f"({h.units_at(rank)[i]}, {ages.bands[a]}, {groups.groups[g]})"
         )
     return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
 
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:
     """Canonical ordering (unit, band, group); integers rendered without a point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "age_band", "group", value_column])
-        for i, uid in enumerate(cube.unit_ids):
-            for a, band in enumerate(cube.ages.bands):
-                for g, group in enumerate(cube.groups.groups):
-                    v = cube.values[i, a, g]
-                    text = str(int(v)) if cube.integer_valued else format(v, ".10g")
-                    writer.writerow([uid, band, group, text])
+    render = (lambda v: str(int(v))) if cube.integer_valued else fmt
+    rows = (
+        [uid, band, group, render(cube.values[i, a, g])]
+        for i, uid in enumerate(cube.unit_ids)
+        for a, band in enumerate(cube.ages.bands)
+        for g, group in enumerate(cube.groups.groups)
+    )
+    write_table(path, ["unit_id", "age_band", "group", value_column], rows)
 
 
 def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
@@ -234,28 +214,11 @@ def unit_totals(cube: TabulationCube) -> np.ndarray:
 
 
 def write_covariates(path, unit_ids: list[str], name: str, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "name", "value"])
-        for uid, v in zip(unit_ids, values):
-            writer.writerow([uid, name, format(float(v), ".10g")])
+    rows = ([uid, name, fmt(float(v))] for uid, v in zip(unit_ids, values))
+    write_table(path, ["unit_id", "name", "value"], rows)
 
 
 def read_covariates(path, unit_ids: list[str], name: str) -> np.ndarray:
-    index = {uid: i for i, uid in enumerate(unit_ids)}
-    values = np.full(len(unit_ids), np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["unit_id", "name", "value"]:
-            raise TabulationError(f"bad covariate header {header}")
-        for uid, cname, raw in reader:
-            if cname != name:
-                continue
-            if uid not in index:
-                raise TabulationError(f"covariate file references unknown unit {uid!r}")
-            values[index[uid]] = float(raw)
-    if np.any(np.isnan(values)):
-        missing = [uid for uid in unit_ids if np.isnan(values[index[uid]])]
-        raise TabulationError(f"covariate {name!r} missing for units {missing[:5]}")
-    return values
+    """One covariate's value per unit; rows of other covariates are skipped."""
+    rows = read_table(path, ["unit_id", "name", "value"], TabulationError)
+    return read_cells(path, [row for row in rows if row[1] == name], [unit_ids], TabulationError)

@@ -24,7 +24,6 @@ from privmap.das import (
     dlaplace_variance,
     project_children,
     run_topdown,
-    sample_noise,
 )
 from privmap.simulate import (
     DgpConfig,
@@ -55,9 +54,7 @@ def test_criterion_1_noise_variance():
     details = []
     ok = True
     for i, eps in enumerate((0.5, 1.0, 4.0)):
-        draws = sample_noise(
-            NoiseModel("discrete-laplace"), eps, 1_000_000, np.random.default_rng(100 + i)
-        )
+        draws = NoiseModel("discrete-laplace").sample(eps, 1_000_000, np.random.default_rng(100 + i))
         target = dlaplace_variance(eps)
         rel = abs(draws.var() - target) / target
         ok &= rel <= 0.05

@@ -16,7 +16,6 @@ from privmap.das import (
     inject_noise,
     project_children,
     run_topdown,
-    sample_noise,
     write_audit,
 )
 from privmap.errors import ProtectionError
@@ -47,7 +46,7 @@ def test_dlaplace_pmf_point_mass_at_zero():
     pmf = np.exp(-eps * np.abs(ks))
     pmf = pmf / pmf.sum()
     assert pmf[50] == pytest.approx(0.5, abs=1e-12)
-    draws = sample_noise(NoiseModel("discrete-laplace"), eps, 200_000, rng(1))
+    draws = NoiseModel("discrete-laplace").sample(eps, 200_000, rng(1))
     assert np.mean(draws == 0) == pytest.approx(0.5, abs=0.01)
 
 
@@ -55,14 +54,14 @@ def test_dlaplace_variance_monte_carlo():
     eps = 1.0
     target = dlaplace_variance(eps)
     assert target == pytest.approx(2 * math.exp(-1) / (1 - math.exp(-1)) ** 2, rel=1e-12)
-    draws = sample_noise(NoiseModel("discrete-laplace"), eps, 1_000_000, rng(2))
+    draws = NoiseModel("discrete-laplace").sample(eps, 1_000_000, rng(2))
     assert draws.var() == pytest.approx(target, rel=0.05)
 
 
 def test_dgauss_variance_matches_calibration():
     # discrete gaussian is variance-matched to the discrete laplace family
     eps = 1.0
-    draws = sample_noise(NoiseModel("discrete-gaussian"), eps, 400_000, rng(3))
+    draws = NoiseModel("discrete-gaussian").sample(eps, 400_000, rng(3))
     assert draws.var() == pytest.approx(dlaplace_variance(eps), rel=0.05)
     assert abs(draws.mean()) < 0.01
 
@@ -71,7 +70,7 @@ def test_sample_noise_rejects_bad_epsilon():
     model = NoiseModel()
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ProtectionError):
-            sample_noise(model, eps, 10, rng(0))
+            model.sample(eps, 10, rng(0))
 
 
 def test_noise_family_validation():

@@ -297,6 +297,13 @@ def test_cli_exit_codes(tmp_path):
     cfg_path = write_config(tmp_path)
     result = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "y"), "simulate"])
     assert result.exit_code == 3
+    # malformed stage input -> 4, naming the file
+    out = tmp_path / "z"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "geo"]).exit_code == 0
+    (out / "geo" / "population.csv").write_text("")
+    result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
+    assert result.exit_code == 4
+    assert "population.csv" in result.output
 
 
 def test_cli_env_var_overrides_out(tmp_path):

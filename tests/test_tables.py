@@ -1,0 +1,264 @@
+"""The delimited-text layer: pinned on-disk bytes of every writer, loud
+failures for malformed inputs, and one module owning the csv format."""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import privmap
+from privmap.carmodel import McmcConfig, PosteriorDraws, write_draws
+from privmap.das import AuditRecord, write_audit
+from privmap.errors import GeographyError, StandardizationError, TabulationError
+from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
+from privmap.pipeline import load_config, stage_report
+from privmap.standardize import ExpectedCounts, read_expected, write_expected
+from privmap.tabulation import (
+    AgeSchema,
+    GroupSchema,
+    TabulationCube,
+    ingest,
+    read_covariates,
+    write_covariates,
+    write_tabulation,
+)
+
+AGES, GROUPS = AgeSchema(("0-4", "5+")), GroupSchema(("NHW", "Black"))
+
+
+@pytest.fixture
+def geo():
+    return build_synthetic_geography(4, [2, 2], "grid", seed=1)
+
+
+def cube_at(h, rank, values, integer_valued=True):
+    values = np.asarray(values, dtype=float).reshape(len(h.units_at(rank)), AGES.n, GROUPS.n)
+    return TabulationCube(h, rank, AGES, GROUPS, values, integer_valued)
+
+
+# ---------------------------------------------------------------------------
+# format pinning: comma separated, \r\n line ends, reals at 10 significant digits
+
+
+def test_geo_writers_bytes(geo, tmp_path):
+    h, adj = geo
+    write_hierarchy(h, tmp_path / "h.csv")
+    write_adjacency(adj, tmp_path / "a.csv")
+    assert (tmp_path / "h.csv").read_bytes() == (
+        b"unit_id,level,parent_id\r\nU0-0,root,\r\nU1-0,blockgroup,U0-0\r\nU1-1,blockgroup,U0-0\r\n"
+        b"U2-0,block,U1-0\r\nU2-1,block,U1-0\r\nU2-2,block,U1-1\r\nU2-3,block,U1-1\r\n"
+    )
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"unit_a,unit_b\r\nU2-0,U2-1\r\nU2-0,U2-2\r\nU2-1,U2-3\r\nU2-2,U2-3\r\n"
+    )
+
+
+def test_tabulation_writers_bytes(geo, tmp_path):
+    h, _ = geo
+    write_tabulation(cube_at(h, 1, np.arange(8)), tmp_path / "int.csv", value_column="deaths")
+    reals = [1 / 3, 2.5e-12, 1e10, -7.0, 0.1, 123456789.123, 0.0, 2 / 3]
+    write_tabulation(cube_at(h, 1, reals, integer_valued=False), tmp_path / "real.csv")
+    write_covariates(tmp_path / "cov.csv", ["a", "b", "c"], "poverty", np.array([0.1, 1 / 3, 12.0]))
+    assert (tmp_path / "int.csv").read_bytes() == (
+        b"unit_id,age_band,group,deaths\r\nU1-0,0-4,NHW,0\r\nU1-0,0-4,Black,1\r\nU1-0,5+,NHW,2\r\n"
+        b"U1-0,5+,Black,3\r\nU1-1,0-4,NHW,4\r\nU1-1,0-4,Black,5\r\nU1-1,5+,NHW,6\r\nU1-1,5+,Black,7\r\n"
+    )
+    assert (tmp_path / "real.csv").read_bytes() == (
+        b"unit_id,age_band,group,count\r\nU1-0,0-4,NHW,0.3333333333\r\nU1-0,0-4,Black,2.5e-12\r\n"
+        b"U1-0,5+,NHW,1e+10\r\nU1-0,5+,Black,-7\r\nU1-1,0-4,NHW,0.1\r\nU1-1,0-4,Black,123456789.1\r\n"
+        b"U1-1,5+,NHW,0\r\nU1-1,5+,Black,0.6666666667\r\n"
+    )
+    assert (tmp_path / "cov.csv").read_bytes() == (
+        b"unit_id,name,value\r\na,poverty,0.1\r\nb,poverty,0.3333333333\r\nc,poverty,12\r\n"
+    )
+
+
+def test_expected_audit_and_draws_writers_bytes(geo, tmp_path):
+    h, _ = geo
+    ec = ExpectedCounts(["a", "b"], ("NHW", "Black"), [[1 / 3, 0.0], [2.5, 1e-7]], "truth")
+    write_expected(ec, tmp_path / "exp.csv")
+    audit = AuditRecord(
+        "v20",
+        1,
+        {(0, "detail"): 0.5, (1, "detail"): 1 / 3, (1, "totals"): 0.25},
+        {0: np.array([1, -1, 0, 2]).reshape(1, 2, 2), 1: np.arange(-4, 4).reshape(2, 2, 2)},
+        {1: np.array([3, -2])},
+        {0: cube_at(h, 0, np.zeros(4)), 1: cube_at(h, 1, np.zeros(8))},
+    )
+    write_audit(audit, tmp_path / "audit.csv")
+    draws = PosteriorDraws(
+        colnames=["intercept", "poverty"],
+        beta=np.array([[0.1, 1 / 3], [-2.0, 1e-9]]),
+        theta=np.zeros((2, 0)),
+        phi=np.zeros((2, 0)),
+        tau2=np.array([0.5, 2 / 3]),
+        sigma2=np.array([1e-3, 7.0]),
+        rho=np.array([0.2, 0.9]),
+        mcmc=McmcConfig(10, 5, 1, seed=0),
+        accept_rates={},
+    )
+    write_draws(draws, tmp_path / "draws.csv")
+    assert (tmp_path / "exp.csv").read_bytes() == (
+        b"unit_id,group,expected\r\na,NHW,0.3333333333\r\na,Black,0\r\nb,NHW,2.5\r\nb,Black,1e-07\r\n"
+    )
+    assert (tmp_path / "audit.csv").read_bytes() == (
+        b"unit_id,age_band,group,epsilon,noise\r\nU0-0,0-4,NHW,0.5,1\r\nU0-0,0-4,Black,0.5,-1\r\n"
+        b"U0-0,5+,NHW,0.5,0\r\nU0-0,5+,Black,0.5,2\r\nU1-0,0-4,NHW,0.3333333333,-4\r\n"
+        b"U1-0,0-4,Black,0.3333333333,-3\r\nU1-0,5+,NHW,0.3333333333,-2\r\nU1-0,5+,Black,0.3333333333,-1\r\n"
+        b"U1-1,0-4,NHW,0.3333333333,0\r\nU1-1,0-4,Black,0.3333333333,1\r\nU1-1,5+,NHW,0.3333333333,2\r\n"
+        b"U1-1,5+,Black,0.3333333333,3\r\nU1-0,__all__,__all__,0.25,3\r\nU1-1,__all__,__all__,0.25,-2\r\n"
+    )
+    assert (tmp_path / "draws.csv").read_bytes() == (
+        b"iteration,beta:intercept,beta:poverty,tau2,sigma2,rho\r\n"
+        b"0,0.1,0.3333333333,0.5,0.001,0.2\r\n1,-2,1e-09,0.6666666667,7,0.9\r\n"
+    )
+
+
+def test_report_stage_bytes(geo, tmp_path):
+    # the report reads expected counts and the simulate tables back, and
+    # writes the denominator table and the text digest
+    h, adj = geo
+    out = tmp_path / "run"
+    for sub in ("geo", "expect", "simulate"):
+        (out / sub).mkdir(parents=True)
+    write_hierarchy(h, out / "geo" / "hierarchy.csv")
+    write_adjacency(adj, out / "geo" / "adjacency.csv")
+    groups = ("NHW", "Black")
+    truth = [[1.0, 0.5], [2.0, 0.0], [4.0, 0.25], [3.0, 1.0]]
+    v19 = [[1.5, 0.0], [1.0, 0.0], [4.0, 0.5], [3.0, 2 / 3]]
+    write_expected(ExpectedCounts(h.leaf_ids, groups, truth, "truth"), out / "expect" / "expected_truth.csv")
+    write_expected(ExpectedCounts(h.leaf_ids, groups, v19, "v19"), out / "expect" / "expected_v19.csv")
+    (out / "simulate" / "fractions.csv").write_bytes(
+        b"source,group,mean_smr_bias,mean_smr_mape,upward_bias_pct,underestimated_expected_pct,"
+        b"zero_expected_pct\r\ntruth,NHW,0.01,0.2,50,0,0\r\ntruth,Black,-0.02,0.3,25,0,25\r\n"
+        b"v19,NHW,0.125,0.25,75,25,0\r\nv19,Black,nan,0.5,100,50,50\r\n"
+    )
+    (out / "simulate" / "coef_bias.csv").write_bytes(
+        b"source,coefficient,true_value,mean_bias,sd_bias\r\n"
+        b"truth,intercept,0,0.001,0.1\r\nv19,intercept,0,-0.25,0.2\r\n"
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"sim": {"sources": ["truth", "v19"]}}))
+    stage_report(load_config(cfg_path), out)
+    assert (out / "report" / "denominators.csv").read_bytes() == (
+        b"source,group,mean_pct_error,sd_pct_error,q25,median,q75,under_pct,zero_pct\r\n"
+        b"truth,NHW,0,0,0,0,0,0,0\r\ntruth,Black,0,0,0,0,0,0,25\r\n"
+        b"v19,NHW,0,40.82482905,-12.5,0,12.5,25,0\r\n"
+        b"v19,Black,-11.11111111,101.8350154,-66.66666667,-33.33333333,33.33333333,66.66666667,50\r\n"
+    )
+    assert (out / "report" / "report.txt").read_text() == "\n".join(
+        [
+            "privmap study report",
+            "====================",
+            "",
+            "Denominator accuracy against the unprotected source",
+            "   truth      NHW: mean %err +0.000, sd 0.000, under-estimated 0.00%, zero cells 0.00%",
+            "   truth    Black: mean %err +0.000, sd 0.000, under-estimated 0.00%, zero cells 25.00%",
+            "     v19      NHW: mean %err +0.000, sd 40.825, under-estimated 25.00%, zero cells 0.00%",
+            "     v19    Black: mean %err -11.111, sd 101.835, under-estimated 66.67%, zero cells 50.00%",
+            "",
+            "Simulation study (per source and group)",
+            "   truth      NHW: SMR bias +0.0100, MAPE 0.2000, upward 50.00%",
+            "   truth    Black: SMR bias -0.0200, MAPE 0.3000, upward 25.00%",
+            "     v19      NHW: SMR bias +0.1250, MAPE 0.2500, upward 75.00%",
+            "     v19    Black: SMR bias +nan, MAPE 0.5000, upward 100.00%",
+            "",
+            "Coefficient bias (mean over replicates)",
+            "   truth    intercept: +0.00100",
+            "     v19    intercept: -0.25000",
+            "",
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: every reader fails with its module's error, naming the file
+
+
+def _hierarchy(tmp_path, h, _adj):
+    path = tmp_path / "hierarchy.csv"
+    write_hierarchy(h, path)
+    return path, lambda: read_hierarchy(path), GeographyError
+
+
+def _adjacency(tmp_path, h, adj):
+    path = tmp_path / "adjacency.csv"
+    write_adjacency(adj, path)
+    return path, lambda: read_adjacency(path, h.leaf_ids), GeographyError
+
+
+def _cube(tmp_path, h, _adj):
+    path = tmp_path / "population.csv"
+    write_tabulation(cube_at(h, 2, np.arange(16)), path)
+    return path, lambda: ingest(path, AGES, GROUPS, h), TabulationError
+
+
+def _covariates(tmp_path, h, _adj):
+    path = tmp_path / "covariates.csv"
+    write_covariates(path, h.leaf_ids, "poverty", np.linspace(0.1, 0.4, 4))
+    return path, lambda: read_covariates(path, h.leaf_ids, "poverty"), TabulationError
+
+
+def _expected(tmp_path, h, _adj):
+    path = tmp_path / "expected_truth.csv"
+    write_expected(ExpectedCounts(h.leaf_ids, GROUPS.groups, np.ones((4, 2)), "truth"), path)
+    return path, lambda: read_expected(path, h.leaf_ids, GROUPS.groups), StandardizationError
+
+
+READERS = {
+    "hierarchy": (_hierarchy, False),
+    "adjacency": (_adjacency, False),
+    "cube": (_cube, True),
+    "covariates": (_covariates, True),
+    "expected": (_expected, True),
+}
+
+
+def _corrupt(lines: list[str], case: str) -> list[str]:
+    if case == "empty":
+        return []
+    if case == "short-row":
+        return lines[:-1] + [lines[-1].rsplit(",", 1)[0]]
+    if case == "non-numeric":
+        return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",abc"] + lines[3:]
+    return lines + [lines[1]]  # duplicate key
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [
+        (reader, case)
+        for reader, (_, numeric) in READERS.items()
+        for case in ("empty", "short-row", "non-numeric", "duplicate-key")
+        if numeric or case != "non-numeric"
+    ],
+)
+def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
+    path, read, error = READERS[reader][0](tmp_path, *geo)
+    read()  # the well-formed file loads
+    lines = _corrupt(path.read_text().splitlines(), case)
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(error) as err:
+        read()
+    assert path.name in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# tooling guard
+
+
+def test_only_the_tables_module_imports_csv():
+    offenders = []
+    for path in sorted(Path(privmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "csv" in (name.split(".")[0] for name in names) and path.name != "tables.py":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"csv imported outside privmap/tables.py: {offenders}"
