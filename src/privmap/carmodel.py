@@ -183,13 +183,12 @@ class McmcConfig:
 
 
 def car_conditional(
-    theta: np.ndarray, adjacency: Adjacency, rho: float, scale: float
+    theta: np.ndarray, plan: CarPlan, rho: float, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-conditional mean and variance of each spatial effect given the rest:
     mean rho * sum_k w_ik theta_k / w_i+, variance scale / w_i+."""
-    w_theta = adjacency.weights @ theta
-    deg = adjacency.row_sums
-    return rho * w_theta / deg, scale / deg
+    w_theta = plan.weights @ theta
+    return rho * w_theta / plan.degrees, scale / plan.degrees
 
 
 def sample_car_prior(
@@ -532,8 +531,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             eta_dirty = False
             for members in color_masks:
                 eps = t_scales[members] * rng.standard_normal(members.size)
-                w_theta = w_sparse @ theta
-                m = rho * w_theta[members] / deg[members]
+                m = car_conditional(theta, plan, rho, tau2)[0][members]
                 lik = y_by_unit[members] * eps - exp_by_unit[members] * np.expm1(eps)
                 t_old = theta[members]
                 pri = -deg[members] / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)

@@ -279,62 +279,79 @@ def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> NoisyMe
 # post-processing primitives
 
 
-def project_children(parent_value: float, noisy_children: np.ndarray) -> np.ndarray:
+def project_children(parent_value: float | np.ndarray, noisy_children: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of noisy child values onto the simplex
     {x >= 0, sum(x) = parent_value}.
 
     Solves argmin sum((x - z)^2) by the sorted-threshold form of the KKT
     conditions: x = max(z + tau, 0) with tau chosen so the sum constraint
-    holds after clamping.
+    holds after clamping (Duchi et al. 2008).
+
+    Takes one vector, or a batch of rows with one parent value each, every
+    row's children first and NaN padding after them; the padding stays NaN.
+    A row's result does not depend on the other rows or the padding width.
     """
     z = np.asarray(noisy_children, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ProtectionError("noisy_children must be a non-empty vector")
-    if parent_value < 0:
-        raise ProtectionError(f"parent value must be non-negative, got {parent_value}")
-    u = np.sort(z)[::-1]
-    cumsum = np.cumsum(u)
-    j = np.arange(1, z.size + 1)
-    tau_candidates = (parent_value - cumsum) / j
-    active = u + tau_candidates > 0
-    k = int(np.max(np.flatnonzero(active))) + 1 if active.any() else 1
-    tau = (parent_value - cumsum[k - 1]) / k
-    return np.maximum(z + tau, 0.0)
+    single = z.ndim == 1
+    z = np.atleast_2d(z)
+    parent = np.atleast_1d(np.asarray(parent_value, dtype=float))
+    if z.ndim != 2 or z.shape[1] == 0 or np.isnan(z[:, 0]).any():
+        raise ProtectionError("noisy_children must be a non-empty vector or rows")
+    if parent.shape != z.shape[:1]:
+        raise ProtectionError(f"{parent.size} parent values for {len(z)} rows")
+    if np.any(parent < 0):
+        raise ProtectionError(f"parent value must be non-negative, got {parent.min()}")
+    u = -np.sort(-z, axis=1)  # descending, padding last
+    cumsum = np.cumsum(u, axis=1)
+    j = np.arange(1, z.shape[1] + 1)
+    active = u + (parent[:, None] - cumsum) / j > 0
+    # k: the last active position, counted from 1
+    k = np.where(active.any(axis=1), z.shape[1] - np.argmax(active[:, ::-1], axis=1), 1)
+    tau = (parent - cumsum[np.arange(len(z)), k - 1]) / k
+    x = np.maximum(z + tau[:, None], 0.0)
+    return x[0] if single else x
 
 
-def controlled_round(values: np.ndarray, target_sum: int) -> np.ndarray:
+def controlled_round(values: np.ndarray, target_sum: int | np.ndarray) -> np.ndarray:
     """Integerize non-negative reals to hit ``target_sum`` exactly.
 
     Largest-remainder allocation: every entry lands on its floor or ceiling,
     ceilings go to the largest fractional remainders, ties broken by
-    ascending position.
+    ascending position. Takes one vector, or NaN-padded rows as
+    :func:`project_children` returns them with one target per row; padding
+    comes back as 0.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ProtectionError("values must be a non-empty vector")
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    if x.ndim != 2 or x.shape[1] == 0 or np.isnan(x[:, 0]).any():
+        raise ProtectionError("values must be a non-empty vector or rows")
     if np.any(x < -1e-9):
         raise ProtectionError("values must be non-negative")
-    x = np.maximum(x, 0.0)
-    target = int(target_sum)
-    if target < 0:
-        raise ProtectionError(f"target sum must be non-negative, got {target_sum}")
-    if abs(x.sum() - target) >= x.size:
-        raise ProtectionError(
-            f"sum {x.sum()!r} too far from target {target} for {x.size} values"
-        )
+    pad = np.isnan(x)
+    x = np.where(pad, 0.0, np.maximum(x, 0.0))
+    target = np.atleast_1d(np.asarray(target_sum)).astype(np.int64)
+    if target.shape != x.shape[:1]:
+        raise ProtectionError(f"{target.size} targets for {len(x)} rows")
+    if np.any(target < 0):
+        raise ProtectionError(f"target sum must be non-negative, got {target.min()}")
+    n = np.count_nonzero(~pad, axis=1)
+    far = np.flatnonzero(np.abs(x.sum(axis=1) - target) >= n)
+    if far.size:
+        r = far[0]
+        raise ProtectionError(f"sum {x[r].sum()!r} too far from target {target[r]} for {n[r]} values")
     floors = np.floor(x).astype(np.int64)
     frac = x - floors
-    extra = target - int(floors.sum())
-    n_frac = int(np.count_nonzero(frac > 0))
-    if extra < 0 or extra > n_frac:
-        raise ProtectionError(
-            f"no floor/ceiling allocation reaches {target} from {x.tolist()}"
-        )
-    out = floors.copy()
-    if extra:
-        order = np.lexsort((np.arange(x.size), -frac))
-        out[order[:extra]] += 1
-    return out
+    extra = target - floors.sum(axis=1)
+    stuck = np.flatnonzero((extra < 0) | (extra > np.count_nonzero(frac > 0, axis=1)))
+    if stuck.size:
+        r = stuck[0]
+        raise ProtectionError(f"no floor/ceiling allocation reaches {target[r]} from {x[r, ~pad[r]].tolist()}")
+    # each entry's place by descending remainder, ties by ascending position
+    place = np.empty_like(floors)
+    np.put_along_axis(place, np.argsort(-frac, axis=1, kind="stable"), np.arange(x.shape[1])[None, :], axis=1)
+    out = floors + (place < extra[:, None])
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +371,28 @@ class AuditRecord:
     published_totals: dict[int, np.ndarray] | None = None
 
 
-def _reconcile_single(
-    parent_pub: np.ndarray,
-    noisy: np.ndarray,
-    parent_ids: list[str],
-    child_ids: list[str],
-    children_of: dict[str, list[str]],
-    child_index: dict[str, int],
-) -> np.ndarray:
-    """Per-stratum projection and rounding of every sibling group."""
-    n_a, n_g = parent_pub.shape[1:]
-    out = np.zeros((len(child_ids), n_a, n_g))
-    for p, pid in enumerate(parent_ids):
-        kids = np.array([child_index[c] for c in children_of[pid]], dtype=int)
-        for a in range(n_a):
-            for g in range(n_g):
-                target = int(parent_pub[p, a, g])
-                x = project_children(target, noisy[kids, a, g])
-                out[kids, a, g] = controlled_round(x, target)
-    return out
+def _reconcile(parent_pub: np.ndarray, noisy: np.ndarray, parent_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit every sibling group of a level to its published parent cells.
+
+    ``parent_pub`` holds the P published parents' strata, ``noisy`` the C
+    children's noisy strata (any trailing shape, flattened to S strata) and
+    ``parent_idx`` each child's parent row. Each (parent, stratum) pair is
+    one row of a single batched projection and rounding, its children in
+    hierarchy order. Returns the continuous projection and its rounding,
+    both (C, S).
+    """
+    parent_pub = parent_pub.reshape(len(parent_pub), -1)
+    noisy = noisy.reshape(len(noisy), -1)
+    n_parents, n_strata = parent_pub.shape
+    sizes = np.bincount(parent_idx, minlength=n_parents)
+    order = np.argsort(parent_idx, kind="stable")
+    col = np.empty_like(order)  # each child's place within its sibling group
+    col[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    z = np.full((n_parents, n_strata, sizes.max()), np.nan)
+    z[parent_idx, :, col] = noisy
+    x = project_children(parent_pub.reshape(-1), z.reshape(-1, z.shape[2]))
+    y = controlled_round(x, parent_pub.reshape(-1))
+    return x.reshape(z.shape)[parent_idx, :, col], y.reshape(z.shape)[parent_idx, :, col]
 
 
 def _repair_rows(y: np.ndarray, row_targets: np.ndarray, x_cont: np.ndarray) -> None:
@@ -393,40 +413,6 @@ def _repair_rows(y: np.ndarray, row_targets: np.ndarray, x_cont: np.ndarray) -> 
         y[taker, col] += 1
         row_sums[donor] -= 1
         row_sums[taker] += 1
-
-
-def _reconcile_multipass_level(
-    parent_pub: np.ndarray,
-    noisy: np.ndarray,
-    pub_child_totals: np.ndarray,
-    parent_ids: list[str],
-    children_of: dict[str, list[str]],
-    child_index: dict[str, int],
-) -> np.ndarray:
-    """Column constraints from the parent detail, row constraints from the
-    already-published child totals."""
-    n_a, n_g = parent_pub.shape[1:]
-    n_child = pub_child_totals.size
-    out = np.zeros((n_child, n_a, n_g))
-    for p, pid in enumerate(parent_ids):
-        kids = np.array([child_index[c] for c in children_of[pid]], dtype=int)
-        x_cont = np.zeros((kids.size, n_a * n_g))
-        y = np.zeros((kids.size, n_a * n_g), dtype=np.int64)
-        flat = noisy[kids].reshape(kids.size, n_a * n_g)
-        parent_flat = parent_pub[p].reshape(-1)
-        for s in range(n_a * n_g):
-            target = int(parent_flat[s])
-            x = project_children(target, flat[:, s])
-            x_cont[:, s] = x
-            y[:, s] = controlled_round(x, target)
-        targets = pub_child_totals[kids].astype(np.int64)
-        if int(y.sum()) != int(targets.sum()):
-            raise ProtectionError(
-                "pass inconsistency: parent detail does not match child totals"
-            )
-        _repair_rows(y, targets, x_cont)
-        out[kids] = y.reshape(kids.size, n_a, n_g)
-    return out
 
 
 def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[TabulationCube, AuditRecord]:
@@ -453,60 +439,36 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
         return true_cube, audit
 
     # the root grand total is the mechanism's one exact invariant: the noisy
-    # root histogram is fit subject to it, and everything below reconciles
-    # to the published root
-    grand_total = int(round(cubes[0].total))
-    root_noisy = measurements.detail[0].reshape(-1)
-    root_vals = controlled_round(project_children(grand_total, root_noisy), grand_total)
-    published: dict[int, TabulationCube] = {
-        0: cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)
-    }
-    children_of = {uid: h.children(uid) for uid in (u.id for u in h.units)}
+    # root histogram is fit subject to it as one sibling group, and
+    # everything below reconciles to the published root
+    root_cells = measurements.detail[0].reshape(-1)
+    root_total = np.array([int(round(cubes[0].total))])
+    _, root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
+    published = {0: cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)}
     pub_totals: dict[int, np.ndarray] | None = None
-
-    if not config.budget.multi_pass:
-        for rank in range(1, h.depth):
-            parent_ids = h.units_at(rank - 1)
-            child_ids = h.units_at(rank)
-            child_index = {uid: i for i, uid in enumerate(child_ids)}
-            vals = _reconcile_single(
-                published[rank - 1].values,
-                measurements.detail[rank],
-                parent_ids,
-                child_ids,
-                children_of,
-                child_index,
-            )
-            published[rank] = cubes[rank].with_values(vals, integer_valued=True)
-    else:
+    if config.budget.multi_pass:
         # pass 1: unit totals, reconciled top-down; the root total is truth
         pub_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
         for rank in range(1, h.depth):
-            parent_ids = h.units_at(rank - 1)
-            child_ids = h.units_at(rank)
-            child_index = {uid: i for i, uid in enumerate(child_ids)}
-            out = np.zeros(len(child_ids), dtype=np.int64)
-            noisy_tot = measurements.totals[rank]
-            for p, pid in enumerate(parent_ids):
-                kids = np.array([child_index[c] for c in children_of[pid]], dtype=int)
-                target = int(pub_totals[rank - 1][p])
-                x = project_children(target, noisy_tot[kids])
-                out[kids] = controlled_round(x, target)
-            pub_totals[rank] = out
-        # pass 2: detail constrained by parent detail and own published total
-        for rank in range(1, h.depth):
-            parent_ids = h.units_at(rank - 1)
-            child_ids = h.units_at(rank)
-            child_index = {uid: i for i, uid in enumerate(child_ids)}
-            vals = _reconcile_multipass_level(
-                published[rank - 1].values,
-                measurements.detail[rank],
-                pub_totals[rank],
-                parent_ids,
-                children_of,
-                child_index,
-            )
-            published[rank] = cubes[rank].with_values(vals, integer_valued=True)
+            _, y = _reconcile(pub_totals[rank - 1], measurements.totals[rank], h.parent_index(rank))
+            pub_totals[rank] = y[:, 0]
+    # the detail, constrained by the parent detail (and, in pass 2 of a
+    # multi-pass variant, by each unit's own published total)
+    for rank in range(1, h.depth):
+        parent_idx = h.parent_index(rank)
+        x, y = _reconcile(published[rank - 1].values, measurements.detail[rank], parent_idx)
+        if pub_totals is not None:
+            targets = pub_totals[rank]
+            row_sums = y.sum(axis=1)
+            if not np.array_equal(np.bincount(parent_idx, row_sums), np.bincount(parent_idx, targets)):
+                raise ProtectionError("pass inconsistency: parent detail does not match child totals")
+            # only sibling groups whose rows miss their totals need repair
+            for p in np.unique(parent_idx[row_sums != targets]):
+                kids = np.flatnonzero(parent_idx == p)
+                rows = y[kids]
+                _repair_rows(rows, targets[kids], x[kids])
+                y[kids] = rows
+        published[rank] = cubes[rank].with_values(y.reshape(cubes[rank].values.shape), integer_valued=True)
 
     audit = AuditRecord(
         config.variant,
@@ -515,7 +477,7 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
         measurements.detail_noise,
         measurements.totals_noise,
         published,
-        pub_totals if config.budget.multi_pass else None,
+        pub_totals,
     )
     return published[h.depth - 1], audit
 

@@ -46,7 +46,14 @@ def _level_names(depth: int) -> list[str]:
 
 
 class Hierarchy:
-    """A rooted tree of geographic units with contiguous level ranks."""
+    """A rooted tree of geographic units with contiguous level ranks.
+
+    Per-rank index arrays are built once here: the unit ids at each rank in
+    insertion order, each unit's position among them, and for each rank the
+    position of every unit's parent among the units one rank up. A unit whose
+    parent is missing or not one rank up gets parent position -1; such a
+    tree still constructs, so that :meth:`validate` can report on it.
+    """
 
     def __init__(self, units: list[GeoUnit], levels: list[GeoLevel]):
         self.levels = sorted(levels, key=lambda lv: lv.rank)
@@ -59,16 +66,25 @@ class Hierarchy:
         self._by_id = {u.id: u for u in self.units}
         if len(self._by_id) != len(self.units):
             raise GeographyError("unit ids are not unique")
-        self._children: dict[str, list[str]] = {u.id: [] for u in self.units}
-        roots = []
+        self._ids: list[list[str]] = [[] for _ in self.levels]
+        self._position: dict[str, int] = {}
         for u in self.units:
-            if u.parent_id is None:
-                roots.append(u.id)
-            elif u.parent_id in self._by_id:
-                self._children[u.parent_id].append(u.id)
+            if not 0 <= u.rank < self.depth:
+                raise GeographyError(f"unit {u.id}: rank {u.rank} outside levels 0..{self.depth - 1}")
+            self._position[u.id] = len(self._ids[u.rank])
+            self._ids[u.rank].append(u.id)
+        roots = [u.id for u in self.units if u.parent_id is None]
         if len(roots) != 1:
             raise GeographyError(f"hierarchy must have exactly one root, found {len(roots)}")
         self.root_id = roots[0]
+        self._parent_index = [
+            np.array([self._parent_position(self._by_id[uid]) for uid in ids], dtype=np.intp)
+            for ids in self._ids
+        ]
+
+    def _parent_position(self, u: GeoUnit) -> int:
+        parent = self._by_id.get(u.parent_id)
+        return self._position[parent.id] if parent is not None and parent.rank == u.rank - 1 else -1
 
     @property
     def depth(self) -> int:
@@ -91,11 +107,28 @@ class Hierarchy:
             raise GeographyError(f"unknown unit id {unit_id!r}") from None
 
     def units_at(self, rank: int) -> list[str]:
-        """Unit ids at a rank, in stable (insertion) order."""
-        return [u.id for u in self.units if u.rank == rank]
+        """Unit ids at a rank, in stable (insertion) order; shared, do not mutate."""
+        return self._ids[rank]
+
+    def index(self, unit_id: str, rank: int) -> int:
+        """Position of a unit among :meth:`units_at` ``rank``."""
+        if self.unit(unit_id).rank != rank:
+            raise GeographyError(f"unit {unit_id!r} is not at rank {rank}")
+        return self._position[unit_id]
+
+    def parent_index(self, rank: int) -> np.ndarray:
+        """Position of each unit's parent among the units one rank up."""
+        index = self._parent_index[rank]
+        if rank == 0 or np.any(index < 0):
+            raise GeographyError(f"units at rank {rank} lack a parent one rank up; see validate()")
+        return index
 
     def children(self, unit_id: str) -> list[str]:
-        return self._children[unit_id]
+        rank = self.unit(unit_id).rank
+        if rank == self.depth - 1:
+            return []
+        below = np.flatnonzero(self._parent_index[rank + 1] == self._position[unit_id])
+        return [self._ids[rank + 1][k] for k in below]
 
     @property
     def leaf_ids(self) -> list[str]:
@@ -116,20 +149,16 @@ class Hierarchy:
                 report.append(
                     f"unit {u.id}: parent {u.parent_id} has rank {parent.rank}, expected {u.rank - 1}"
                 )
-        # reachability: every unit must be reachable from the root
-        seen = set()
-        stack = [self.root_id]
-        while stack:
-            uid = stack.pop()
-            if uid in seen:
-                report.append(f"cycle detected at unit {uid}")
-                break
-            seen.add(uid)
-            stack.extend(self._children.get(uid, []))
-        unreachable = [u.id for u in self.units if u.id not in seen and u.parent_id is not None]
-        for uid in unreachable:
-            if not any(uid in line for line in report):
-                report.append(f"unit {uid}: unreachable from root")
+        # with every parent one rank up there is no cycle and every unit
+        # reaches the root, so these and childless internal units are all
+        # the ways a tree can be malformed
+        for rank in range(self.depth - 1):
+            parent = self._parent_index[rank + 1]
+            n_children = np.bincount(parent[parent >= 0], minlength=len(self._ids[rank]))
+            report.extend(
+                f"unit {self._ids[rank][k]}: no children at {self.levels[rank].name} level"
+                for k in np.flatnonzero(n_children == 0)
+            )
         return report
 
 
@@ -142,7 +171,6 @@ class Adjacency:
         if weights.shape != (n, n):
             raise GeographyError(f"weight matrix shape {weights.shape} does not match {n} leaves")
         self.leaf_ids = list(leaf_ids)
-        self.index = {uid: i for i, uid in enumerate(self.leaf_ids)}
         self.weights = weights.astype(float)
 
     @property
@@ -330,9 +358,13 @@ def read_hierarchy(path) -> Hierarchy:
         units.append(GeoUnit(uid, rank, parent or None))
     levels = [GeoLevel(rank, name) for name, rank in level_names.items()]
     try:
-        return Hierarchy(units, levels)
+        h = Hierarchy(units, levels)
     except GeographyError as exc:
         raise GeographyError(f"{path}: {exc}") from None
+    report = h.validate()
+    if report:
+        raise GeographyError(f"{path}: {report[0]}" + (f" and {len(report) - 1} more" if len(report) > 1 else ""))
+    return h
 
 
 def write_adjacency(a: Adjacency, path) -> None:
@@ -340,12 +372,15 @@ def write_adjacency(a: Adjacency, path) -> None:
 
 
 def read_adjacency(path, leaf_ids: list[str]) -> Adjacency:
-    index = {uid: i for i, uid in enumerate(leaf_ids)}
-    w = np.zeros((len(leaf_ids), len(leaf_ids)))
-    for ua, ub in read_table(path, ["unit_a", "unit_b"], GeographyError):
-        if ua not in index or ub not in index:
+    ids = np.asarray(leaf_ids)
+    edges = np.array(read_table(path, ["unit_a", "unit_b"], GeographyError), dtype=str).reshape(-1, 2)
+    by_id = np.argsort(ids)
+    pos = by_id[np.searchsorted(ids, edges, sorter=by_id).clip(max=ids.size - 1)]
+    known = (ids[pos] == edges).all(axis=1)
+    w = np.zeros((ids.size, ids.size))
+    for (ua, ub), (i, k), ok in zip(edges.tolist(), pos.tolist(), known.tolist()):
+        if not ok:
             raise GeographyError(f"{path}: edge ({ua}, {ub}) references unknown leaf")
-        i, k = index[ua], index[ub]
         if w[i, k]:
             raise GeographyError(f"{path}: duplicate edge ({ua}, {ub})")
         w[i, k] = w[k, i] = 1.0

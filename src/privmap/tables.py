@@ -83,5 +83,13 @@ def read_cells(path, rows, axes, error) -> np.ndarray:
     return values
 
 
+def check_nonnegative(path, values, axes, what, error) -> None:
+    """Raise ``error`` naming ``path`` and the first cell of ``values`` below zero."""
+    negative = np.argwhere(values < 0)
+    if len(negative):
+        cell = [axis[i] for axis, i in zip(axes, negative[0])]
+        raise error(f"{path}: negative {what} {values[tuple(negative[0])]:g} in cell {_cell(cell, axes)}")
+
+
 def _cell(keys, axes) -> str:
     return f"({', '.join(keys[: len(axes)])})"

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TabulationError
+from .errors import GeographyError, TabulationError
 from .geo import Hierarchy
-from .tables import fmt, read_cells, read_table, write_table
+from .tables import check_nonnegative, fmt, read_cells, read_table, write_table
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -99,12 +99,11 @@ class TabulationCube:
         self.values = values
         self.values.flags.writeable = False
         self.integer_valued = integer_valued
-        self._index = {uid: i for i, uid in enumerate(self.unit_ids)}
 
     def unit_index(self, unit_id: str) -> int:
         try:
-            return self._index[unit_id]
-        except KeyError:
+            return self.hierarchy.index(unit_id, self.rank)
+        except GeographyError:
             raise TabulationError(f"unit {unit_id!r} not in cube") from None
 
     @property
@@ -131,13 +130,9 @@ def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_co
     if len(ranks) != 1:
         raise TabulationError(f"{path}: tabulation mixes units from ranks {sorted(ranks)}")
     rank = ranks.pop()
-    values = read_cells(path, rows, [h.units_at(rank), ages.bands, groups.groups], TabulationError)
-    if np.any(values < 0):
-        i, a, g = np.argwhere(values < 0)[0]
-        raise TabulationError(
-            f"{path}: negative count {values[i, a, g]:g} in cell "
-            f"({h.units_at(rank)[i]}, {ages.bands[a]}, {groups.groups[g]})"
-        )
+    axes = [h.units_at(rank), ages.bands, groups.groups]
+    values = read_cells(path, rows, axes, TabulationError)
+    check_nonnegative(path, values, axes, "count", TabulationError)
     return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
 
 
@@ -164,12 +159,8 @@ def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
     h = cube.hierarchy
     current = cube
     while current.rank > target_rank:
-        parent_ids = h.units_at(current.rank - 1)
-        parent_index = {uid: i for i, uid in enumerate(parent_ids)}
-        out = np.zeros((len(parent_ids), cube.ages.n, cube.groups.n))
-        for i, uid in enumerate(current.unit_ids):
-            parent = h.unit(uid).parent_id
-            out[parent_index[parent]] += current.values[i]
+        out = np.zeros((len(h.units_at(current.rank - 1)), cube.ages.n, cube.groups.n))
+        np.add.at(out, h.parent_index(current.rank), current.values)
         current = TabulationCube(
             h, current.rank - 1, cube.ages, cube.groups, out, cube.integer_valued
         )

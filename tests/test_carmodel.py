@@ -79,7 +79,7 @@ def test_car_prior_rejects_bad_params():
 def test_car_conditional_formula():
     _, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     theta = rng(4).normal(0, 1, 9)
-    mean, var = car_conditional(theta, adj, 0.3, 1.7)
+    mean, var = car_conditional(theta, CarPlan(adj), 0.3, 1.7)
     for i in range(9):
         nbrs = np.flatnonzero(adj.weights[i] > 0)
         assert mean[i] == pytest.approx(0.3 * theta[nbrs].sum() / len(nbrs), abs=1e-12)

@@ -89,6 +89,29 @@ def test_tree_property_counts():
     assert sorted(seen) == sorted(u.id for u in h.units)
 
 
+def test_per_rank_index_arrays_follow_insertion_order():
+    # units listed out of rank order, siblings not contiguous
+    units = [
+        GeoUnit("b1", 2, "a2"),
+        GeoUnit("a1", 1, "r"),
+        GeoUnit("r", 0, None),
+        GeoUnit("b2", 2, "a1"),
+        GeoUnit("a2", 1, "r"),
+        GeoUnit("b3", 2, "a2"),
+    ]
+    h = Hierarchy(units, [GeoLevel(0, "root"), GeoLevel(1, "mid"), GeoLevel(2, "leaf")])
+    assert h.units_at(1) == ["a1", "a2"]
+    assert h.leaf_ids == ["b1", "b2", "b3"]
+    assert h.parent_index(2).tolist() == [1, 0, 1]
+    assert h.parent_index(1).tolist() == [0, 0]
+    assert [h.index(uid, 2) for uid in h.leaf_ids] == [0, 1, 2]
+    assert h.children("a2") == ["b1", "b3"]
+    with pytest.raises(GeographyError):
+        h.index("b1", 1)
+    with pytest.raises(GeographyError):
+        h.parent_index(0)
+
+
 def test_validate_well_formed_empty_report():
     h, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     report = validate(h, adj)

@@ -304,6 +304,16 @@ def test_cli_exit_codes(tmp_path):
     result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
     assert result.exit_code == 4
     assert "population.csv" in result.output
+    # a hierarchy row whose parent names no unit -> 4, naming file and unit
+    out = tmp_path / "w"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "geo"]).exit_code == 0
+    hierarchy = out / "geo" / "hierarchy.csv"
+    lines = hierarchy.read_text().splitlines()
+    leaf = lines[-1].split(",")[0]
+    hierarchy.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nowhere"]) + "\n")
+    result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
+    assert result.exit_code == 4
+    assert "hierarchy.csv" in result.output and leaf in result.output
 
 
 def test_cli_env_var_overrides_out(tmp_path):

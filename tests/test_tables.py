@@ -223,7 +223,18 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         return lines[:-1] + [lines[-1].rsplit(",", 1)[0]]
     if case == "non-numeric":
         return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",abc"] + lines[3:]
-    return lines + [lines[1]]  # duplicate key
+    if case == "negative":
+        return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",-1.5"] + lines[3:]
+    if case == "duplicate-key":
+        return lines + [lines[1]]
+    # hierarchy rows are unit_id,level,parent_id: the root first, then a
+    # unit one rank below it, the last row a leaf
+    root, level_1 = lines[1].split(",")[0], lines[2].split(",")[1]
+    if case == "missing-parent":
+        return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nowhere"]
+    if case == "wrong-parent-rank":
+        return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "," + root]
+    return lines + [f"extra,{level_1},{root}"]  # childless unit
 
 
 @pytest.mark.parametrize(
@@ -233,7 +244,9 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         for reader, (_, numeric) in READERS.items()
         for case in ("empty", "short-row", "non-numeric", "duplicate-key")
         if numeric or case != "non-numeric"
-    ],
+    ]
+    + [("hierarchy", case) for case in ("missing-parent", "wrong-parent-rank", "childless-unit")]
+    + [("expected", "negative")],
 )
 def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
     path, read, error = READERS[reader][0](tmp_path, *geo)
