@@ -201,7 +201,7 @@ def sample_car_prior(
     if scale <= 0:
         raise ModelError(f"scale must be positive, got {scale}")
     d = np.diag(adjacency.row_sums)
-    q = (d - rho * adjacency.weights) / scale
+    q = (d - rho * adjacency.weights.toarray()) / scale  # dense for the Cholesky
     try:
         chol = scipy.linalg.cholesky(q, lower=False)  # q = chol' chol
     except scipy.linalg.LinAlgError as exc:
@@ -211,25 +211,32 @@ def sample_car_prior(
     return draws[:, 0] if size == 1 else draws.T
 
 
-def greedy_coloring(weights: np.ndarray) -> np.ndarray:
-    """Proper vertex coloring so units updated together share no edge."""
+def greedy_coloring(weights: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Proper vertex coloring so units updated together share no edge.
+
+    Units take, in index order, the smallest color none of their positive-
+    weight neighbors has; ``weights`` is a CSR matrix.
+    """
     n = weights.shape[0]
-    colors = np.full(n, -1, dtype=int)
+    indptr = weights.indptr.tolist()
+    # a non-positive weight points at slot n, whose color is never set
+    neighbors = np.where(weights.data > 0, weights.indices, n).tolist()
+    colors = [-1] * (n + 1)
     for i in range(n):
-        used = {colors[k] for k in np.flatnonzero(weights[i] > 0) if colors[k] >= 0}
+        used = {colors[k] for k in neighbors[indptr[i] : indptr[i + 1]]}
         c = 0
         while c in used:
             c += 1
         colors[i] = c
-    return colors
+    return np.array(colors[:n], dtype=int)
 
 
 class CarPlan:
     """The spatial structure of one leaf adjacency, as the sampler uses it.
 
-    Holds the degrees w_i+, the weights in CSR form, the greedy color
-    classes, and the eigenvalues of D^-1/2 W D^-1/2, through which the
-    log-det of the CAR precision is
+    Holds the degrees w_i+, the adjacency's CSR weights (shared, not a
+    copy), the greedy color classes, and the eigenvalues of D^-1/2 W D^-1/2,
+    through which the log-det of the CAR precision is
     log|D - rho W| = sum log d_i + sum log(1 - rho lambda_i) (Ord 1975).
     All of it depends on the adjacency alone, so one plan serves every fit
     on that adjacency.
@@ -239,18 +246,17 @@ class CarPlan:
     """
 
     def __init__(self, adjacency: Adjacency):
-        w_dense = adjacency.weights
         self.leaf_ids = list(adjacency.leaf_ids)
         self.connected = adjacency.is_connected()
         self.degrees = adjacency.row_sums
-        self.weights = scipy.sparse.csr_matrix(w_dense)
-        colors = greedy_coloring(w_dense)
+        self.weights = adjacency.weights
+        colors = greedy_coloring(self.weights)
         self.color_classes = [np.flatnonzero(colors == c) for c in range(colors.max(initial=-1) + 1)]
         self.eigenvalues: np.ndarray | None = None
         self.log_det_d: float | None = None
         if self.connected:  # every degree is positive, so 1/sqrt(deg) is finite
             d_isqrt = 1.0 / np.sqrt(self.degrees)
-            sym = d_isqrt[:, None] * w_dense * d_isqrt[None, :]
+            sym = d_isqrt[:, None] * self.weights.toarray() * d_isqrt[None, :]  # dense for eigh
             self.eigenvalues = scipy.linalg.eigh(sym, eigvals_only=True)
             self.log_det_d = float(np.sum(np.log(self.degrees)))
 

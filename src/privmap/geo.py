@@ -162,16 +162,33 @@ class Hierarchy:
         return report
 
 
-class Adjacency:
-    """Symmetric 0/1 neighbor weights over the hierarchy's leaves."""
+def _entry_rows(w: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Row of each stored entry of a CSR matrix, so with its ``indices`` the
+    entries in row-major order."""
+    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
 
-    def __init__(self, leaf_ids: list[str], weights: np.ndarray):
-        weights = np.asarray(weights)
+
+class Adjacency:
+    """Symmetric 0/1 neighbor weights over the hierarchy's leaves.
+
+    The weights are stored as one canonical CSR matrix (float, sorted
+    indices, no explicit zeros), whether they were given dense or sparse.
+    """
+
+    def __init__(self, leaf_ids: list[str], weights):
+        # scipy is imported on use throughout this module: a module-level
+        # scipy.sparse import made a fresh `import privmap` measurably slower
+        import scipy.sparse
+
+        if not scipy.sparse.issparse(weights):
+            weights = np.asarray(weights)
         n = len(leaf_ids)
         if weights.shape != (n, n):
             raise GeographyError(f"weight matrix shape {weights.shape} does not match {n} leaves")
         self.leaf_ids = list(leaf_ids)
-        self.weights = weights.astype(float)
+        self.weights = scipy.sparse.csr_matrix(weights, dtype=float, copy=True)
+        self.weights.sum_duplicates()
+        self.weights.eliminate_zeros()
 
     @property
     def n(self) -> int:
@@ -180,48 +197,39 @@ class Adjacency:
     @property
     def row_sums(self) -> np.ndarray:
         """Neighbor counts per leaf (the w_i+ degree vector)."""
-        return self.weights.sum(axis=1)
+        return np.asarray(self.weights.sum(axis=1)).ravel()
 
     def edges(self) -> list[tuple[str, str]]:
         """Undirected edges, each listed once with endpoint ids in index order."""
-        out = []
-        idx = np.argwhere(np.triu(self.weights, k=1) > 0)
-        for i, k in idx:
-            out.append((self.leaf_ids[i], self.leaf_ids[k]))
-        return out
+        w = self.weights
+        i, k = _entry_rows(w), w.indices
+        upper = (k > i) & (w.data > 0)
+        return [(self.leaf_ids[a], self.leaf_ids[b]) for a, b in zip(i[upper].tolist(), k[upper].tolist())]
 
     def validate(self) -> list[str]:
         report = []
         w = self.weights
-        asym = np.argwhere(w != w.T)
-        for i, k in asym[: len(asym) // 2 + 1]:
+        asym = (w != w.T).tocsr()
+        asym.sort_indices()
+        for i, k in zip(_entry_rows(asym).tolist(), asym.indices.tolist()):
             if i < k:
                 report.append(
                     f"asymmetric weight between {self.leaf_ids[i]} and {self.leaf_ids[k]}: "
                     f"{w[i, k]} vs {w[k, i]}"
                 )
-        if np.any(np.diag(w) != 0):
-            bad = [self.leaf_ids[i] for i in np.flatnonzero(np.diag(w))]
+        diag = w.diagonal()
+        if np.any(diag != 0):
+            bad = [self.leaf_ids[i] for i in np.flatnonzero(diag)]
             report.append(f"nonzero diagonal weights for {bad}")
-        islands = [self.leaf_ids[i] for i in np.flatnonzero(w.sum(axis=1) < 1)]
+        islands = [self.leaf_ids[i] for i in np.flatnonzero(self.row_sums < 1)]
         for uid in islands:
             report.append(f"unit {uid} is an island (no neighbors)")
         return report
 
     def is_connected(self) -> bool:
-        n = self.n
-        if n == 0:
-            return False
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for k in np.flatnonzero(self.weights[i] > 0):
-                if not seen[k]:
-                    seen[k] = True
-                    stack.append(int(k))
-        return bool(seen.all())
+        from scipy.sparse.csgraph import connected_components
+
+        return self.n > 0 and connected_components(self.weights, directed=False, return_labels=False) == 1
 
 
 @dataclass
@@ -255,31 +263,32 @@ def _grid_shape(n: int) -> tuple[int, int]:
     return r, n // r
 
 
-def _grid_adjacency(n: int) -> np.ndarray:
-    rows, cols = _grid_shape(n)
-    w = np.zeros((n, n))
-    for i in range(n):
-        r, c = divmod(i, cols)
-        if c + 1 < cols:
-            w[i, i + 1] = w[i + 1, i] = 1.0
-        if r + 1 < rows:
-            w[i, i + cols] = w[i + cols, i] = 1.0
-    return w
+def _edge_weights(n: int, i: np.ndarray, k: np.ndarray) -> scipy.sparse.csr_matrix:
+    """0/1 weights with an edge between each i and k (pairs listed once)."""
+    import scipy.sparse
+
+    off = i != k
+    rows, cols = np.concatenate([i, k[off]]), np.concatenate([k, i[off]])
+    return scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
-def _random_planar_adjacency(n: int, rng: np.random.Generator) -> np.ndarray:
+def _grid_adjacency(n: int) -> tuple[np.ndarray, np.ndarray]:
+    _, cols = _grid_shape(n)
+    idx = np.arange(n)
+    right = idx[idx % cols + 1 < cols]
+    down = idx[: n - cols]
+    return np.concatenate([right, down]), np.concatenate([right + 1, down + cols])
+
+
+def _random_planar_adjacency(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Delaunay triangulation of jittered random points; always connected."""
     from scipy.spatial import Delaunay
 
     pts = rng.random((n, 2))
-    tri = Delaunay(pts)
-    w = np.zeros((n, n))
-    for simplex in tri.simplices:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                i, k = simplex[a], simplex[b]
-                w[i, k] = w[k, i] = 1.0
-    return w
+    s = Delaunay(pts).simplices
+    pairs = np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)  # each shared side once
+    return pairs[:, 0], pairs[:, 1]
 
 
 def build_synthetic_geography(
@@ -330,10 +339,10 @@ def build_synthetic_geography(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, n_leaves]))
     if layout == "grid":
-        w = _grid_adjacency(n_leaves)
+        i, k = _grid_adjacency(n_leaves)
     else:
-        w = _random_planar_adjacency(n_leaves, rng)
-    adj = Adjacency(h.leaf_ids, w)
+        i, k = _random_planar_adjacency(n_leaves, rng)
+    adj = Adjacency(h.leaf_ids, _edge_weights(n_leaves, i, k))
     if not adj.is_connected():
         raise GeographyError(f"{layout} layout produced a disconnected leaf graph")
     if np.any(adj.row_sums < 1):
@@ -350,13 +359,51 @@ def write_hierarchy(h: Hierarchy, path) -> None:
     write_table(path, ["unit_id", "level", "parent_id"], rows)
 
 
+def _chain_ranks(parent_of: dict[str, str]) -> dict[str, int]:
+    """Depth below the root (the unit with no parent) of every unit whose
+    parent chain reaches it; units on a broken or looping chain are left out."""
+    rank: dict[str, int | None] = {}
+    for uid in parent_of:
+        chain, u = [], uid
+        while u in parent_of and u not in rank:
+            rank[u] = None  # on the current walk, so reaching it again is a loop
+            chain.append(u)
+            u = parent_of[u]
+        # u is now the root's empty parent id, a unit already walked, or a missing parent
+        r = -1 if not u else rank.get(u)
+        for c in reversed(chain):
+            r = None if r is None else r + 1
+            rank[c] = r
+    return {u: r for u, r in rank.items() if r is not None}
+
+
 def read_hierarchy(path) -> Hierarchy:
+    """Load a hierarchy, ranking each unit by its parent chain, so rows may
+    come in any order; a level name must name exactly one rank."""
+    rows = read_table(path, ["unit_id", "level", "parent_id"], GeographyError)
+    roots = [uid for uid, _, parent in rows if not parent]
+    if len(roots) != 1:
+        raise GeographyError(f"{path}: hierarchy must have exactly one root, found {len(roots)}")
+    rank = _chain_ranks({uid: parent for uid, _, parent in rows})
+    level_rank: dict[str, int] = {}
+    for uid, level_name, _ in rows:
+        if uid in rank and level_rank.setdefault(level_name, rank[uid]) != rank[uid]:
+            raise GeographyError(
+                f"{path}: level {level_name!r} used at ranks {level_rank[level_name]} and {rank[uid]} (unit {uid})"
+            )
+    level_at: dict[int, str] = {}
+    for level_name, r in level_rank.items():
+        if level_at.setdefault(r, level_name) != level_name:
+            raise GeographyError(f"{path}: rank {r} has two level names, {level_at[r]!r} and {level_name!r}")
     units = []
-    level_names: dict[str, int] = {}
-    for uid, level_name, parent in read_table(path, ["unit_id", "level", "parent_id"], GeographyError):
-        rank = level_names.setdefault(level_name, len(level_names))
-        units.append(GeoUnit(uid, rank, parent or None))
-    levels = [GeoLevel(rank, name) for name, rank in level_names.items()]
+    for uid, level_name, parent in rows:
+        # a unit cut off from the root keeps its level's rank, so that
+        # validate() names the broken link
+        r = rank.get(uid, level_rank.get(level_name))
+        if r is None:
+            raise GeographyError(f"{path}: unit {uid}: parent chain does not reach the root")
+        units.append(GeoUnit(uid, r, parent or None))
+    levels = [GeoLevel(r, name) for name, r in level_rank.items()]
     try:
         h = Hierarchy(units, levels)
     except GeographyError as exc:
@@ -377,11 +424,15 @@ def read_adjacency(path, leaf_ids: list[str]) -> Adjacency:
     by_id = np.argsort(ids)
     pos = by_id[np.searchsorted(ids, edges, sorter=by_id).clip(max=ids.size - 1)]
     known = (ids[pos] == edges).all(axis=1)
-    w = np.zeros((ids.size, ids.size))
-    for (ua, ub), (i, k), ok in zip(edges.tolist(), pos.tolist(), known.tolist()):
-        if not ok:
+    # one key per unordered pair, so a reversed repeat is a duplicate too;
+    # rows naming an unknown leaf get keys of their own
+    key = np.where(known, pos.min(axis=1) * ids.size + pos.max(axis=1), -1 - np.arange(len(edges)))
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    bad = np.flatnonzero(~known | repeat)
+    if bad.size:
+        ua, ub = edges[bad[0]]
+        if not known[bad[0]]:
             raise GeographyError(f"{path}: edge ({ua}, {ub}) references unknown leaf")
-        if w[i, k]:
-            raise GeographyError(f"{path}: duplicate edge ({ua}, {ub})")
-        w[i, k] = w[k, i] = 1.0
-    return Adjacency(leaf_ids, w)
+        raise GeographyError(f"{path}: duplicate edge ({ua}, {ub})")
+    return Adjacency(leaf_ids, _edge_weights(ids.size, pos[:, 0], pos[:, 1]))

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -245,7 +246,17 @@ def append_manifest(
     outputs: list[Path],
     extra: dict | None = None,
     wall_s: float | None = None,
+    cpu_s: float | None = None,
+    peak_rss_mb: float | None = None,
 ) -> None:
+    """Append one stage entry to ``manifest.json``: its timings, the sha256
+    of its inputs and outputs, and any stage-specific ``extra``.
+
+    ``cpu_s`` is this process's CPU time during the stage (forked
+    ``--jobs`` workers not included); ``peak_rss_mb`` is the peak resident
+    set of this process so far, read at the stage's end, so a stage run in
+    the same process as an earlier, larger one reports that one's peak.
+    """
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
@@ -255,6 +266,8 @@ def append_manifest(
     entry = {
         "stage": stage,
         "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "peak_rss_mb": peak_rss_mb,
         "inputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in inputs},
         "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
@@ -267,14 +280,27 @@ def append_manifest(
 class _Timer:
     def __enter__(self):
         self.start = time.perf_counter()
+        self.cpu_start = time.process_time()
         return self
 
     def __exit__(self, *exc):
         self.wall = time.perf_counter() - self.start
+        self.cpu = time.process_time() - self.cpu_start
+        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def _finish(out_dir, cfg, stage, inputs, outputs, timer, extra=None):
-    append_manifest(out_dir, cfg, stage, inputs, outputs, extra, round(timer.wall, 3))
+    append_manifest(
+        out_dir,
+        cfg,
+        stage,
+        inputs,
+        outputs,
+        extra,
+        wall_s=round(timer.wall, 3),
+        cpu_s=round(timer.cpu, 3),
+        peak_rss_mb=round(timer.peak_rss_mb, 1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_criterion_3_hierarchical_consistency():
 def test_criterion_4_car_sampler():
     _, adj = pm.build_synthetic_geography(9, [3, 3], "grid", seed=4)
     rho = 0.2
-    q = np.diag(adj.row_sums) - rho * adj.weights
+    q = np.diag(adj.row_sums) - rho * adj.weights.toarray()
     target = np.linalg.inv(q)
     draws = pm.sample_car_prior(adj, rho, 1.0, np.random.default_rng(44), size=100_000)
     cov = np.cov(draws.T)

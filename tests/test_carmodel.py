@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from privmap.carmodel import (
     CarPlan,
@@ -60,7 +61,7 @@ def test_car_prior_two_node_hand_inverse():
 def test_car_prior_grid_covariance_matches_dense_inverse():
     _, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     rho, scale = 0.2, 1.0
-    q = (np.diag(adj.row_sums) - rho * adj.weights) / scale
+    q = (np.diag(adj.row_sums) - rho * adj.weights.toarray()) / scale
     target = np.linalg.inv(q)
     draws = sample_car_prior(adj, rho, scale, rng(3), size=100_000)
     cov = np.cov(draws.T)
@@ -81,7 +82,7 @@ def test_car_conditional_formula():
     theta = rng(4).normal(0, 1, 9)
     mean, var = car_conditional(theta, CarPlan(adj), 0.3, 1.7)
     for i in range(9):
-        nbrs = np.flatnonzero(adj.weights[i] > 0)
+        nbrs = np.flatnonzero(adj.weights.toarray()[i] > 0)
         assert mean[i] == pytest.approx(0.3 * theta[nbrs].sum() / len(nbrs), abs=1e-12)
         assert var[i] == pytest.approx(1.7 / len(nbrs), abs=1e-12)
 
@@ -90,8 +91,43 @@ def test_greedy_coloring_proper():
     _, adj = build_synthetic_geography(30, [5, 6], "grid", seed=2)
     colors = greedy_coloring(adj.weights)
     for i in range(30):
-        for k in np.flatnonzero(adj.weights[i] > 0):
+        for k in np.flatnonzero(adj.weights.toarray()[i] > 0):
             assert colors[i] != colors[k]
+
+
+def dense_greedy_coloring(weights: np.ndarray) -> np.ndarray:
+    """Reference: the coloring as computed on the dense weight matrix."""
+    n = weights.shape[0]
+    colors = np.full(n, -1, dtype=int)
+    for i in range(n):
+        used = {colors[k] for k in np.flatnonzero(weights[i] > 0) if colors[k] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    return colors
+
+
+def test_sparse_coloring_matches_dense_reference(oracle_adjacency):
+    colors = greedy_coloring(oracle_adjacency.weights)
+    assert colors.dtype == int
+    assert np.array_equal(colors, dense_greedy_coloring(oracle_adjacency.weights.toarray()))
+
+
+def test_car_plan_and_prior_match_dense_reference():
+    # the dense formulas the plan and the prior draw are defined by
+    _, adj = build_synthetic_geography(300, [2, 3, 5, 10], "random-planar", seed=11)
+    w = adj.weights.toarray()
+    deg = w.sum(axis=1)
+    plan = CarPlan(adj)
+    assert plan.weights is adj.weights
+    d_isqrt = 1.0 / np.sqrt(deg)
+    eigs = scipy.linalg.eigh(d_isqrt[:, None] * w * d_isqrt[None, :], eigvals_only=True)
+    assert np.array_equal(plan.eigenvalues, eigs)
+    chol = scipy.linalg.cholesky((np.diag(deg) - 0.3 * w) / 1.7, lower=False)
+    z = rng(5).standard_normal((adj.n, 1))
+    expected = scipy.linalg.solve_triangular(chol, z, lower=False)[:, 0]
+    assert np.array_equal(sample_car_prior(adj, 0.3, 1.7, rng(5)), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from privmap.errors import GeographyError
 from privmap.geo import (
+    LAYOUTS,
     Adjacency,
     GeoLevel,
     GeoUnit,
@@ -44,20 +47,20 @@ def test_same_seed_identical():
     h1, a1 = build_synthetic_geography(20, [4, 5], "random-planar", seed=42)
     h2, a2 = build_synthetic_geography(20, [4, 5], "random-planar", seed=42)
     assert [u.id for u in h1.units] == [u.id for u in h2.units]
-    assert np.array_equal(a1.weights, a2.weights)
+    assert np.array_equal(a1.weights.toarray(), a2.weights.toarray())
 
 
 def test_different_seed_differs_random_planar():
     _, a1 = build_synthetic_geography(30, [5, 6], "random-planar", seed=1)
     _, a2 = build_synthetic_geography(30, [5, 6], "random-planar", seed=2)
-    assert not np.array_equal(a1.weights, a2.weights)
+    assert not np.array_equal(a1.weights.toarray(), a2.weights.toarray())
 
 
 def test_random_planar_connected_no_islands():
     _, adj = build_synthetic_geography(40, [5, 8], "random-planar", seed=7)
     assert adj.is_connected()
     assert np.all(adj.row_sums >= 1)
-    assert np.array_equal(adj.weights, adj.weights.T)
+    assert np.array_equal(adj.weights.toarray(), adj.weights.toarray().T)
 
 
 def test_rejects_branching_mismatch():
@@ -138,7 +141,7 @@ def test_validate_missing_parent():
 
 def test_validate_asymmetric_weight():
     h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
-    w = adj.weights.copy()
+    w = adj.weights.toarray()
     w[0, 1] = 1.0
     w[1, 0] = 0.0
     report = validate(h, Adjacency(h.leaf_ids, w))
@@ -147,7 +150,7 @@ def test_validate_asymmetric_weight():
 
 def test_validate_island():
     h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
-    w = adj.weights.copy()
+    w = adj.weights.toarray()
     w[3, :] = 0.0
     w[:, 3] = 0.0
     report = validate(h, Adjacency(h.leaf_ids, w))
@@ -164,7 +167,7 @@ def test_hierarchy_file_roundtrip(tmp_path):
     a2 = read_adjacency(ap, h2.leaf_ids)
     assert [u.id for u in h2.units] == [u.id for u in h.units]
     assert [(lv.rank, lv.name) for lv in h2.levels] == [(lv.rank, lv.name) for lv in h.levels]
-    assert np.array_equal(a2.weights, adj.weights)
+    assert np.array_equal(a2.weights.toarray(), adj.weights.toarray())
     # writing again gives identical bytes
     hp2 = tmp_path / "hierarchy2.csv"
     write_hierarchy(h2, hp2)
@@ -182,3 +185,96 @@ def test_adjacency_reader_rejects_unknown_leaf(tmp_path):
 def test_depth_bounds():
     with pytest.raises(GeographyError):
         Hierarchy([GeoUnit("r", 0, None)], [GeoLevel(0, "root")])
+
+
+def test_hierarchy_rows_in_any_order_load_same_ranks(tmp_path):
+    h, _ = build_synthetic_geography(30, [2, 3, 5], "grid", seed=5)
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    write_hierarchy(h, ordered)
+    header, root, *rest = ordered.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(rest))
+    shuffled.write_text("\n".join([header] + [rest[i] for i in order] + [root]) + "\n")
+    a, b = read_hierarchy(ordered), read_hierarchy(shuffled)
+    assert {u.id: u.rank for u in b.units} == {u.id: u.rank for u in a.units}
+    assert [(lv.rank, lv.name) for lv in b.levels] == [(lv.rank, lv.name) for lv in a.levels]
+    assert sorted(b.leaf_ids) == sorted(a.leaf_ids)
+
+
+def test_hierarchy_level_name_at_two_ranks_rejected(tmp_path):
+    h, _ = build_synthetic_geography(12, [3, 4], "grid", seed=5)
+    path = tmp_path / "hierarchy.csv"
+    write_hierarchy(h, path)
+    lines = path.read_text().splitlines()
+    uid, _, parent = lines[2].split(",")  # a unit one rank below the root
+    lines[2] = f"{uid},{h.leaf_level.name},{parent}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GeographyError, match=f"hierarchy.csv: level '{h.leaf_level.name}' used at ranks"):
+        read_hierarchy(path)
+
+
+def test_adjacency_reader_reports_first_offender_in_file_order(tmp_path):
+    h, _ = build_synthetic_geography(4, [2, 2], "grid", seed=1)
+    ap = tmp_path / "adjacency.csv"
+    # a reversed repeat is a duplicate, and it comes before the unknown leaf
+    ap.write_text("unit_a,unit_b\nU2-0,U2-1\nU2-1,U2-0\nU2-0,U9-99\n")
+    with pytest.raises(GeographyError, match=r"adjacency.csv: duplicate edge \(U2-1, U2-0\)"):
+        read_adjacency(ap, h.leaf_ids)
+    ap.write_text("unit_a,unit_b\nU2-0,U2-1\nU2-0,U9-99\nU2-1,U2-0\n")
+    with pytest.raises(GeographyError, match=r"adjacency.csv: edge \(U2-0, U9-99\) references unknown leaf"):
+        read_adjacency(ap, h.leaf_ids)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage: dense references and memory
+
+
+def dense_edges(w: np.ndarray) -> list[tuple[int, int]]:
+    """Reference edge list of the dense representation, as an index pair list."""
+    return [(int(i), int(k)) for i, k in np.argwhere(np.triu(w, 1) > 0)]
+
+
+def test_sparse_edges_match_dense_reference(oracle_adjacency):
+    adj = oracle_adjacency
+    w = adj.weights
+    assert w.has_sorted_indices and w.dtype == float and np.all(w.data != 0)
+    dense = w.toarray()
+    assert adj.edges() == [(adj.leaf_ids[i], adj.leaf_ids[k]) for i, k in dense_edges(dense)]
+    assert np.array_equal(adj.row_sums, dense.sum(axis=1))
+    assert adj.validate() == [] and adj.is_connected()
+
+
+def test_sparse_and_dense_weights_store_the_same_csr():
+    _, adj = build_synthetic_geography(30, [5, 6], "random-planar", seed=2)
+    from_dense = Adjacency(adj.leaf_ids, adj.weights.toarray()).weights
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(from_dense, part), getattr(adj.weights, part))
+    with pytest.raises(GeographyError, match=r"weight matrix shape \(30, 29\) does not match 30 leaves"):
+        Adjacency(adj.leaf_ids, adj.weights[:, :29])
+
+
+def test_validate_reports_every_asymmetric_pair():
+    w = np.zeros((6, 6))
+    for i in range(5):
+        w[i, i + 1] = w[i + 1, i] = 1.0
+    for i, k in ((0, 1), (2, 3), (4, 5)):
+        w[k, i] = 0.0
+    report = Adjacency([f"u{i}" for i in range(6)], w).validate()
+    assert [v for v in report if "asymmetric" in v] == [
+        f"asymmetric weight between u{i} and u{k}: 1.0 vs 0.0" for i, k in ((0, 1), (2, 3), (4, 5))
+    ]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_geography_round_trip_allocates_no_dense_matrix(tmp_path, layout):
+    # a dense 5,000 x 5,000 float matrix is 200 MB
+    tracemalloc.start()
+    try:
+        h, adj = build_synthetic_geography(5000, [5, 10, 10, 10], layout, seed=3)
+        path = tmp_path / "adjacency.csv"
+        write_adjacency(adj, path)
+        read = read_adjacency(path, h.leaf_ids)
+        assert read.validate() == [] and read.is_connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -314,6 +314,32 @@ def test_cli_exit_codes(tmp_path):
     result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
     assert result.exit_code == 4
     assert "hierarchy.csv" in result.output and leaf in result.output
+    # a level name used at two ranks -> 4, naming file and level
+    out = tmp_path / "v"
+    assert run_cli(["--config", str(cfg_path), "--out", str(out), "geo"]).exit_code == 0
+    hierarchy = out / "geo" / "hierarchy.csv"
+    lines = hierarchy.read_text().splitlines()
+    leaf_level = lines[-1].split(",")[1]
+    uid, _, parent = lines[2].split(",")  # one rank below the root
+    hierarchy.write_text("\n".join(lines[:2] + [f"{uid},{leaf_level},{parent}"] + lines[3:]) + "\n")
+    result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
+    assert result.exit_code == 4
+    assert "hierarchy.csv" in result.output and f"level {leaf_level!r} used at ranks" in result.output
+
+
+def test_manifest_records_stage_cpu_and_peak_memory(tmp_path):
+    cfg_path = write_config(tmp_path, {"geo": {"leaves": 24, "branching": [2, 3, 4]}})
+    out = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    cmds = [["geo"], ["protect", "--variant", "v19"], ["expect", "--source", "truth"], ["expect", "--source", "v19"]]
+    for cmd in cmds + [["fit", "--source", "v19"], ["simulate"], ["report"]]:
+        assert run_cli(base + cmd).exit_code == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [st["stage"].split(":")[0] for st in stages] == [
+        "geo", "protect", "expect", "expect", "fit", "simulate", "report"
+    ]
+    for st in stages:
+        assert st["cpu_s"] >= 0 and st["peak_rss_mb"] > 0 and st["wall_s"] >= 0
 
 
 def test_cli_env_var_overrides_out(tmp_path):

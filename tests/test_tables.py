@@ -234,6 +234,10 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nowhere"]
     if case == "wrong-parent-rank":
         return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "," + root]
+    if case == "two-level-names":
+        return lines[:-1] + [lines[-1].split(",")[0] + ",other," + lines[-1].split(",")[2]]
+    if case == "detached-unknown-level":
+        return lines + ["stray,other,nowhere"]
     return lines + [f"extra,{level_1},{root}"]  # childless unit
 
 
@@ -245,7 +249,12 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         for case in ("empty", "short-row", "non-numeric", "duplicate-key")
         if numeric or case != "non-numeric"
     ]
-    + [("hierarchy", case) for case in ("missing-parent", "wrong-parent-rank", "childless-unit")]
+    + [
+        ("hierarchy", case)
+        for case in (
+            "missing-parent", "wrong-parent-rank", "childless-unit", "two-level-names", "detached-unknown-level"
+        )
+    ]
     + [("expected", "negative")],
 )
 def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
@@ -275,3 +284,38 @@ def test_only_the_tables_module_imports_csv():
             if "csv" in (name.split(".")[0] for name in names) and path.name != "tables.py":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"csv imported outside privmap/tables.py: {offenders}"
+
+
+SQUARE_CONSTRUCTORS = {"zeros", "ones", "empty", "full"}
+
+
+def _densifies(node: ast.AST) -> bool:
+    """A call that turns a sparse matrix dense or allocates an (n, n) array."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    name = node.func.attr
+    if name in ("toarray", "todense", "eye", "identity"):
+        return True
+    if name not in SQUARE_CONSTRUCTORS or not node.args or not isinstance(node.args[0], ast.Tuple):
+        return False
+    dims = [ast.dump(dim) for dim in node.args[0].elts]
+    return len(dims) == 2 and dims[0] == dims[1]
+
+
+def test_only_carmodel_densifies_the_adjacency():
+    # the adjacency is stored sparse; only the CAR plan's spectrum and the
+    # prior's Cholesky factor work on dense n x n matrices
+    offenders = []
+    for path in sorted(Path(privmap.__file__).parent.glob("*.py")):
+        if path.name == "carmodel.py":
+            continue
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _densifies(node)]
+    assert not offenders, f"dense n x n matrix outside privmap/carmodel.py: {offenders}"
+
+
+def test_densify_guard_flags_dense_allocations():
+    for source in ("np.zeros((n, n))", "np.zeros((ids.size, ids.size))", "w.toarray()", "w.todense()", "np.eye(n)"):
+        assert any(_densifies(node) for node in ast.walk(ast.parse(source))), source
+    for source in ("np.zeros((n, k))", "np.zeros(n)", "np.zeros((n, ages.n, groups.n))"):
+        assert not any(_densifies(node) for node in ast.walk(ast.parse(source))), source
