@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtectionError
-from .tables import fmt, write_table
+from .tables import fmt, fmt_ints, write_cells
 from .tabulation import TabulationCube, leveled_cubes, unit_totals
 
 TOTALS_LABEL = "__all__"
@@ -489,19 +489,13 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
 def write_audit(audit: AuditRecord, path) -> None:
     """Per-cell epsilon and raw noise for every noisy query, totals flagged
     with the reserved band/group label."""
-
-    def rows():
-        for rank in sorted(audit.detail_noise):
-            cube = audit.published[rank]
-            eps = fmt(audit.epsilons[(rank, "detail")])
-            noise = audit.detail_noise[rank]
-            for i, uid in enumerate(cube.unit_ids):
-                for a, band in enumerate(cube.ages.bands):
-                    for g, group in enumerate(cube.groups.groups):
-                        yield [uid, band, group, eps, int(noise[i, a, g])]
-        for rank in sorted(audit.totals_noise or {}):
-            eps = fmt(audit.epsilons[(rank, "totals")])
-            for uid, n in zip(audit.published[rank].unit_ids, audit.totals_noise[rank]):
-                yield [uid, TOTALS_LABEL, TOTALS_LABEL, eps, int(n)]
-
-    write_table(path, ["unit_id", "age_band", "group", "epsilon", "noise"], rows())
+    blocks = []
+    for rank in sorted(audit.detail_noise):
+        cube, eps = audit.published[rank], fmt(audit.epsilons[(rank, "detail")])
+        axes = [cube.unit_ids, cube.ages.bands, cube.groups.groups, [eps]]
+        blocks.append((axes, fmt_ints(audit.detail_noise[rank])))
+    for rank in sorted(audit.totals_noise or {}):
+        eps = fmt(audit.epsilons[(rank, "totals")])
+        axes = [audit.published[rank].unit_ids, [TOTALS_LABEL], [TOTALS_LABEL], [eps]]
+        blocks.append((axes, fmt_ints(audit.totals_noise[rank])))
+    write_cells(path, ["unit_id", "age_band", "group", "epsilon", "noise"], blocks)

@@ -44,7 +44,7 @@ from .standardize import (
     write_expected,
     zero_count_percent,
 )
-from .tables import fmt, read_table, write_table
+from .tables import SECONDS, fmt, read_table, write_table
 from .tabulation import (
     AgeSchema,
     GroupSchema,
@@ -247,13 +247,17 @@ def append_manifest(
     extra: dict | None = None,
     wall_s: float | None = None,
     cpu_s: float | None = None,
+    read_s: float | None = None,
+    write_s: float | None = None,
     peak_rss_mb: float | None = None,
 ) -> None:
     """Append one stage entry to ``manifest.json``: its timings, the sha256
     of its inputs and outputs, and any stage-specific ``extra``.
 
     ``cpu_s`` is this process's CPU time during the stage (forked
-    ``--jobs`` workers not included); ``peak_rss_mb`` is the peak resident
+    ``--jobs`` workers not included); ``read_s`` and ``write_s`` are the
+    wall time of the stage's table reads and writes (``privmap.tables``),
+    parts of ``wall_s``; ``peak_rss_mb`` is the peak resident
     set of this process so far, read at the stage's end, so a stage run in
     the same process as an earlier, larger one reports that one's peak.
     """
@@ -267,6 +271,8 @@ def append_manifest(
         "stage": stage,
         "wall_s": wall_s,
         "cpu_s": cpu_s,
+        "read_s": read_s,
+        "write_s": write_s,
         "peak_rss_mb": peak_rss_mb,
         "inputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in inputs},
         "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
@@ -281,11 +287,13 @@ class _Timer:
     def __enter__(self):
         self.start = time.perf_counter()
         self.cpu_start = time.process_time()
+        self.io_start = dict(SECONDS)
         return self
 
     def __exit__(self, *exc):
         self.wall = time.perf_counter() - self.start
         self.cpu = time.process_time() - self.cpu_start
+        self.read, self.write = (SECONDS[k] - self.io_start[k] for k in ("read", "write"))
         self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
@@ -299,6 +307,8 @@ def _finish(out_dir, cfg, stage, inputs, outputs, timer, extra=None):
         extra,
         wall_s=round(timer.wall, 3),
         cpu_s=round(timer.cpu, 3),
+        read_s=round(timer.read, 3),
+        write_s=round(timer.write, 3),
         peak_rss_mb=round(timer.peak_rss_mb, 1),
     )
 
@@ -509,7 +519,7 @@ COEF_BIAS_HEADER = ["source", "coefficient", "true_value", "mean_bias", "sd_bias
 
 def _read_study_table(path: Path, header: list[str]) -> list[list]:
     """A simulate table's rows: two label fields naming the row, then numbers."""
-    rows = read_table(path, header, SimulationError)
+    rows = list(zip(*read_table(path, header, SimulationError)))
     if len({(a, b) for a, b, *_ in rows}) != len(rows):
         raise SimulationError(f"{path}: more than one row for the same {header[0]} and {header[1]}")
     try:

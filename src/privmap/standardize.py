@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StandardizationError
-from .tables import check_nonnegative, fmt, read_cells, read_table, write_table
+from .tables import check_nonnegative, fmt, read_cells, read_table, write_cells
 from .tabulation import AgeSchema, GroupSchema, TabulationCube, aggregate
 
 
@@ -187,16 +187,12 @@ def zero_count_percent(source: ExpectedCounts) -> dict[str, float]:
 
 
 def write_expected(ec: ExpectedCounts, path) -> None:
-    rows = (
-        [uid, group, fmt(ec.values[i, g])]
-        for i, uid in enumerate(ec.unit_ids)
-        for g, group in enumerate(ec.groups)
-    )
-    write_table(path, ["unit_id", "group", "expected"], rows)
+    rendered = map(fmt, ec.values.ravel().tolist())
+    write_cells(path, ["unit_id", "group", "expected"], [([ec.unit_ids, ec.groups], rendered)])
 
 
 def read_expected(path, unit_ids: list[str], groups: tuple[str, ...], source: str = "custom") -> ExpectedCounts:
-    rows = read_table(path, ["unit_id", "group", "expected"], StandardizationError)
-    values = read_cells(path, rows, [unit_ids, groups], StandardizationError)
+    columns = read_table(path, ["unit_id", "group", "expected"], StandardizationError)
+    values = read_cells(path, columns, [unit_ids, groups], StandardizationError)
     check_nonnegative(path, values, [unit_ids, groups], "expected count", StandardizationError)
     return ExpectedCounts(list(unit_ids), tuple(groups), values, source)

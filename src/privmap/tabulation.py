@@ -8,12 +8,13 @@ intermediate cubes carry reals and may go negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import GeographyError, TabulationError
 from .geo import Hierarchy
-from .tables import check_nonnegative, fmt, read_cells, read_table, write_table
+from .tables import check_nonnegative, fmt, fmt_ints, read_cells, read_table, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -122,30 +123,25 @@ class TabulationCube:
 
 def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_column: str = "count") -> TabulationCube:
     """Read a complete leaf-or-other-level cube; missing or duplicate cells fail."""
-    rows = read_table(path, ["unit_id", "age_band", "group", value_column], TabulationError)
-    if not rows:
+    columns = read_table(path, ["unit_id", "age_band", "group", value_column], TabulationError)
+    if not columns[0]:
         raise TabulationError(f"{path}: empty tabulation file")
-    # h.unit raises GeographyError for unknown units
-    ranks = {h.unit(uid).rank for uid in {row[0] for row in rows}}
+    # units of no rank are left to read_cells, which names their cell
+    units = set(columns[0])
+    ranks = [r for r in range(h.depth) if not units.isdisjoint(h.units_at(r))] or [h.depth - 1]
     if len(ranks) != 1:
-        raise TabulationError(f"{path}: tabulation mixes units from ranks {sorted(ranks)}")
-    rank = ranks.pop()
-    axes = [h.units_at(rank), ages.bands, groups.groups]
-    values = read_cells(path, rows, axes, TabulationError)
+        raise TabulationError(f"{path}: tabulation mixes units from ranks {ranks}")
+    axes = [h.units_at(ranks[0]), ages.bands, groups.groups]
+    values = read_cells(path, columns, axes, TabulationError)
     check_nonnegative(path, values, axes, "count", TabulationError)
-    return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
+    return TabulationCube(h, ranks[0], ages, groups, values, integer_valued=True)
 
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:
     """Canonical ordering (unit, band, group); integers rendered without a point."""
-    render = (lambda v: str(int(v))) if cube.integer_valued else fmt
-    rows = (
-        [uid, band, group, render(cube.values[i, a, g])]
-        for i, uid in enumerate(cube.unit_ids)
-        for a, band in enumerate(cube.ages.bands)
-        for g, group in enumerate(cube.groups.groups)
-    )
-    write_table(path, ["unit_id", "age_band", "group", value_column], rows)
+    rendered = fmt_ints(cube.values) if cube.integer_valued else map(fmt, cube.values.ravel().tolist())
+    axes = [cube.unit_ids, cube.ages.bands, cube.groups.groups]
+    write_cells(path, ["unit_id", "age_band", "group", value_column], [(axes, rendered)])
 
 
 def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
@@ -205,11 +201,12 @@ def unit_totals(cube: TabulationCube) -> np.ndarray:
 
 
 def write_covariates(path, unit_ids: list[str], name: str, values: np.ndarray) -> None:
-    rows = ([uid, name, fmt(float(v))] for uid, v in zip(unit_ids, values))
-    write_table(path, ["unit_id", "name", "value"], rows)
+    rendered = map(fmt, np.asarray(values, dtype=float).tolist())
+    write_cells(path, ["unit_id", "name", "value"], [([unit_ids, [name]], rendered)])
 
 
 def read_covariates(path, unit_ids: list[str], name: str) -> np.ndarray:
     """One covariate's value per unit; rows of other covariates are skipped."""
-    rows = read_table(path, ["unit_id", "name", "value"], TabulationError)
-    return read_cells(path, [row for row in rows if row[1] == name], [unit_ids], TabulationError)
+    units, names, values = read_table(path, ["unit_id", "name", "value"], TabulationError)
+    keep = list(map(name.__eq__, names))
+    return read_cells(path, [list(compress(units, keep)), list(compress(values, keep))], [unit_ids], TabulationError)

@@ -340,6 +340,50 @@ def test_manifest_records_stage_cpu_and_peak_memory(tmp_path):
     ]
     for st in stages:
         assert st["cpu_s"] >= 0 and st["peak_rss_mb"] > 0 and st["wall_s"] >= 0
+        assert 0 <= st["read_s"] <= st["wall_s"] and 0 <= st["write_s"] <= st["wall_s"]
+
+
+# sha256 of every output but the manifest, pinned when the writers rendered
+# row by row through csv.writer and the reader parsed row by row
+QUOTED_LABEL_OUTPUTS = {
+    "expect/expected_truth.csv": "a35754d607ed52447e7a2b47f26c1a553aebd2d009259c931c3a73d1f9a87603",
+    "expect/expected_v19.csv": "4d88b157a21dbc6a1e1b69cad9dc40040e60096fd7b9e841dedd5c2e48e58ba2",
+    "expect/expected_v20.csv": "cea9c45f5b9522d503bacc8a2f4bc56ec13658c6c09ba2795f47c3eb44031e54",
+    "expect/expected_v22.csv": "cd221e3f2a44506368b28db9910177afcf131da4e6f1d6cceb5e1874651febf0",
+    "geo/adjacency.csv": "415699f731ff4ba5e6e00b0c952911e3b9fc0120c3af00f5fd832f6ca019023c",
+    "geo/covariates.csv": "78cd25e3336771ccee61796d805ffba6ee4cf6ca150c1266c763f0c111dbb6c4",
+    "geo/deaths.csv": "b5f6b62dedd4ea4f9e78ad2051297415fe1bca22faffcce5f6e2bf1c4221ec71",
+    "geo/hierarchy.csv": "7a67557856b94152ee2e1822256d3ab170f5823385a731011c8d88ffa362a3a5",
+    "geo/population.csv": "c65e20563865e3b797f7bc4cff17939ed403548b13c4d86891d109183131abe9",
+    "protect/audit_v19.csv": "5325a8411045d4b021955ea9b529a89968b93a89234a642dbfc0e1881f6993b5",
+    "protect/audit_v20.csv": "bd0de5709693e0015c50527c4ca31514114e00cfd13102281cecd3246c462afd",
+    "protect/audit_v22.csv": "a48bfda8803c0e776558caf258b447e4b5a584fdb98abef17ef4560f1c06fe9a",
+    "protect/protected_v19.csv": "2d3f2fdb711618df4e85116bf4d3b889501c1ef1d82868cc381dda0da6a27fb2",
+    "protect/protected_v20.csv": "6422d05db754abc2d150689dd7f956d789d524b584a20de5fe1dc73ea701b900",
+    "protect/protected_v22.csv": "b1d468dac64e9328f046b25334b7d3b5c2e97ce46e88a3d62dc1533704e79826",
+    "report/denominators.csv": "c72032fdb1f97fd475260ff3f0ba77fe82feb351d8882c199bdacd9e81cf5f1c",
+    "report/report.txt": "7a2da3a646cd77b8e4e64f3f064c6aa5ec07e63d66b6001116628e62d2de5e1e",
+}
+
+
+def test_quoted_age_band_labels_end_to_end(tmp_path):
+    # labels with a comma, a quote and edge spaces are quoted on write and
+    # read back through csv.reader by every later stage
+    bands = ["0,4", '5"14', " 15-24 ", "25-34", "35-44", "45-54", "55-64"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"seed": 5, "geo": {"leaves": 24, "branching": [2, 3, 4]}, "std": {"age_bands": bands}}))
+    out = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    cmds = [["geo"]] + [["protect", "--variant", v] for v in ("v19", "v20", "v22")]
+    cmds += [["expect", "--source", s] for s in ("truth", "v19", "v20", "v22")] + [["report"]]
+    for cmd in cmds:
+        result = run_cli(base + cmd)
+        assert result.exit_code == 0, result.output
+    assert '"0,4"' in (out / "geo" / "population.csv").read_text()
+    outputs = {
+        str(p.relative_to(out)): sha(p) for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+    }
+    assert outputs == QUOTED_LABEL_OUTPUTS
 
 
 def test_cli_env_var_overrides_out(tmp_path):

@@ -2,11 +2,16 @@
 failures for malformed inputs, and one module owning the csv format."""
 
 import ast
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import privmap
 from privmap.carmodel import McmcConfig, PosteriorDraws, write_draws
@@ -15,6 +20,7 @@ from privmap.errors import GeographyError, StandardizationError, TabulationError
 from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 from privmap.pipeline import load_config, stage_report
 from privmap.standardize import ExpectedCounts, read_expected, write_expected
+from privmap.tables import read_cells, read_table
 from privmap.tabulation import (
     AgeSchema,
     GroupSchema,
@@ -227,6 +233,8 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",-1.5"] + lines[3:]
     if case == "duplicate-key":
         return lines + [lines[1]]
+    if case == "unknown-key":
+        return lines[:1] + ["bogus," + lines[1].split(",", 1)[1]] + lines[2:]
     # hierarchy rows are unit_id,level,parent_id: the root first, then a
     # unit one rank below it, the last row a leaf
     root, level_1 = lines[1].split(",")[0], lines[2].split(",")[1]
@@ -255,7 +263,8 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
             "missing-parent", "wrong-parent-rank", "childless-unit", "two-level-names", "detached-unknown-level"
         )
     ]
-    + [("expected", "negative")],
+    + [("expected", "negative")]
+    + [(reader, "unknown-key") for reader in ("adjacency", "cube", "covariates", "expected")],
 )
 def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
     path, read, error = READERS[reader][0](tmp_path, *geo)
@@ -265,6 +274,159 @@ def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
     with pytest.raises(error) as err:
         read()
     assert path.name in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the columnar reader against the row-at-a-time reader it replaced
+
+
+def reference_read_table(path, header, error) -> list[list[str]]:
+    """The records of a file whose first line is exactly ``header``.
+
+    An empty file, any other header, or a record without exactly
+    ``len(header)`` fields raises ``error`` naming the file and the line.
+    """
+    header = list(header)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{path}: empty file, expected header {','.join(header)}")
+        if first != header:
+            raise error(f"{path}:{reader.line_num}: header {','.join(first)}, expected {','.join(header)}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise error(f"{path}:{reader.line_num}: {len(row)} fields, expected {len(header)}")
+            rows.append(row)
+    return rows
+
+
+def reference_read_cells(path, rows, axes, error) -> np.ndarray:
+    """Dense array of the last field of ``rows``, keyed by their leading fields.
+
+    ``axes`` holds the labels of each key field, in field order; a cell's
+    position on an axis is its label's position there. An unknown label, a
+    value that is not a finite number, a duplicate cell or a missing cell
+    raises ``error`` naming ``path`` and the cell.
+    """
+    index = [{label: i for i, label in enumerate(axis)} for axis in axes]
+    values = np.full([len(axis) for axis in axes], np.nan)
+    for row in rows:
+        try:  # map stops after the key fields, one per axis
+            idx = tuple(map(dict.__getitem__, index, row))
+        except KeyError as exc:
+            raise error(f"{path}: unknown label {exc.args[0]!r} in cell {_reference_cell(row, axes)}") from None
+        if not math.isnan(values[idx]):
+            raise error(f"{path}: duplicate cell {_reference_cell(row, axes)}")
+        try:
+            value = float(row[-1])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise error(f"{path}: value {row[-1]!r} of cell {_reference_cell(row, axes)} is not a finite number")
+        values[idx] = value
+    missing = np.argwhere(np.isnan(values))
+    if len(missing):
+        first = [axis[i] for axis, i in zip(axes, missing[0])]
+        raise error(f"{path}: missing cell {_reference_cell(first, axes)} and {len(missing) - 1} more")
+    return values
+
+
+def _reference_cell(keys, axes) -> str:
+    return f"({', '.join(keys[: len(axes)])})"
+
+
+# label characters: plain ones and ones str.splitlines breaks at but csv does
+# not; the quoted set adds those the writers quote
+PLAIN_CHARS = "ab7-+ éß北\u2028\x85\x1c\x0b"
+QUOTED_CHARS = PLAIN_CHARS + ',"\r\n'
+CORRUPTIONS = ("blank-line", "short-row", "long-row", "unknown-label", "duplicate", "abc", "nan", "inf", "missing-cell")
+
+
+@st.composite
+def keyed_tables(draw):
+    """A keyed table's text (labels quoted as the writers quote them, rows
+    shuffled, either line end, final newline or not) with up to two
+    corruptions, and the axes it is read against."""
+    chars = st.sampled_from(draw(st.sampled_from([PLAIN_CHARS, QUOTED_CHARS])))
+    axes = [
+        draw(st.lists(st.text(chars, max_size=4), min_size=1, max_size=3, unique=True))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    header = [f"k{j}" for j in range(len(axes))] + ["value"]
+    rows = [[axis[i] for axis, i in zip(axes, cell)] for cell in np.ndindex(*map(len, axes))]
+    for row in rows:
+        row.append(draw(st.one_of(st.integers(-5, 10**6).map(str), st.floats(-1e9, 1e9).map(lambda x: f"{x:.10g}"))))
+    rows = draw(st.permutations(rows))
+    blank_lines = []
+    for corruption in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if corruption in ("abc", "nan", "inf"):
+            rows[r] = rows[r][:-1] + [corruption]
+        elif corruption == "unknown-label":
+            j = draw(st.integers(0, len(axes) - 1))
+            rows[r] = rows[r][:j] + ["".join(axes[j]) + "?"] + rows[r][j + 1 :]
+        elif corruption == "duplicate":
+            copy = rows[r][:-1] + [draw(st.sampled_from([rows[r][-1], "nan"]))]
+            rows.insert(draw(st.integers(r + 1, len(rows))), copy)
+        elif corruption == "missing-cell" and len(rows) > 1:
+            del rows[r]
+        elif corruption == "short-row":
+            rows[r] = rows[r][:-1]
+        elif corruption == "long-row":
+            rows[r] = rows[r] + ["x"]
+        elif corruption == "blank-line":
+            blank_lines.append(r)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + rows)
+    lines = buf.getvalue().split("\r\n")[:-1]
+    for r in blank_lines:
+        lines.insert(1 + r, "")
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), header, axes
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_readers_agree(path, header, axes):
+    old_rows = _outcome(lambda p: reference_read_table(p, header, TabulationError), path)
+    columns = _outcome(lambda p: read_table(p, header, TabulationError), path)
+    if isinstance(old_rows, tuple):  # the same failure, word for word
+        assert columns == old_rows
+        return
+    assert columns == [list(field) for field in zip(*old_rows)] or (columns == [[] for _ in header] and not old_rows)
+    old = _outcome(lambda p: reference_read_cells(p, old_rows, axes, TabulationError), path)
+    new = _outcome(lambda p: read_cells(p, columns, axes, TabulationError), path)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=keyed_tables())
+def test_columnar_reader_matches_row_reference(tmp_path, table):
+    text, header, axes = table
+    path = tmp_path / "table.csv"
+    path.write_text(text, newline="")
+    _assert_readers_agree(path, header, axes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "\r\n", "k,value", "k,value\r\n", "k,value\n\n", "k,value\r\n\r\n", "k,value\ra,1", "k,value\na,1\n\n",
+     "k,value\r\na,1\r\nb", "k,v\na,1", '"k",value\na,1', 'k,value\n"a",1\n"a\r\n",2'],
+)
+def test_columnar_reader_matches_row_reference_at_edges(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, newline="")
+    _assert_readers_agree(path, ["k", "value"], [["a", "a\r\n"]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privmap.errors import GeographyError, TabulationError
+from privmap.errors import TabulationError
 from privmap.geo import build_synthetic_geography
 from privmap.tabulation import (
     AgeSchema,
@@ -75,7 +75,7 @@ def test_ingest_unknown_unit_fails(tiny_geo, tmp_path):
     ages, groups = AgeSchema(("all",)), GroupSchema(("pop",))
     f = tmp_path / "tab.csv"
     write_rows(f, [("nowhere", "all", "pop", 5)])
-    with pytest.raises(GeographyError):
+    with pytest.raises(TabulationError, match=r"tab\.csv: unknown label 'nowhere' in cell \(nowhere, all, pop\)"):
         ingest(f, ages, groups, h)
 
 
