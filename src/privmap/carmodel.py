@@ -396,20 +396,29 @@ _TARGET_ACCEPT = 0.44
 
 
 class _Adapter:
-    """Per-block random-walk scales, tuned only during burn-in."""
+    """Per-block random-walk scales, tuned only during burn-in, and the
+    block's acceptance counts over the whole run."""
 
     def __init__(self, size: int, initial: float):
         self.log_scale = np.full(size, math.log(initial))
         self.accepted = np.zeros(size)
         self.proposed = np.zeros(size)
+        self.n_accepted = self.n_proposed = 0
 
     @property
     def scale(self) -> np.ndarray:
         return np.exp(self.log_scale)
 
-    def record(self, accepted) -> None:
-        self.accepted += accepted
-        self.proposed += 1
+    @property
+    def rate(self) -> float:
+        return self.n_accepted / self.n_proposed if self.n_proposed else float("nan")
+
+    def record(self, accepted, at=slice(None)) -> None:
+        """One proposal for each coordinate ``at``; ``accepted`` flags the moves kept."""
+        self.accepted[at] += accepted
+        self.proposed[at] += 1
+        self.n_accepted += int(np.count_nonzero(accepted))
+        self.n_proposed += np.size(accepted)
 
     def adapt(self) -> None:
         rate = np.divide(
@@ -499,8 +508,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     store_sigma2 = np.empty(n_stored)
     store_rho = np.empty(n_stored)
 
-    accept_totals = {"beta": 0.0, "theta": 0.0, "phi": 0.0, "rho": 0.0}
-    proposal_totals = {"beta": 0.0, "theta": 0.0, "phi": 0.0, "rho": 0.0}
     stored = 0
 
     for sweep in range(1, mcmc.iterations + 1):
@@ -523,10 +530,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             if accept:
                 beta[j] = b_new
                 eta, exp_eta = new_eta, new_exp
-            beta_adapt.accepted[j] += accept
-            beta_adapt.proposed[j] += 1
-            accept_totals["beta"] += accept
-            proposal_totals["beta"] += 1
+            beta_adapt.record(accept, at=j)
 
         # --- spatial effects, by color class
         if spec.include_spatial:
@@ -550,10 +554,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                     delta_unit[moved] = eps[accept]
                     eta += delta_unit[spec.unit_idx]
                     eta_dirty = True
-                theta_adapt.accepted[members[accept]] += 1.0
-                theta_adapt.proposed[members] += 1.0
-                accept_totals["theta"] += float(accept.sum())
-                proposal_totals["theta"] += members.size
+                theta_adapt.record(accept, at=members)
             if eta_dirty:
                 exp_eta = np.exp(eta)
             # identifiability: recenter the field, absorb the shift in the intercept
@@ -571,9 +572,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             phi += eps * accept
             eta += eps * accept
             exp_eta = np.exp(eta)
-            phi_adapt.record(accept.astype(float))
-            accept_totals["phi"] += float(accept.sum())
-            proposal_totals["phi"] += s_count
+            phi_adapt.record(accept)
 
             # ridge moves: a coefficient and its channel's phi values are
             # confounded through the likelihood, so shift them jointly
@@ -584,11 +583,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                 d_phi = (2 * u * phis.sum() - members.size * u**2) / (2 * sigma2)
                 b_new = beta[j] + u
                 d_beta = -(b_new**2 - beta[j] ** 2) / (2 * spec.prior_beta_var)
-                if math.log(rng.random()) < d_phi + d_beta:
+                accept = math.log(rng.random()) < d_phi + d_beta
+                if accept:
                     beta[j] = b_new
                     phi[members] -= u
-                    ridge_adapt.accepted[j] += 1
-                ridge_adapt.proposed[j] += 1
+                ridge_adapt.record(accept, at=j)
 
         # --- variances, conjugate inverse-gamma
         if spec.include_spatial and spec.fix_tau2 is None:
@@ -618,9 +617,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                 accept = math.log(u) < log_r
             if accept:
                 rho = rho_new
-            rho_adapt.record(np.array([float(accept)]))
-            accept_totals["rho"] += accept
-            proposal_totals["rho"] += 1
+            rho_adapt.record(accept)
 
         if in_burnin and sweep % _ADAPT_WINDOW == 0:
             beta_adapt.adapt()
@@ -640,10 +637,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             store_rho[stored] = rho
             stored += 1
 
-    rates = {
-        k: (accept_totals[k] / proposal_totals[k] if proposal_totals[k] else float("nan"))
-        for k in accept_totals
-    }
+    rates = {"beta": beta_adapt.rate, "theta": theta_adapt.rate, "phi": phi_adapt.rate, "rho": rho_adapt.rate}
     return PosteriorDraws(
         colnames=list(spec.colnames),
         beta=store_beta,
@@ -661,24 +655,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 # draw persistence
 
 
-def write_draws(draws: PosteriorDraws, path, *, include_effects: bool = False, spec: ModelSpec | None = None) -> None:
+def write_draws(draws: PosteriorDraws, path) -> None:
     """One row per stored iteration, named columns, 10 significant digits."""
     header = ["iteration"] + [f"beta:{c}" for c in draws.colnames] + ["tau2", "sigma2", "rho"]
-    if include_effects:
-        if spec is None:
-            raise ModelError("writing random effects needs the model spec")
-        header += [f"theta:{u}" for u in spec.unit_ids] if draws.theta.shape[1] else []
-        header += (
-            [f"phi:{spec.unit_ids[i]}:{spec.groups[g]}" for i, g in zip(spec.unit_idx, spec.group_idx)]
-            if draws.phi.shape[1]
-            else []
-        )
-
-    def rows():
-        for k in range(draws.n_stored):
-            row = [k, *map(fmt, draws.beta[k]), *map(fmt, (draws.tau2[k], draws.sigma2[k], draws.rho[k]))]
-            if include_effects:
-                row += [*map(fmt, draws.theta[k]), *map(fmt, draws.phi[k])]
-            yield row
-
-    write_table(path, header, rows())
+    rows = (
+        [k, *map(fmt, draws.beta[k]), *map(fmt, (draws.tau2[k], draws.sigma2[k], draws.rho[k]))]
+        for k in range(draws.n_stored)
+    )
+    write_table(path, header, rows)

@@ -94,12 +94,6 @@ class Hierarchy:
     def leaf_level(self) -> GeoLevel:
         return self.levels[-1]
 
-    def level_by_name(self, name: str) -> GeoLevel:
-        for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise GeographyError(f"unknown level name {name!r}")
-
     def unit(self, unit_id: str) -> GeoUnit:
         try:
             return self._by_id[unit_id]

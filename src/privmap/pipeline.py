@@ -1,8 +1,10 @@
 """End-to-end pipeline stages behind a single validated config document.
 
-Every stage reads only its declared input files, writes its outputs
-atomically (temp file + rename), and appends a manifest entry with content
-hashes so a run can be audited and reproduced byte-for-byte.
+Every stage runs inside one harness (``_Stage``): it gets each input path
+from the harness, which records the file it hands out, writes its outputs
+atomically (temp file + rename), and appends a manifest entry with the
+content hashes of every file read and written, so a run can be audited and
+reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
 from .das import (
-    NOISE_FAMILIES, VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
+    NOISE_FAMILIES, PRESETS, VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
 )
 from .errors import ConfigError, MissingInputError, SimulationError
 from .geo import (
@@ -165,9 +167,16 @@ def _validate_config(cfg: dict) -> None:
     das = cfg["das"]
     if das["variant"] not in VARIANTS:
         raise ConfigError(f"das.variant must be one of {'/'.join(VARIANTS)}, got {das['variant']!r}")
-    _parse_eps(das["epsilon_total"])
-    if das["variant"] == "custom" and das["epsilon_total"] is None:
+    eps = _parse_eps(das["epsilon_total"])
+    if das["variant"] == "custom" and eps is None:
         raise ConfigError("das.variant 'custom' requires das.epsilon_total")
+    if das["variant"] in PRESETS and eps is not None and math.isfinite(eps):
+        pinned = PRESETS[das["variant"]][0]
+        if abs(eps - pinned) > 1e-9:
+            raise ConfigError(
+                f"das.epsilon_total {eps} differs from the {pinned} that variant {das['variant']} pins; "
+                "use 'inf', the pinned value or variant 'custom'"
+            )
     if das["noise_family"] not in NOISE_FAMILIES:
         raise ConfigError(f"unknown das.noise_family {das['noise_family']!r}")
     std = cfg["std"]
@@ -190,7 +199,7 @@ def _validate_config(cfg: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# manifest and atomic IO
+# stage harness: inputs, atomic writes, timings and the manifest
 
 
 def sha256_file(path: Path) -> str:
@@ -201,67 +210,19 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, writer) -> None:
+    """Run a file-writing callable against a temp path beside ``path``, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    writer(tmp)
     os.replace(tmp, path)
 
 
-class StageWriter:
-    """Collects a stage's outputs, writing each atomically."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = Path(out_dir)
-        self.outputs: list[Path] = []
-
-    def path(self, rel: str) -> Path:
-        p = self.out_dir / rel
-        p.parent.mkdir(parents=True, exist_ok=True)
-        return p
-
-    def write_via(self, rel: str, writer_fn) -> Path:
-        """Run a file-writing callable against a temp path, then rename."""
-        final = self.path(rel)
-        tmp = final.with_name(final.name + ".tmp")
-        writer_fn(tmp)
-        os.replace(tmp, final)
-        self.outputs.append(final)
-        return final
-
-
-def require_inputs(out_dir: Path, rels: list[str]) -> list[Path]:
-    paths = [Path(out_dir) / rel for rel in rels]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise MissingInputError(f"missing stage inputs: {missing}")
-    return paths
-
-
 def append_manifest(
-    out_dir: Path,
-    cfg: dict,
-    stage: str,
-    inputs: list[Path],
-    outputs: list[Path],
-    extra: dict | None = None,
-    wall_s: float | None = None,
-    cpu_s: float | None = None,
-    read_s: float | None = None,
-    write_s: float | None = None,
-    peak_rss_mb: float | None = None,
+    out_dir: Path, cfg: dict, stage: str, timings: dict, inputs: list[Path], outputs: list[Path], extra: dict
 ) -> None:
-    """Append one stage entry to ``manifest.json``: its timings, the sha256
-    of its inputs and outputs, and any stage-specific ``extra``.
-
-    ``cpu_s`` is this process's CPU time during the stage (forked
-    ``--jobs`` workers not included); ``read_s`` and ``write_s`` are the
-    wall time of the stage's table reads and writes (``privmap.tables``),
-    parts of ``wall_s``; ``peak_rss_mb`` is the peak resident
-    set of this process so far, read at the stage's end, so a stage run in
-    the same process as an earlier, larger one reports that one's peak.
-    """
-    out_dir = Path(out_dir)
+    """Append one stage entry to ``manifest.json``: its ``timings``, the
+    sha256 of its inputs and outputs, and any stage-specific ``extra``."""
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
@@ -269,48 +230,72 @@ def append_manifest(
         manifest = {"tool": "privmap", "version": __version__, "seed": cfg["seed"], "config": cfg, "stages": []}
     entry = {
         "stage": stage,
-        "wall_s": wall_s,
-        "cpu_s": cpu_s,
-        "read_s": read_s,
-        "write_s": write_s,
-        "peak_rss_mb": peak_rss_mb,
+        **timings,
         "inputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in inputs},
         "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
     if extra:
         entry["extra"] = extra
     manifest["stages"].append(entry)
-    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _write_atomic(manifest_path, lambda p: p.write_text(text))
 
 
-class _Timer:
+class _Stage:
+    """One stage run: hands out input paths and records each, writes outputs
+    atomically, and on a normal exit appends the manifest entry.
+
+    ``cpu_s`` is this process's CPU time during the stage (forked
+    ``--jobs`` workers not included); ``read_s`` and ``write_s`` are the
+    wall time of the stage's table reads and writes (``privmap.tables``),
+    parts of ``wall_s``; ``peak_rss_mb`` is the peak resident set of this
+    process so far, read at the stage's end, so a stage run in the same
+    process as an earlier, larger one reports that one's peak.
+    """
+
+    def __init__(self, cfg: dict, out_dir: Path, name: str, extra: dict | None = None):
+        self.cfg = cfg
+        self.out_dir = Path(out_dir)
+        self.name = name
+        self.extra = dict(extra or {})
+        self.read_paths: dict[Path, None] = {}  # insertion-ordered set
+        self.outputs: list[Path] = []
+
+    def inputs(self, *rels: str) -> list[Path]:
+        """The paths of input files, recorded for the manifest; all must exist."""
+        paths = [self.out_dir / rel for rel in rels]
+        missing = [str(p) for p in paths if not p.exists()]
+        if missing:
+            raise MissingInputError(f"missing stage inputs: {missing}")
+        self.read_paths.update(dict.fromkeys(paths))
+        return paths
+
+    def write(self, rel: str, writer) -> None:
+        path = self.out_dir / rel
+        _write_atomic(path, writer)
+        self.outputs.append(path)
+
+    def result(self, **fields) -> dict:
+        return {"outputs": [str(p) for p in self.outputs], **fields}
+
     def __enter__(self):
         self.start = time.perf_counter()
         self.cpu_start = time.process_time()
         self.io_start = dict(SECONDS)
         return self
 
-    def __exit__(self, *exc):
-        self.wall = time.perf_counter() - self.start
-        self.cpu = time.process_time() - self.cpu_start
-        self.read, self.write = (SECONDS[k] - self.io_start[k] for k in ("read", "write"))
-        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-
-
-def _finish(out_dir, cfg, stage, inputs, outputs, timer, extra=None):
-    append_manifest(
-        out_dir,
-        cfg,
-        stage,
-        inputs,
-        outputs,
-        extra,
-        wall_s=round(timer.wall, 3),
-        cpu_s=round(timer.cpu, 3),
-        read_s=round(timer.read, 3),
-        write_s=round(timer.write, 3),
-        peak_rss_mb=round(timer.peak_rss_mb, 1),
-    )
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            return
+        read_s, write_s = (SECONDS[k] - self.io_start[k] for k in ("read", "write"))
+        timings = {
+            "wall_s": round(time.perf_counter() - self.start, 3),
+            "cpu_s": round(time.process_time() - self.cpu_start, 3),
+            "read_s": round(read_s, 3),
+            "write_s": round(write_s, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # KiB on Linux
+        }
+        append_manifest(self.out_dir, self.cfg, self.name, timings, list(self.read_paths), self.outputs, self.extra)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +306,13 @@ def _schemas(cfg) -> tuple[AgeSchema, GroupSchema]:
     return AgeSchema(tuple(cfg["std"]["age_bands"])), default_group_schema()
 
 
-def _load_hierarchy(out_dir: Path):
-    require_inputs(out_dir, ["geo/hierarchy.csv"])
-    return read_hierarchy(out_dir / "geo" / "hierarchy.csv")
+def _load_hierarchy(st: _Stage):
+    return read_hierarchy(*st.inputs("geo/hierarchy.csv"))
 
 
-def _load_geo(out_dir: Path):
-    h = _load_hierarchy(out_dir)
-    require_inputs(out_dir, ["geo/adjacency.csv"])
-    return h, read_adjacency(out_dir / "geo" / "adjacency.csv", h.leaf_ids)
+def _load_geo(st: _Stage):
+    h = _load_hierarchy(st)
+    return h, read_adjacency(*st.inputs("geo/adjacency.csv"), h.leaf_ids)
 
 
 def _das_seed(cfg, variant: str) -> int:
@@ -343,15 +326,11 @@ def _das_config(cfg, variant: str) -> DasConfig:
     seed = _das_seed(cfg, variant)
     shares = tuple(das["level_shares"]) if das["level_shares"] else None
     passes = tuple(das["pass_shares"]) if das["pass_shares"] else None
-    if variant == "custom":
-        if eps is None:
-            raise ConfigError("custom variant requires das.epsilon_total")
-        budget = PrivacyBudget(eps, shares, passes)
-        return DasConfig("custom", budget, NoiseModel(das["noise_family"]), seed)
-    if eps is not None and math.isinf(eps):
-        budget = PrivacyBudget(eps, shares, passes)
-        return DasConfig(variant, budget, NoiseModel(das["noise_family"]), seed)
-    return das_preset(variant, seed, das["noise_family"], shares, passes)
+    if variant != "custom" and (eps is None or not math.isinf(eps)):
+        return das_preset(variant, seed, das["noise_family"], shares, passes)
+    if eps is None:
+        raise ConfigError("custom variant requires das.epsilon_total")
+    return DasConfig(variant, PrivacyBudget(eps, shares, passes), NoiseModel(das["noise_family"]), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +339,9 @@ def _das_config(cfg, variant: str) -> DasConfig:
 
 def stage_geo(cfg: dict, out_dir: Path) -> dict:
     """Synthesize geography, population, events registry, and covariates."""
-    out_dir = Path(out_dir)
     ages, groups = _schemas(cfg)
     geo = cfg["geo"]
-    with _Timer() as t:
+    with _Stage(cfg, out_dir, "geo") as st:
         h, adj = build_synthetic_geography(
             geo["leaves"], geo["branching"], geo["layout"], cfg["seed"]
         )
@@ -383,82 +361,63 @@ def stage_geo(cfg: dict, out_dir: Path) -> dict:
             hazards = tuple(np.interp(np.linspace(0, 1, ages.n), xs, DEFAULT_HAZARD_SCHEDULE))
         deaths = synth_deaths(pop, hazards, seed=cfg["seed"], hazard_scale=cfg["sim"]["hazard_scale"])
         poverty = synth_poverty(len(h.leaf_ids), seed=cfg["seed"])
-        w = StageWriter(out_dir)
-        w.write_via("geo/hierarchy.csv", lambda p: write_hierarchy(h, p))
-        w.write_via("geo/adjacency.csv", lambda p: write_adjacency(adj, p))
-        w.write_via("geo/population.csv", lambda p: write_tabulation(pop, p))
-        w.write_via("geo/deaths.csv", lambda p: write_tabulation(deaths, p, value_column="deaths"))
-        w.write_via(
-            "geo/covariates.csv",
-            lambda p: write_covariates(p, h.leaf_ids, "poverty", poverty),
-        )
-    _finish(out_dir, cfg, "geo", [], w.outputs, t)
-    return {"outputs": [str(p) for p in w.outputs]}
+        st.write("geo/hierarchy.csv", lambda p: write_hierarchy(h, p))
+        st.write("geo/adjacency.csv", lambda p: write_adjacency(adj, p))
+        st.write("geo/population.csv", lambda p: write_tabulation(pop, p))
+        st.write("geo/deaths.csv", lambda p: write_tabulation(deaths, p, value_column="deaths"))
+        st.write("geo/covariates.csv", lambda p: write_covariates(p, h.leaf_ids, "poverty", poverty))
+    return st.result()
 
 
 def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
     """Apply the top-down mechanism to the true population cube."""
-    out_dir = Path(out_dir)
     variant = variant or cfg["das"]["variant"]
     ages, groups = _schemas(cfg)
-    with _Timer() as t:
-        h = _load_hierarchy(out_dir)
-        inputs = require_inputs(out_dir, ["geo/population.csv"])
-        pop = ingest(out_dir / "geo" / "population.csv", ages, groups, h)
-        das_cfg = _das_config(cfg, variant)
-        protected, audit = run_topdown(pop, das_cfg)
-        w = StageWriter(out_dir)
-        w.write_via(f"protect/protected_{variant}.csv", lambda p: write_tabulation(protected, p))
-        w.write_via(f"protect/audit_{variant}.csv", lambda p: write_audit(audit, p))
-    _finish(out_dir, cfg, f"protect:{variant}", inputs, w.outputs, t, {"variant": variant})
-    return {"outputs": [str(p) for p in w.outputs]}
+    with _Stage(cfg, out_dir, f"protect:{variant}", {"variant": variant}) as st:
+        h = _load_hierarchy(st)
+        pop = ingest(*st.inputs("geo/population.csv"), ages, groups, h)
+        protected, audit = run_topdown(pop, _das_config(cfg, variant))
+        st.write(f"protect/protected_{variant}.csv", lambda p: write_tabulation(protected, p))
+        st.write(f"protect/audit_{variant}.csv", lambda p: write_audit(audit, p))
+    return st.result()
 
 
 def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     """Indirectly age-standardize one denominator source into expected counts."""
-    out_dir = Path(out_dir)
     source = source or "truth"
     ages, groups = _schemas(cfg)
-    with _Timer() as t:
-        h = _load_hierarchy(out_dir)
-        inputs = require_inputs(out_dir, ["geo/population.csv", "geo/deaths.csv"])
-        pop_true = ingest(out_dir / "geo" / "population.csv", ages, groups, h)
-        deaths = ingest(out_dir / "geo" / "deaths.csv", ages, groups, h, value_column="deaths")
+    with _Stage(cfg, out_dir, f"expect:{source}", {"source": source}) as st:
+        h = _load_hierarchy(st)
+        pop_path, deaths_path = st.inputs("geo/population.csv", "geo/deaths.csv")
+        pop_true = ingest(pop_path, ages, groups, h)
+        deaths = ingest(deaths_path, ages, groups, h, value_column="deaths")
         # rates always come from the unprotected statewide totals
         rates = rates_from_cubes(deaths, pop_true, cfg["std"]["race_specific_rates"])
         if source == "truth":
             cube = pop_true
         else:
-            inputs += require_inputs(out_dir, [f"protect/protected_{source}.csv"])
-            cube = ingest(out_dir / "protect" / f"protected_{source}.csv", ages, groups, h)
+            cube = ingest(*st.inputs(f"protect/protected_{source}.csv"), ages, groups, h)
         ec = expected_counts(cube, rates, source)
-        w = StageWriter(out_dir)
-        w.write_via(f"expect/expected_{source}.csv", lambda p: write_expected(ec, p))
-    _finish(out_dir, cfg, f"expect:{source}", inputs, w.outputs, t, {"source": source})
-    return {"outputs": [str(p) for p in w.outputs]}
+        st.write(f"expect/expected_{source}.csv", lambda p: write_expected(ec, p))
+    return st.result()
 
 
-def _load_expected(cfg, out_dir: Path, source: str, h, groups) -> ExpectedCounts:
-    require_inputs(out_dir, [f"expect/expected_{source}.csv"])
-    return read_expected(
-        out_dir / "expect" / f"expected_{source}.csv", h.leaf_ids, groups.groups, source
-    )
+def _load_expected(st: _Stage, sources: list[str], h, groups) -> list[ExpectedCounts]:
+    paths = st.inputs(*(f"expect/expected_{s}.csv" for s in sources))
+    return [read_expected(path, h.leaf_ids, groups.groups, s) for path, s in zip(paths, sources)]
 
 
 def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     """Fit the spatial model to the observed event counts with one source's
     expected counts as offsets."""
-    out_dir = Path(out_dir)
     source = source or "truth"
     ages, groups = _schemas(cfg)
-    with _Timer() as t:
-        h, adj = _load_geo(out_dir)
-        inputs = require_inputs(
-            out_dir, ["geo/deaths.csv", "geo/covariates.csv", f"expect/expected_{source}.csv"]
-        )
-        deaths = ingest(out_dir / "geo" / "deaths.csv", ages, groups, h, value_column="deaths")
-        poverty = read_covariates(out_dir / "geo" / "covariates.csv", h.leaf_ids, "poverty")
-        ec = _load_expected(cfg, out_dir, source, h, groups)
+    with _Stage(cfg, out_dir, f"fit:{source}", {"source": source}) as st:
+        h, adj = _load_geo(st)
+        deaths_path, covariates_path = st.inputs("geo/deaths.csv", "geo/covariates.csv")
+        deaths = ingest(deaths_path, ages, groups, h, value_column="deaths")
+        poverty = read_covariates(covariates_path, h.leaf_ids, "poverty")
+        ec, = _load_expected(st, [source], h, groups)
         priors = cfg["model"]["priors"]
         spec = build_spec(
             ec,
@@ -474,8 +433,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         draws = fit(y, spec, McmcConfig(m["iterations"], m["burnin"], m["thin"], seed))
         summary = mrr_summary(draws)
         smr = predict_counts(draws, spec)
-        w = StageWriter(out_dir)
-        w.write_via(f"fit/draws_{source}.csv", lambda p: write_draws(draws, p))
+        st.write(f"fit/draws_{source}.csv", lambda p: write_draws(draws, p))
         payload = {
             "source": source,
             "params": summary.params,
@@ -484,21 +442,14 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
             "converged": summary.converged,
             "excluded_cells": [list(c) for c in spec.excluded],
         }
-        w.write_via(
-            f"fit/summary_{source}.json",
-            lambda p: Path(p).write_text(json.dumps(payload, indent=2, sort_keys=True)),
-        )
+        st.write(f"fit/summary_{source}.json", lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True)))
         smr_rows = [
             [uid, grp, fmt(smr.yhat[i, g]), fmt(smr.smr[i, g])]
             for i, uid in enumerate(smr.unit_ids)
             for g, grp in enumerate(smr.groups)
         ]
-        w.write_via(
-            f"fit/smr_{source}.csv",
-            lambda p: write_table(p, ["unit_id", "group", "predicted", "smr"], smr_rows),
-        )
-    _finish(out_dir, cfg, f"fit:{source}", inputs, w.outputs, t, {"source": source})
-    return {"outputs": [str(p) for p in w.outputs], "converged": summary.converged}
+        st.write(f"fit/smr_{source}.csv", lambda p: write_table(p, ["unit_id", "group", "predicted", "smr"], smr_rows))
+    return st.result(converged=summary.converged)
 
 
 def _write_table(path, header: list[str], rows) -> None:
@@ -530,17 +481,12 @@ def _read_study_table(path: Path, header: list[str]) -> list[list]:
 
 def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
     """Run the replicated multi-source study and emit the metric tables."""
-    out_dir = Path(out_dir)
     ages, groups = _schemas(cfg)
     sim = cfg["sim"]
-    with _Timer() as t:
-        h, adj = _load_geo(out_dir)
-        inputs = require_inputs(out_dir, ["geo/covariates.csv"])
-        inputs += require_inputs(
-            out_dir, [f"expect/expected_{s}.csv" for s in sim["sources"]]
-        )
-        poverty = read_covariates(out_dir / "geo" / "covariates.csv", h.leaf_ids, "poverty")
-        sources = [_load_expected(cfg, out_dir, s, h, groups) for s in sim["sources"]]
+    with _Stage(cfg, out_dir, "simulate", {"n_reps": sim["n_reps"]}) as st:
+        h, adj = _load_geo(st)
+        poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
+        sources = _load_expected(st, sim["sources"], h, groups)
         dgp = DgpConfig(
             beta=tuple(sim["beta"]),
             rho=sim["rho"],
@@ -564,33 +510,19 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
             },
         )
         tables = report.tables()
-        w = StageWriter(out_dir)
         for name in ("coef_bias", "smr_bias", "smr_mape", "fractions", "replicates"):
-            w.write_via(
-                f"simulate/{name}.csv", lambda p, r=tables[name]: _write_table(p, list(r[0]), map(dict.values, r))
-            )
-        convergence = {src: report.convergence[src] for src in report.sources}
-    _finish(
-        out_dir,
-        cfg,
-        "simulate",
-        inputs,
-        w.outputs,
-        t,
-        {"n_reps": sim["n_reps"], "convergence": convergence},
-    )
-    return {"outputs": [str(p) for p in w.outputs], "report": report}
+            st.write(f"simulate/{name}.csv", lambda p, r=tables[name]: _write_table(p, list(r[0]), map(dict.values, r)))
+        st.extra["convergence"] = {src: report.convergence[src] for src in report.sources}
+    return st.result(report=report)
 
 
 def stage_report(cfg: dict, out_dir: Path) -> dict:
     """Denominator-error comparison plus a readable digest of the study."""
-    out_dir = Path(out_dir)
     ages, groups = _schemas(cfg)
     sim = cfg["sim"]
-    with _Timer() as t:
-        h = _load_hierarchy(out_dir)
-        inputs = require_inputs(out_dir, [f"expect/expected_{s}.csv" for s in sim["sources"]])
-        sources = {s: _load_expected(cfg, out_dir, s, h, groups) for s in sim["sources"]}
+    with _Stage(cfg, out_dir, "report") as st:
+        h = _load_hierarchy(st)
+        sources = dict(zip(sim["sources"], _load_expected(st, sim["sources"], h, groups)))
         truth = sources["truth"]
         denom_rows = []  # one row per source and group, in DENOMINATORS_HEADER order
         for s, ec in sources.items():
@@ -603,8 +535,7 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
             for group in ec.groups:
                 stats = [pe.summary[group].get(k, math.nan) for k in ("mean", "sd", "q25", "median", "q75")]
                 denom_rows.append([s, group, *stats, under[group], zp[group]])
-        w = StageWriter(out_dir)
-        w.write_via("report/denominators.csv", lambda p: _write_table(p, DENOMINATORS_HEADER, denom_rows))
+        st.write("report/denominators.csv", lambda p: _write_table(p, DENOMINATORS_HEADER, denom_rows))
 
         lines = ["privmap study report", "====================", ""]
         lines.append("Denominator accuracy against the unprotected source")
@@ -613,21 +544,18 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
                 f"  {src:>6} {group:>8}: mean %err {mean:+.3f}, sd {sd:.3f}, "
                 f"under-estimated {under_pct:.2f}%, zero cells {zero_pct:.2f}%"
             )
-        sim_frac = out_dir / "simulate" / "fractions.csv"
-        if sim_frac.exists():
-            inputs.append(sim_frac)
+        # the study digest is optional: only a simulated run has these tables
+        if (st.out_dir / "simulate" / "fractions.csv").exists():
             lines += ["", "Simulation study (per source and group)"]
-            for src, group, bias, mape, upward, _, _ in _read_study_table(sim_frac, FRACTIONS_HEADER):
+            fractions = _read_study_table(*st.inputs("simulate/fractions.csv"), FRACTIONS_HEADER)
+            for src, group, bias, mape, upward, _, _ in fractions:
                 lines.append(
                     f"  {src:>6} {group:>8}: SMR bias {bias:+.4f}, MAPE {mape:.4f}, upward {upward:.2f}%"
                 )
-            coef_path = out_dir / "simulate" / "coef_bias.csv"
-            if coef_path.exists():
-                inputs.append(coef_path)
+            if (st.out_dir / "simulate" / "coef_bias.csv").exists():
                 lines += ["", "Coefficient bias (mean over replicates)"]
-                for src, coef, _, mean_bias, _ in _read_study_table(coef_path, COEF_BIAS_HEADER):
+                for src, coef, _, mean_bias, _ in _read_study_table(*st.inputs("simulate/coef_bias.csv"), COEF_BIAS_HEADER):
                     lines.append(f"  {src:>6} {coef:>12}: {mean_bias:+.5f}")
         lines.append("")
-        w.write_via("report/report.txt", lambda p: Path(p).write_text("\n".join(lines)))
-    _finish(out_dir, cfg, "report", inputs, w.outputs, t)
-    return {"outputs": [str(p) for p in w.outputs]}
+        st.write("report/report.txt", lambda p: p.write_text("\n".join(lines)))
+    return st.result()

@@ -10,8 +10,9 @@ variance 0.25.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,28 +320,7 @@ class StudyReport:
         }
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(state: dict) -> None:
-    _WORKER_STATE.update(state)
-
-
-def _run_replicate(k: int) -> dict:
-    st = _WORKER_STATE
-    return _replicate_impl(
-        k,
-        st["dgp"],
-        st["truth"],
-        st["covariate"],
-        st["adjacency"],
-        st["specs"],
-        st["sources"],
-        st["mcmc"],
-    )
-
-
-def _replicate_impl(
+def _replicate(
     k: int,
     dgp: DgpConfig,
     truth: ExpectedCounts,
@@ -353,7 +333,7 @@ def _replicate_impl(
     data = generate_dataset(dgp, truth, covariate, adjacency, k)
     truth_vals = np.where(truth.values > 0, truth.values, np.nan)
     smr_true = data.lam / truth_vals
-    out = {"k": k, "smr_true": smr_true, "per_source": {}}
+    out = {"smr_true": smr_true, "per_source": {}}
     for s_idx, src in enumerate(sources):
         spec = specs[src]
         y_vec = spec.flatten(data.y)
@@ -388,10 +368,11 @@ def run_study(
 
     Every source's metrics are judged against the same truth: the true
     standardized ratio is the replicate's Poisson mean over the unprotected
-    expected count. Replicates run in parallel when ``jobs`` > 1; results
-    are reduced in replicate order so worker scheduling cannot change them.
-    One CAR plan is built from ``adjacency`` and shared by every source's
-    spec, every replicate and every forked worker.
+    expected count. Replicates run in forked workers when ``jobs`` > 1;
+    ``map`` returns them in replicate order, so worker scheduling cannot
+    change the results. One CAR plan is built from ``adjacency`` and shared
+    by every source's spec and every replicate (workers receive it pickled,
+    with each batch of replicates).
     """
     tags = [s.source for s in sources]
     if len(set(tags)) != len(tags):
@@ -410,25 +391,22 @@ def run_study(
     if len(dgp.beta) != p:
         raise SimulationError(f"dgp beta has {len(dgp.beta)} entries, model has {p} columns")
 
-    state = {
-        "dgp": dgp,
-        "truth": truth,
-        "covariate": np.asarray(covariate, dtype=float),
-        "adjacency": adjacency,
-        "specs": specs,
-        "sources": tags,
-        "mcmc": mcmc,
-    }
-    ks = list(range(dgp.n_reps))
+    replicate = functools.partial(
+        _replicate,
+        dgp=dgp,
+        truth=truth,
+        covariate=np.asarray(covariate, dtype=float),
+        adjacency=adjacency,
+        specs=specs,
+        sources=tags,
+        mcmc=mcmc,
+    )
+    ks = range(dgp.n_reps)
     if jobs and jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs, initializer=_init_worker, initargs=(state,)) as pool:
-            results = pool.map(_run_replicate, ks)
+        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+            results = pool.map(replicate, ks)
     else:
-        _init_worker(state)
-        results = [_run_replicate(k) for k in ks]
-        _WORKER_STATE.clear()
-    results.sort(key=lambda r: r["k"])
+        results = list(map(replicate, ks))
 
     n, n_groups = truth.values.shape
     smr_true_stack = np.stack([r["smr_true"] for r in results])  # (K, n, G)

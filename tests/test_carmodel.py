@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -267,6 +269,20 @@ def test_fit_reproducible_bit_exact():
         d2 = fit(spec2.flatten(y.reshape(9, 2)), spec2, McmcConfig(600, 300, 2, seed=9))
         for field in ("beta", "theta", "phi", "tau2", "sigma2", "rho"):
             assert np.array_equal(getattr(d1, field), getattr(d2, field))
+
+
+def test_fit_draws_and_acceptance_pinned(tmp_path):
+    # sha256 of the draws file and the per-block acceptance rates of a seeded
+    # toy fit, pinned when fit kept its acceptance totals by hand
+    _, adj = build_synthetic_geography(16, [4, 4], "grid", seed=1)
+    r = rng(4)
+    ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), r.uniform(1.0, 8.0, (16, 2)), "truth")
+    spec = build_spec(ec, r.uniform(0, 1, 16), adj)
+    draws = fit(spec.flatten(r.poisson(ec.values)), spec, McmcConfig(400, 200, 2, seed=21))
+    write_draws(draws, tmp_path / "draws.csv")
+    digest = hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest()
+    assert digest == "1661adb43ccc052ae35879d98699d88416cbd1e47ed78f49a9089993014cc49d"
+    assert draws.accept_rates == {"beta": 0.5475, "theta": 0.25875, "phi": 0.306328125, "rho": 0.81}
 
 
 def test_offset_invariance():

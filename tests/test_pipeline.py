@@ -1,10 +1,15 @@
+import ast
 import hashlib
+import inspect
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import privmap.pipeline as pipeline
 from privmap.cli import main
 from privmap.errors import ConfigError, MissingInputError
 from privmap.pipeline import (
@@ -74,6 +79,7 @@ def test_load_config_validates_values(tmp_path):
         {"geo": {"layout": "moebius"}},
         {"das": {"variant": "v99"}},
         {"das": {"variant": "custom"}},  # custom requires epsilon_total
+        {"das": {"variant": "v19", "epsilon_total": 0.5}},  # v19 pins 4.0
         {"sim": {"sources": ["v19"]}},   # truth required
         {"model": {"mcmc": {"thin": 0}}},
         {"seed": "one"},
@@ -87,6 +93,17 @@ def test_load_config_accepts_inf_epsilon(tmp_path):
     path = write_config(tmp_path, {"das": {"variant": "custom", "epsilon_total": "inf"}})
     cfg = load_config(path)
     assert cfg["das"]["epsilon_total"] == "inf"
+
+
+def test_preset_epsilon_must_match_the_pinned_value(tmp_path):
+    # a preset pins its budget, so a different finite epsilon_total would be
+    # recorded in the manifest but never used
+    for variant, pinned in (("v19", 4.0), ("v20", 4.0), ("v22", 20.82)):
+        for eps in (pinned, "inf"):
+            load_config(write_config(tmp_path, {"das": {"variant": variant, "epsilon_total": eps}}))
+    path = write_config(tmp_path, {"das": {"variant": "v22", "epsilon_total": 4.0}})
+    with pytest.raises(ConfigError, match=r"4\.0 differs from the 20\.82 that variant v22 pins"):
+        load_config(path)
 
 
 def test_missing_config_file():
@@ -415,3 +432,100 @@ def test_manifest_replay(tmp_path):
     manifest = out1 / "manifest.json"
     run_cli(["--config", str(manifest), "--out", str(out2), "geo"])
     assert sha(out1 / "geo" / "population.csv") == sha(out2 / "geo" / "population.csv")
+
+
+# ---------------------------------------------------------------------------
+# the stage harness
+
+
+# files opened for reading are appended to ``_OPENS["paths"]`` while it is a
+# list; the audit hook is installed once per process and does nothing otherwise
+_OPENS: dict = {"paths": None, "hooked": False}
+
+
+def _record_open(event, args):
+    if event != "open" or _OPENS["paths"] is None or not isinstance(args[0], (str, os.PathLike)):
+        return
+    path, mode, flags = args  # os.open passes no mode, only flags
+    reading = (flags & os.O_ACCMODE) == os.O_RDONLY if mode is None else "r" in mode and "+" not in mode
+    if reading:
+        _OPENS["paths"].append(Path(path).resolve())
+
+
+def test_manifest_lists_every_file_a_stage_reads(tmp_path, monkeypatch):
+    if not _OPENS["hooked"]:
+        sys.addaudithook(_record_open)
+        _OPENS["hooked"] = True
+    cfg = load_config(write_config(tmp_path, {"geo": {"leaves": 24, "branching": [2, 3, 4]}}))
+    out = (tmp_path / "run").resolve()
+    append = pipeline.append_manifest
+
+    def append_unrecorded(*args, **kwargs):  # hashing reads inputs and outputs
+        paths, _OPENS["paths"] = _OPENS["paths"], None
+        append(*args, **kwargs)
+        _OPENS["paths"] = paths
+
+    monkeypatch.setattr(pipeline, "append_manifest", append_unrecorded)
+    runs = [
+        lambda: stage_geo(cfg, out),
+        lambda: stage_protect(cfg, out, "v19"),
+        lambda: stage_expect(cfg, out, "truth"),
+        lambda: stage_expect(cfg, out, "v19"),
+        lambda: stage_fit(cfg, out, "v19"),
+        lambda: stage_simulate(cfg, out),
+        lambda: stage_report(cfg, out),
+    ]
+    read = []
+    for run in runs:
+        _OPENS["paths"] = []
+        try:
+            run()
+        finally:
+            paths, _OPENS["paths"] = _OPENS["paths"], None
+        read.append({str(p.relative_to(out)) for p in paths if p.is_relative_to(out) and p.name != "manifest.json"})
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert {"geo/hierarchy.csv", "geo/adjacency.csv"} <= read[4]  # fit reads the geography
+    assert {"simulate/fractions.csv", "simulate/coef_bias.csv"} <= read[6]  # report reads the study
+    mismatched = {st["stage"]: (sorted(st["inputs"]), sorted(r)) for st, r in zip(stages, read) if set(st["inputs"]) != r}
+    assert not mismatched, mismatched
+    for st in stages:
+        assert set(st) == {
+            "stage", "wall_s", "cpu_s", "read_s", "write_s", "peak_rss_mb", "inputs", "outputs", "extra"
+        } - ({"extra"} if st["stage"] in ("geo", "report") else set())
+
+
+def _harness_offenders(source: str) -> list[str]:
+    """Stage functions that open no ``_Stage``, and ``os.replace`` calls
+    outside the one atomic-write helper."""
+    tree = ast.parse(source)
+    offenders, allowed = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "_write_atomic":
+            allowed.update(map(id, ast.walk(fn)))
+        if fn.name.startswith("stage_") and not any(
+            isinstance(item.context_expr, ast.Call) and getattr(item.context_expr.func, "id", None) == "_Stage"
+            for node in ast.walk(fn) if isinstance(node, ast.With) for item in node.items
+        ):
+            offenders.append(f"{fn.name}: no _Stage")
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(node, ast.Call) and id(node) not in allowed and isinstance(func, ast.Attribute)
+            and func.attr == "replace" and getattr(func.value, "id", None) == "os"
+        ):
+            offenders.append(f"line {node.lineno}: os.replace")
+    return offenders
+
+
+def test_every_stage_runs_in_the_harness():
+    assert not _harness_offenders(inspect.getsource(pipeline))
+    bad = """
+def stage_x(cfg, out_dir):
+    with open(out_dir) as fh:
+        os.replace(fh.name, out_dir)
+def _write_atomic(path, writer):
+    os.replace(path, path)
+"""
+    assert _harness_offenders(bad) == ["stage_x: no _Stage", "line 4: os.replace"]
