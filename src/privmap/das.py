@@ -161,7 +161,8 @@ class DasConfig:
             want, multi_pass = PRESETS[self.variant]
             if abs(self.budget.epsilon_total - want) > 1e-9:
                 raise ProtectionError(
-                    f"variant {self.variant} pins epsilon_total={want}, got {self.budget.epsilon_total}"
+                    f"epsilon_total {self.budget.epsilon_total} differs from the {want} that variant "
+                    f"{self.variant} pins; use 'inf', the pinned value or variant 'custom'"
                 )
             if self.budget.multi_pass != multi_pass:
                 mode = "multi-pass" if multi_pass else "single-pass"
@@ -175,22 +176,14 @@ def das_preset(
     level_shares=None,
     pass_shares=None,
 ) -> DasConfig:
-    """Build one of the pinned variant configurations."""
+    """Build one of the pinned variant configurations; multi-pass presets
+    split each level's budget evenly between totals and detail by default."""
     if variant not in PRESETS:
         raise ProtectionError(f"no preset for variant {variant!r}")
     eps, multi_pass = PRESETS[variant]
-    if multi_pass:
-        passes = tuple(pass_shares) if pass_shares is not None else (0.5, 0.5)
-    else:
-        if pass_shares is not None:
-            raise ProtectionError(f"variant {variant} is single-pass")
-        passes = None
-    budget = PrivacyBudget(
-        eps,
-        tuple(level_shares) if level_shares is not None else None,
-        passes,
-    )
-    return DasConfig(variant, budget, NoiseModel(noise_family), seed)
+    if multi_pass and pass_shares is None:
+        pass_shares = (0.5, 0.5)
+    return DasConfig(variant, PrivacyBudget(eps, level_shares, pass_shares), NoiseModel(noise_family), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +364,23 @@ class AuditRecord:
     published_totals: dict[int, np.ndarray] | None = None
 
 
-def _reconcile(parent_pub: np.ndarray, noisy: np.ndarray, parent_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reconcile(
+    parent_pub: np.ndarray, noisy: np.ndarray, parent_idx: np.ndarray, totals: np.ndarray | None = None
+) -> np.ndarray:
     """Fit every sibling group of a level to its published parent cells.
 
     ``parent_pub`` holds the P published parents' strata, ``noisy`` the C
     children's noisy strata (any trailing shape, flattened to S strata) and
     ``parent_idx`` each child's parent row. Each (parent, stratum) pair is
     one row of a single batched projection and rounding, its children in
-    hierarchy order. Returns the continuous projection and its rounding,
-    both (C, S).
+    hierarchy order. Returns the rounding, (C, S).
+
+    With ``totals``, each child's published total, the rounding is then
+    repaired so every child's strata also sum to its total. Each step moves
+    one person in every sibling group still off, within one stratum so the
+    parent cells stay matched: from the first child with the largest excess
+    to the first with the largest deficit, in the first stratum with the
+    largest gain toward the continuous projection where the donor holds one.
     """
     parent_pub = parent_pub.reshape(len(parent_pub), -1)
     noisy = noisy.reshape(len(noisy), -1)
@@ -391,28 +392,24 @@ def _reconcile(parent_pub: np.ndarray, noisy: np.ndarray, parent_idx: np.ndarray
     z = np.full((n_parents, n_strata, sizes.max()), np.nan)
     z[parent_idx, :, col] = noisy
     x = project_children(parent_pub.reshape(-1), z.reshape(-1, z.shape[2]))
-    y = controlled_round(x, parent_pub.reshape(-1))
-    return x.reshape(z.shape)[parent_idx, :, col], y.reshape(z.shape)[parent_idx, :, col]
-
-
-def _repair_rows(y: np.ndarray, row_targets: np.ndarray, x_cont: np.ndarray) -> None:
-    """Move single units between sibling rows, within a column, until every
-    row hits its total; picks the move that best reduces deviation from the
-    continuous solution. In-place on ``y``."""
-    row_sums = y.sum(axis=1)
-    while True:
-        diff = row_sums - row_targets
-        if not diff.any():
-            return
-        donor = int(np.argmax(diff))
-        taker = int(np.argmin(diff))
-        gain = (y[donor] - x_cont[donor]) - (y[taker] - x_cont[taker])
-        gain = np.where(y[donor] >= 1, gain, -np.inf)
-        col = int(np.argmax(gain))
-        y[donor, col] -= 1
-        y[taker, col] += 1
-        row_sums[donor] -= 1
-        row_sums[taker] += 1
+    y = controlled_round(x, parent_pub.reshape(-1)).reshape(z.shape)
+    x = x.reshape(z.shape)
+    if totals is not None:
+        excess = y.sum(axis=1)  # (P, child slot); padding slots stay 0
+        excess[parent_idx, col] -= totals
+        if excess.sum(axis=1).any():
+            raise ProtectionError("pass inconsistency: parent detail does not match child totals")
+        g = np.flatnonzero(excess.any(axis=1))
+        while g.size:
+            donor, taker = excess[g].argmax(axis=1), excess[g].argmin(axis=1)
+            gain = (y[g, :, donor] - x[g, :, donor]) - (y[g, :, taker] - x[g, :, taker])
+            s = np.where(y[g, :, donor] >= 1, gain, -np.inf).argmax(axis=1)
+            y[g, s, donor] -= 1
+            y[g, s, taker] += 1
+            excess[g, donor] -= 1
+            excess[g, taker] += 1
+            g = g[excess[g].any(axis=1)]
+    return y[parent_idx, :, col]
 
 
 def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[TabulationCube, AuditRecord]:
@@ -443,31 +440,20 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
     # everything below reconciles to the published root
     root_cells = measurements.detail[0].reshape(-1)
     root_total = np.array([int(round(cubes[0].total))])
-    _, root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
+    root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
     published = {0: cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)}
     pub_totals: dict[int, np.ndarray] | None = None
     if config.budget.multi_pass:
         # pass 1: unit totals, reconciled top-down; the root total is truth
         pub_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
         for rank in range(1, h.depth):
-            _, y = _reconcile(pub_totals[rank - 1], measurements.totals[rank], h.parent_index(rank))
+            y = _reconcile(pub_totals[rank - 1], measurements.totals[rank], h.parent_index(rank))
             pub_totals[rank] = y[:, 0]
     # the detail, constrained by the parent detail (and, in pass 2 of a
     # multi-pass variant, by each unit's own published total)
     for rank in range(1, h.depth):
-        parent_idx = h.parent_index(rank)
-        x, y = _reconcile(published[rank - 1].values, measurements.detail[rank], parent_idx)
-        if pub_totals is not None:
-            targets = pub_totals[rank]
-            row_sums = y.sum(axis=1)
-            if not np.array_equal(np.bincount(parent_idx, row_sums), np.bincount(parent_idx, targets)):
-                raise ProtectionError("pass inconsistency: parent detail does not match child totals")
-            # only sibling groups whose rows miss their totals need repair
-            for p in np.unique(parent_idx[row_sums != targets]):
-                kids = np.flatnonzero(parent_idx == p)
-                rows = y[kids]
-                _repair_rows(rows, targets[kids], x[kids])
-                y[kids] = rows
+        totals = None if pub_totals is None else pub_totals[rank]
+        y = _reconcile(published[rank - 1].values, measurements.detail[rank], h.parent_index(rank), totals)
         published[rank] = cubes[rank].with_values(y.reshape(cubes[rank].values.shape), integer_valued=True)
 
     audit = AuditRecord(

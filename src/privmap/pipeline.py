@@ -15,6 +15,7 @@ import math
 import os
 import resource
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ import numpy as np
 from . import __version__
 from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
 from .das import (
-    NOISE_FAMILIES, PRESETS, VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
+    VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
 )
-from .errors import ConfigError, MissingInputError, SimulationError
+from .errors import ConfigError, MissingInputError, ProtectionError, SimulationError
 from .geo import (
     LAYOUTS, build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 )
@@ -153,8 +154,8 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
 
 
 def _validate_config(cfg: dict) -> None:
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     geo = cfg["geo"]
     if not isinstance(geo["leaves"], int) or geo["leaves"] < 4:
         raise ConfigError("geo.leaves must be an integer >= 4")
@@ -167,18 +168,10 @@ def _validate_config(cfg: dict) -> None:
     das = cfg["das"]
     if das["variant"] not in VARIANTS:
         raise ConfigError(f"das.variant must be one of {'/'.join(VARIANTS)}, got {das['variant']!r}")
-    eps = _parse_eps(das["epsilon_total"])
-    if das["variant"] == "custom" and eps is None:
-        raise ConfigError("das.variant 'custom' requires das.epsilon_total")
-    if das["variant"] in PRESETS and eps is not None and math.isfinite(eps):
-        pinned = PRESETS[das["variant"]][0]
-        if abs(eps - pinned) > 1e-9:
-            raise ConfigError(
-                f"das.epsilon_total {eps} differs from the {pinned} that variant {das['variant']} pins; "
-                "use 'inf', the pinned value or variant 'custom'"
-            )
-    if das["noise_family"] not in NOISE_FAMILIES:
-        raise ConfigError(f"unknown das.noise_family {das['noise_family']!r}")
+    _das_config(cfg, das["variant"])
+    n_levels = len(geo["branching"]) + 1
+    if das["level_shares"] is not None and len(das["level_shares"]) != n_levels:
+        raise ConfigError(f"das.level_shares has {len(das['level_shares'])} entries for {n_levels} geolevels")
     std = cfg["std"]
     if not isinstance(std["age_bands"], list) or len(std["age_bands"]) < 1:
         raise ConfigError("std.age_bands must be a non-empty list of labels")
@@ -321,16 +314,31 @@ def _das_seed(cfg, variant: str) -> int:
 
 
 def _das_config(cfg, variant: str) -> DasConfig:
+    """The mechanism configuration ``protect`` runs for ``variant``.
+
+    ``das.epsilon_total`` applies to ``das.variant`` (a preset's must equal
+    its pinned value) and to ``custom``; another preset keeps its pinned
+    budget, and ``"inf"`` turns the noise off for every variant. Any fault,
+    the budget's own checks included, is a ``ConfigError``.
+    """
     das = cfg["das"]
     eps = _parse_eps(das["epsilon_total"])
     seed = _das_seed(cfg, variant)
-    shares = tuple(das["level_shares"]) if das["level_shares"] else None
-    passes = tuple(das["pass_shares"]) if das["pass_shares"] else None
-    if variant != "custom" and (eps is None or not math.isinf(eps)):
-        return das_preset(variant, seed, das["noise_family"], shares, passes)
-    if eps is None:
-        raise ConfigError("custom variant requires das.epsilon_total")
-    return DasConfig(variant, PrivacyBudget(eps, shares, passes), NoiseModel(das["noise_family"]), seed)
+    shares, passes = das["level_shares"], das["pass_shares"]
+    for key, value in (("level_shares", shares), ("pass_shares", passes)):
+        if value is not None and not (isinstance(value, list) and all(map(_is_num, value))):
+            raise ConfigError(f"das.{key} must be a list of numbers, got {value!r}")
+    try:
+        if variant == "custom":
+            if eps is None:
+                raise ConfigError("das.variant 'custom' requires das.epsilon_total")
+            return DasConfig(variant, PrivacyBudget(eps, shares, passes), NoiseModel(das["noise_family"]), seed)
+        config = das_preset(variant, seed, das["noise_family"], shares, passes)
+        if eps is None or (variant != das["variant"] and not math.isinf(eps)):
+            return config
+        return DasConfig(variant, replace(config.budget, epsilon_total=eps), config.noise, seed)
+    except ProtectionError as exc:
+        raise ConfigError(f"das: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +384,10 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
     with _Stage(cfg, out_dir, f"protect:{variant}", {"variant": variant}) as st:
         h = _load_hierarchy(st)
         pop = ingest(*st.inputs("geo/population.csv"), ages, groups, h)
-        protected, audit = run_topdown(pop, _das_config(cfg, variant))
+        config = _das_config(cfg, variant)
+        eps, passes = config.budget.epsilon_total, config.budget.pass_shares
+        st.extra.update(epsilon_total=eps if math.isfinite(eps) else "inf", pass_shares=passes)
+        protected, audit = run_topdown(pop, config)
         st.write(f"protect/protected_{variant}.csv", lambda p: write_tabulation(protected, p))
         st.write(f"protect/audit_{variant}.csv", lambda p: write_audit(audit, p))
     return st.result()

@@ -13,6 +13,7 @@ from privmap.das import (
     DasConfig,
     NoiseModel,
     PrivacyBudget,
+    _reconcile,
     controlled_round,
     das_preset,
     dlaplace_variance,
@@ -297,6 +298,79 @@ def test_batched_rows_match_single_rows_bit_for_bit():
         assert np.array_equal(y[i, :n], controlled_round(alone, targets[i]))
         assert np.array_equal(y[i, :n], _round_one(alone, targets[i]))
         assert not y[i, n:].any()
+
+
+def _repair_rows(y: np.ndarray, row_targets: np.ndarray, x_cont: np.ndarray) -> None:
+    """Move single units between sibling rows, within a column, until every
+    row hits its total; picks the move that best reduces deviation from the
+    continuous solution. In-place on ``y``."""
+    row_sums = y.sum(axis=1)
+    while True:
+        diff = row_sums - row_targets
+        if not diff.any():
+            return
+        donor = int(np.argmax(diff))
+        taker = int(np.argmin(diff))
+        gain = (y[donor] - x_cont[donor]) - (y[taker] - x_cont[taker])
+        gain = np.where(y[donor] >= 1, gain, -np.inf)
+        col = int(np.argmax(gain))
+        y[donor, col] -= 1
+        y[taker, col] += 1
+        row_sums[donor] -= 1
+        row_sums[taker] += 1
+
+
+def _repair_one_group_at_a_time(parent_pub, noisy, parent_idx, totals):
+    """Reference: the level reconciled without totals, then the greedy row
+    repair on each sibling group whose children miss their totals."""
+    y = _reconcile(parent_pub, noisy, parent_idx)
+    for p in np.unique(parent_idx[y.sum(axis=1) != totals]):
+        kids = np.flatnonzero(parent_idx == p)
+        x = np.stack([_project_one(parent_pub[p, s], noisy[kids, s]) for s in range(noisy.shape[1])], axis=1)
+        rows = y[kids]
+        _repair_rows(rows, totals[kids], x)
+        y[kids] = rows
+    return y
+
+
+def ragged_level(seed):
+    """One level of ragged sibling groups (fan-out 1-10, children listed in
+    shuffled order) with small, mostly-zero counts, noisy child strata, and
+    per-child totals that sum to each parent's detail."""
+    r = rng(seed)
+    sizes = r.integers(1, 11, int(r.integers(1, 30)))
+    parent_idx = r.permutation(np.repeat(np.arange(sizes.size), sizes))
+    n_strata = int(r.integers(1, 7))
+    truth = r.integers(0, 6, (parent_idx.size, n_strata)) * r.integers(0, 2, (parent_idx.size, n_strata))
+    parent_pub = np.zeros((sizes.size, n_strata))
+    np.add.at(parent_pub, parent_idx, truth)
+    noisy = truth + r.integers(-3, 4, truth.shape)
+    unrepaired = _reconcile(parent_pub, noisy, parent_idx).sum(axis=1)
+    totals = np.empty(parent_idx.size, dtype=np.int64)
+    for p, n in enumerate(sizes):
+        kids = np.flatnonzero(parent_idx == p)
+        if r.random() < 0.3:  # an already balanced group
+            totals[kids] = unrepaired[kids]
+        else:
+            totals[kids] = r.multinomial(int(parent_pub[p].sum()), r.dirichlet(np.ones(n)))
+    return parent_pub, noisy, parent_idx, totals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_repair_matches_greedy_per_group_bit_for_bit(seed):
+    parent_pub, noisy, parent_idx, totals = ragged_level(seed)
+    y = _reconcile(parent_pub, noisy, parent_idx, totals)
+    ref = _repair_one_group_at_a_time(parent_pub, noisy, parent_idx, totals)
+    assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+    assert np.array_equal(y.sum(axis=1), totals)
+
+
+def test_repair_rejects_totals_inconsistent_with_parent_detail():
+    parent_pub, noisy, parent_idx, totals = ragged_level(3)
+    totals[np.argmax(totals)] += 1
+    with pytest.raises(ProtectionError, match="pass inconsistency"):
+        _reconcile(parent_pub, noisy, parent_idx, totals)
 
 
 # ---------------------------------------------------------------------------

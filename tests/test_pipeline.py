@@ -83,6 +83,12 @@ def test_load_config_validates_values(tmp_path):
         {"sim": {"sources": ["v19"]}},   # truth required
         {"model": {"mcmc": {"thin": 0}}},
         {"seed": "one"},
+        {"seed": -1},
+        {"das": {"level_shares": 3}},
+        {"das": {"level_shares": [0.3, 0.3]}},  # shares must sum to 1
+        {"das": {"level_shares": [0.5, 0.5]}},  # TINY has 4 geolevels
+        {"das": {"variant": "v19", "pass_shares": [0.5, 0.5]}},  # v19 is single-pass
+        {"das": {"noise_family": "cauchy"}},
     ):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):
@@ -104,6 +110,22 @@ def test_preset_epsilon_must_match_the_pinned_value(tmp_path):
     path = write_config(tmp_path, {"das": {"variant": "v22", "epsilon_total": 4.0}})
     with pytest.raises(ConfigError, match=r"4\.0 differs from the 20\.82 that variant v22 pins"):
         load_config(path)
+
+
+def test_protect_manifest_records_the_budget_it_ran(tmp_path):
+    # das.epsilon_total belongs to das.variant; a preset run from the same
+    # config keeps its pinned budget, and the manifest says which one ran
+    cfg_path = write_config(tmp_path, {"das": {"variant": "custom", "epsilon_total": 0.5}})
+    out = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    for cmd in (["geo"], ["protect", "--variant", "v19"], ["protect", "--variant", "custom"],
+                ["protect", "--variant", "v20"]):
+        result = run_cli(base + cmd)
+        assert result.exit_code == 0, result.output
+    stages = {s["stage"]: s["extra"] for s in json.loads((out / "manifest.json").read_text())["stages"] if "extra" in s}
+    assert stages["protect:v19"] == {"variant": "v19", "epsilon_total": 4.0, "pass_shares": None}
+    assert stages["protect:custom"] == {"variant": "custom", "epsilon_total": 0.5, "pass_shares": None}
+    assert stages["protect:v20"] == {"variant": "v20", "epsilon_total": 4.0, "pass_shares": [0.5, 0.5]}
 
 
 def test_missing_config_file():
