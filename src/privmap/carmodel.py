@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from numpy.polynomial import chebyshev
 
 from .errors import ModelError
 from .geo import Adjacency
@@ -191,23 +191,42 @@ def car_conditional(
     return rho * w_theta / plan.degrees, scale / plan.degrees
 
 
+def _ldl(q: scipy.sparse.spmatrix) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
+    """Sparse LDL' of a symmetric precision matrix.
+
+    SuperLU with a symmetric fill-reducing ordering and no pivoting gives
+    Q[p][:, p] = L U with U = D L', where p inverts the returned ``perm``;
+    the pivots D are U's diagonal. Returns ``perm`` and U. A precision that
+    is not positive definite (a pivot that is not positive, a row pivoted
+    off the diagonal, or a singular matrix) raises ModelError.
+    """
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(q.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor this way
+        raise ModelError(f"CAR precision not positive definite: {exc}") from None
+    u = lu.U
+    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(u.diagonal() > 0):
+        raise ModelError("CAR precision not positive definite: a pivot is not positive")
+    return lu.perm_c, u
+
+
 def sample_car_prior(
     adjacency: Adjacency, rho: float, scale: float, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
     """Exact joint draw(s) from the proper CAR prior with precision
-    (D - rho*W)/scale, via Cholesky of the precision matrix."""
+    Q = (D - rho*W)/scale: with Q's sparse factor L D L', each draw is
+    y = L'^-1 D^-1/2 z (solved as U y = D^1/2 z), put back in leaf order."""
+    from scipy.sparse.linalg import spsolve_triangular
+
     if not (0.0 <= rho < 1.0):
         raise ModelError(f"rho must lie in [0, 1), got {rho}")
     if scale <= 0:
         raise ModelError(f"scale must be positive, got {scale}")
-    d = np.diag(adjacency.row_sums)
-    q = (d - rho * adjacency.weights.toarray()) / scale  # dense for the Cholesky
-    try:
-        chol = scipy.linalg.cholesky(q, lower=False)  # q = chol' chol
-    except scipy.linalg.LinAlgError as exc:
-        raise ModelError(f"CAR precision not positive definite: {exc}") from None
+    perm, u = _ldl((scipy.sparse.diags(adjacency.row_sums) - rho * adjacency.weights) / scale)
     z = rng.standard_normal((adjacency.n, size))
-    draws = scipy.linalg.solve_triangular(chol, z, lower=False)
+    draws = spsolve_triangular(u, np.sqrt(u.diagonal())[:, None] * z, lower=False)[perm]
     return draws[:, 0] if size == 1 else draws.T
 
 
@@ -231,18 +250,30 @@ def greedy_coloring(weights: scipy.sparse.csr_matrix) -> np.ndarray:
     return np.array(colors[:n], dtype=int)
 
 
+# The log-det series covers t = -log(1 - rho) in [0, LOG_DET_SPAN], that is
+# rho <= 1 - e^-14; its node count was set from the measured error (below
+# 2e-12 relative on 300- and 3,000-leaf grid and planar graphs).
+LOG_DET_SPAN = 14.0
+LOG_DET_NODES = 50
+
+
 class CarPlan:
     """The spatial structure of one leaf adjacency, as the sampler uses it.
 
     Holds the degrees w_i+, the adjacency's CSR weights (shared, not a
-    copy), the greedy color classes, and the eigenvalues of D^-1/2 W D^-1/2,
-    through which the log-det of the CAR precision is
-    log|D - rho W| = sum log d_i + sum log(1 - rho lambda_i) (Ord 1975).
-    All of it depends on the adjacency alone, so one plan serves every fit
-    on that adjacency.
+    copy), the greedy color classes, and a Chebyshev series for the log-det
+    of the CAR precision in rho. All of it depends on the adjacency alone,
+    so one plan serves every fit on that adjacency; it holds plain arrays
+    only, so it pickles.
+
+    The series interpolates g(rho) = log|D - rho W| - sum log d_i -
+    log(1 - rho) in t = -log(1 - rho) over [0, LOG_DET_SPAN], from exact
+    sparse factorizations at LOG_DET_NODES Chebyshev nodes (Pace & Barry
+    1997). g is smooth there: on a connected graph 1 - rho is the only
+    factor of |D - rho W| that vanishes as rho -> 1.
 
     A graph that is not connected (an island, or several components) gets
-    ``connected`` False and no spectrum; fitting on it raises ModelError.
+    ``connected`` False and no series; fitting on it raises ModelError.
     """
 
     def __init__(self, adjacency: Adjacency):
@@ -252,13 +283,32 @@ class CarPlan:
         self.weights = adjacency.weights
         colors = greedy_coloring(self.weights)
         self.color_classes = [np.flatnonzero(colors == c) for c in range(colors.max(initial=-1) + 1)]
-        self.eigenvalues: np.ndarray | None = None
         self.log_det_d: float | None = None
-        if self.connected:  # every degree is positive, so 1/sqrt(deg) is finite
-            d_isqrt = 1.0 / np.sqrt(self.degrees)
-            sym = d_isqrt[:, None] * self.weights.toarray() * d_isqrt[None, :]  # dense for eigh
-            self.eigenvalues = scipy.linalg.eigh(sym, eigvals_only=True)
+        self.log_det_coef: np.ndarray | None = None
+        if self.connected:  # every degree is positive, so D - rho W is positive definite
             self.log_det_d = float(np.sum(np.log(self.degrees)))
+
+            def g(x):
+                rho = -np.expm1(-(x + 1) * LOG_DET_SPAN / 2)
+                return [self._factor_log_det(r) - self.log_det_d - math.log1p(-r) for r in rho]
+
+            self.log_det_coef = chebyshev.chebinterpolate(g, LOG_DET_NODES - 1)
+
+    def _factor_log_det(self, rho: float) -> float:
+        _, u = _ldl(scipy.sparse.diags(self.degrees) - rho * self.weights)
+        return float(np.sum(np.log(u.diagonal())))
+
+    def log_det(self, rho: float) -> float:
+        """log|D - rho W| for rho in [0, 1): the series, or an exact
+        factorization for rho past its span."""
+        t = -math.log1p(-rho)
+        if t > LOG_DET_SPAN:
+            return self._factor_log_det(rho)
+        # sum_k c_k T_k(x) with T_k(x) = cos(k arccos x): one vector
+        # expression, four times faster than chebval's loop in the sweep
+        angle = math.acos(2 * t / LOG_DET_SPAN - 1)
+        g = float(np.cos(np.arange(self.log_det_coef.size) * angle) @ self.log_det_coef)
+        return self.log_det_d + math.log1p(-rho) + g
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +533,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     if spec.include_spatial:
         plan = spec.plan
         w_sparse, deg, color_masks = plan.weights, plan.degrees, plan.color_classes
-        car_eigs, log_det_d = plan.eigenvalues, plan.log_det_d
 
     beta_adapt = _Adapter(p, 0.1)
     theta_adapt = _Adapter(n_units, 0.5)
@@ -609,9 +658,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             if 0.0 <= rho_new < 1.0:
                 quad_w = float(theta @ (w_sparse @ theta))
                 quad_d = float(deg @ theta**2)
-                logdet_old = log_det_d + float(np.sum(np.log1p(-rho * car_eigs)))
-                logdet_new = log_det_d + float(np.sum(np.log1p(-rho_new * car_eigs)))
-                log_r = 0.5 * (logdet_new - logdet_old) - (
+                log_r = 0.5 * (plan.log_det(rho_new) - plan.log_det(rho)) - (
                     (quad_d - rho_new * quad_w) - (quad_d - rho * quad_w)
                 ) / (2 * tau2)
                 accept = math.log(u) < log_r

@@ -189,6 +189,12 @@ def _validate_config(cfg: dict) -> None:
     for src in sim["sources"]:
         if src != "truth" and src not in VARIANTS:
             raise ConfigError(f"unknown simulation source {src!r}")
+        # protect runs every source's variant with this same das section
+        if src not in ("truth", das["variant"]):
+            try:
+                _das_config(cfg, src)
+            except ConfigError as exc:
+                raise ConfigError(f"sim.sources {src}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
             "mrr": summary.mrr,
             "mrr_lines": {name: summary.mrr_line(name) for name in summary.mrr},
             "converged": summary.converged,
+            "accept_rates": draws.accept_rates,
             "excluded_cells": [list(c) for c in spec.excluded],
         }
         st.write(f"fit/summary_{source}.json", lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True)))

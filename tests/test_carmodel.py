@@ -1,10 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from privmap.carmodel import (
+    LOG_DET_SPAN,
     CarPlan,
     McmcConfig,
     PosteriorDraws,
@@ -77,6 +79,11 @@ def test_car_prior_rejects_bad_params():
         sample_car_prior(adj, 1.0, 1.0, rng(0))
     with pytest.raises(ModelError):
         sample_car_prior(adj, 0.5, 0.0, rng(0))
+    # an island has no neighbors, so its precision row is zero: singular
+    island = np.zeros((4, 4))
+    island[[0, 1, 1, 2], [1, 0, 2, 1]] = 1.0
+    with pytest.raises(ModelError, match="CAR precision not positive definite"):
+        sample_car_prior(Adjacency([f"u{i}" for i in range(4)], island), 0.5, 1.0, rng(0))
 
 
 def test_car_conditional_formula():
@@ -117,19 +124,27 @@ def test_sparse_coloring_matches_dense_reference(oracle_adjacency):
 
 
 def test_car_plan_and_prior_match_dense_reference():
-    # the dense formulas the plan and the prior draw are defined by
-    _, adj = build_synthetic_geography(300, [2, 3, 5, 10], "random-planar", seed=11)
-    w = adj.weights.toarray()
-    deg = w.sum(axis=1)
-    plan = CarPlan(adj)
-    assert plan.weights is adj.weights
-    d_isqrt = 1.0 / np.sqrt(deg)
-    eigs = scipy.linalg.eigh(d_isqrt[:, None] * w * d_isqrt[None, :], eigvals_only=True)
-    assert np.array_equal(plan.eigenvalues, eigs)
-    chol = scipy.linalg.cholesky((np.diag(deg) - 0.3 * w) / 1.7, lower=False)
-    z = rng(5).standard_normal((adj.n, 1))
-    expected = scipy.linalg.solve_triangular(chol, z, lower=False)[:, 0]
-    assert np.array_equal(sample_car_prior(adj, 0.3, 1.7, rng(5)), expected)
+    # the dense formulas the plan and the prior draw are defined by: the
+    # log-det through the eigenvalues of D^-1/2 W D^-1/2 (Ord 1975), and a
+    # draw x = S z whose map S whitens the precision, S' Q S = I
+    for layout, n, branching in (("grid", 300, [2, 3, 5, 10]), ("random-planar", 3000, [3, 10, 10, 10])):
+        _, adj = build_synthetic_geography(n, branching, layout, seed=11)
+        w = adj.weights.toarray()
+        deg = w.sum(axis=1)
+        plan = CarPlan(adj)
+        assert plan.weights is adj.weights
+        d_isqrt = 1.0 / np.sqrt(deg)
+        eigs = scipy.linalg.eigh(d_isqrt[:, None] * w * d_isqrt[None, :], eigvals_only=True)
+        # the series over [0, 0.99] and close to 1, and one rho past its span
+        rhos = [*np.linspace(0.0, 0.99, 100), *(1 - np.logspace(-2.2, -6, 9)), -math.expm1(-LOG_DET_SPAN - 1)]
+        for rho in rhos:
+            expected = np.sum(np.log(deg)) + np.sum(np.log1p(-rho * eigs))
+            assert plan.log_det(rho) == pytest.approx(expected, rel=1e-10, abs=0), (layout, rho)
+    _, adj = build_synthetic_geography(300, [2, 3, 5, 10], "grid", seed=11)
+    q = (np.diag(adj.row_sums) - 0.3 * adj.weights.toarray()) / 1.7
+    x = sample_car_prior(adj, 0.3, 1.7, rng(5), size=300).T
+    z = rng(5).standard_normal((300, 300))
+    assert np.abs(x.T @ q @ x - z.T @ z).max() <= 1e-10 * np.abs(z.T @ z).max()
 
 
 # ---------------------------------------------------------------------------

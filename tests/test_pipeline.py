@@ -89,6 +89,7 @@ def test_load_config_validates_values(tmp_path):
         {"das": {"level_shares": [0.5, 0.5]}},  # TINY has 4 geolevels
         {"das": {"variant": "v19", "pass_shares": [0.5, 0.5]}},  # v19 is single-pass
         {"das": {"noise_family": "cauchy"}},
+        {"das": {"variant": "v20", "pass_shares": [0.6, 0.4]}},  # source v19 is single-pass
     ):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):
@@ -199,6 +200,8 @@ def test_stage_fit_and_report(pipeline_run):
     stage_fit(cfg, out, "truth")
     summary = json.loads((out / "fit" / "summary_truth.json").read_text())
     assert "mrr_lines" in summary and "group:Black" in summary["mrr_lines"]
+    rates = summary["accept_rates"]
+    assert set(rates) == {"beta", "theta", "phi", "rho"} and all(0 < r < 1 for r in rates.values())
     import re
 
     assert re.fullmatch(

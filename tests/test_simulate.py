@@ -211,23 +211,23 @@ def test_run_study_rejects_misaligned_sources():
 
 
 def test_run_study_builds_one_car_plan(monkeypatch):
-    # three sources x two replicates share one eigen-decomposition
+    # three sources x two replicates share one plan (one log-det node grid)
     _, adj, truth, pov = make_world(n=16, branching=(4, 4), seed=9)
     sources = [truth] + [
         ExpectedCounts(truth.unit_ids, truth.groups, c * truth.values, tag)
         for c, tag in ((0.9, "low"), (1.1, "high"))
     ]
     calls = []
-    eigh = carmodel.scipy.linalg.eigh
+    init = carmodel.CarPlan.__init__
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
+    def counting_init(self, adjacency):
+        calls.append(adjacency.n)
+        init(self, adjacency)
 
-    monkeypatch.setattr(carmodel.scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(carmodel.CarPlan, "__init__", counting_init)
     report = run_study(DgpConfig(n_reps=2, master_seed=5), sources, pov, adj, McmcConfig(200, 100, 1, 0))
     assert sum(map(len, report.coef_estimates.values())) == 6
-    assert calls == [(16, 16)]
+    assert calls == [16]
 
 
 def test_run_study_parallel_matches_serial():

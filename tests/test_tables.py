@@ -464,16 +464,14 @@ def _densifies(node: ast.AST) -> bool:
     return len(dims) == 2 and dims[0] == dims[1]
 
 
-def test_only_carmodel_densifies_the_adjacency():
-    # the adjacency is stored sparse; only the CAR plan's spectrum and the
-    # prior's Cholesky factor work on dense n x n matrices
+def test_no_module_densifies_the_adjacency():
+    # the adjacency is stored sparse, and the CAR plan and the prior draw
+    # factor the precision sparse too: no module builds a dense n x n matrix
     offenders = []
     for path in sorted(Path(privmap.__file__).parent.glob("*.py")):
-        if path.name == "carmodel.py":
-            continue
         tree = ast.parse(path.read_text())
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _densifies(node)]
-    assert not offenders, f"dense n x n matrix outside privmap/carmodel.py: {offenders}"
+    assert not offenders, f"dense n x n matrix in privmap: {offenders}"
 
 
 def test_densify_guard_flags_dense_allocations():
