@@ -7,9 +7,12 @@ The count for unit i and group j is Poisson with log mean
 where theta carries a proper conditionally autoregressive (CAR) prior over
 the leaf adjacency (each unit normal around rho times the mean of its
 neighbors, variance tau^2 over its neighbor count) and phi is an
-unstructured overdispersion term. Coefficients, random effects, variances
-and the spatial dependence parameter are all sampled; exponentiated
-coefficient summaries give multiplicative rate-ratio estimates.
+unstructured overdispersion term. The model is sampled as written: theta's
+prior is the proper CAR with no sum-to-zero constraint, so the intercept and
+the mean of theta are identified only through their priors. Coefficients,
+random effects, variances and the spatial dependence parameter are all
+sampled; exponentiated coefficient summaries give multiplicative rate-ratio
+estimates.
 """
 
 from __future__ import annotations
@@ -107,17 +110,9 @@ def build_spec(
 
     n, n_groups = expected.values.shape
     p_vals = expected.values
-    excluded = []
-    unit_idx, group_idx = [], []
-    for i in range(n):
-        for g in range(n_groups):
-            if p_vals[i, g] <= 0 and zero_policy == "exclude":
-                excluded.append((expected.unit_ids[i], expected.groups[g]))
-                continue
-            unit_idx.append(i)
-            group_idx.append(g)
-    unit_idx = np.array(unit_idx, dtype=int)
-    group_idx = np.array(group_idx, dtype=int)
+    dropped = p_vals <= 0 if zero_policy == "exclude" else np.zeros(p_vals.shape, dtype=bool)
+    excluded = [(expected.unit_ids[i], expected.groups[g]) for i, g in zip(*np.nonzero(dropped))]
+    unit_idx, group_idx = np.nonzero(~dropped)  # row-major, as the strata are ordered
     offset_vals = p_vals[unit_idx, group_idx]
     offset = np.log(np.maximum(offset_vals, ZERO_FLOOR if zero_policy == "floor" else 0))
 
@@ -168,8 +163,10 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burnin >= self.iterations:
-            raise ModelError("burn-in must be shorter than the total iteration count")
+        if self.iterations < 1:
+            raise ModelError(f"iterations must be >= 1, got {self.iterations}")
+        if not 0 <= self.burnin < self.iterations:
+            raise ModelError(f"burn-in must lie in [0, iterations), got {self.burnin}")
         if self.thin < 1:
             raise ModelError("thinning interval must be >= 1")
 
@@ -481,14 +478,26 @@ class _Adapter:
 
 
 def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> PosteriorDraws:
-    """Run the Metropolis-within-Gibbs sampler.
+    """Run the Metropolis-within-Gibbs sampler on the model as written.
 
-    Random-walk updates for the coefficients and each random effect (spatial
-    effects move in graph-coloring blocks, which are conditionally
-    independent), conjugate inverse-gamma updates for the two variances, and
-    a bounded random walk for the spatial dependence parameter. Step sizes
-    adapt during burn-in only, so the post-burn-in chain is a fixed-kernel
-    sampler and runs are bit-reproducible for a given seed.
+    One sweep makes, in order:
+
+    - a random-walk move per coefficient;
+    - random-walk moves of the spatial effects, one graph-coloring block at
+      a time (a block is conditionally independent), then the intercept
+      shift: beta_0 + c and theta - c;
+    - random-walk moves of all overdispersion effects at once, then the
+      coefficient shift: beta + delta and phi - X delta;
+    - conjugate inverse-gamma draws of the two variances;
+    - a bounded random walk for the spatial dependence parameter.
+
+    The two shifts leave every Poisson mean unchanged, so each draws its
+    amount exactly from the Gaussian the priors give it along that
+    direction, a generalised Gibbs step on a translation (Liu & Sabatti
+    2000); the intercept shift needs column 0 of X to be the intercept, as
+    ``build_spec`` makes it. Step sizes adapt during burn-in only, so the
+    post-burn-in chain is a fixed-kernel sampler and runs are
+    bit-reproducible for a given seed.
     """
     if mcmc is None:
         mcmc = McmcConfig()
@@ -530,24 +539,19 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
     y_by_unit = np.bincount(spec.unit_idx, weights=y, minlength=n_units)
 
+    v_beta = spec.prior_beta_var
     if spec.include_spatial:
         plan = spec.plan
         w_sparse, deg, color_masks = plan.weights, plan.degrees, plan.color_classes
+        deg_sum = float(deg.sum())
+    if spec.include_overdispersion:
+        # P = X'X / sigma2 + I / V shares X'X's eigenvectors
+        xtx_val, xtx_vec = np.linalg.eigh(spec.x.T @ spec.x)
 
     beta_adapt = _Adapter(p, 0.1)
     theta_adapt = _Adapter(n_units, 0.5)
     phi_adapt = _Adapter(s_count, 0.5)
     rho_adapt = _Adapter(1, 0.1)
-    ridge_adapt = _Adapter(p, 0.1)
-    # channels whose coefficient is confounded with a block of phi terms:
-    # the intercept spans every stratum, each group contrast its own strata
-    ridge_channels: list[tuple[int, np.ndarray]] = []
-    if spec.include_overdispersion:
-        ridge_channels.append((0, np.arange(s_count)))
-        for j, name in enumerate(spec.colnames):
-            if name.startswith("group:"):
-                g = spec.groups.index(name.split(":", 1)[1])
-                ridge_channels.append((j, np.flatnonzero(spec.group_idx == g)))
 
     n_stored = mcmc.n_stored
     store_beta = np.empty((n_stored, p))
@@ -573,7 +577,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             log_r = (
                 float(y @ delta_eta)
                 - float(new_exp.sum() - exp_eta.sum())
-                - (b_new**2 - beta[j] ** 2) / (2 * spec.prior_beta_var)
+                - (b_new**2 - beta[j] ** 2) / (2 * v_beta)
             )
             accept = math.log(rng.random()) < log_r
             if accept:
@@ -606,10 +610,13 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                 theta_adapt.record(accept, at=members)
             if eta_dirty:
                 exp_eta = np.exp(eta)
-            # identifiability: recenter the field, absorb the shift in the intercept
-            shift = theta.mean()
-            theta -= shift
-            beta[0] += shift
+            # intercept shift: beta_0 + c, theta - c (eta unchanged), c drawn
+            # from its Gaussian conditional; 1'(D - rho W) = (1 - rho) d'
+            a = (1 - rho) * deg_sum / tau2 + 1 / v_beta
+            b = (1 - rho) * float(deg @ theta) / tau2 - beta[0] / v_beta
+            c = b / a + rng.standard_normal() / math.sqrt(a)
+            beta[0] += c
+            theta -= c
 
         # --- overdispersion effects, all at once (conditionally independent)
         if spec.include_overdispersion:
@@ -623,20 +630,13 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             exp_eta = np.exp(eta)
             phi_adapt.record(accept)
 
-            # ridge moves: a coefficient and its channel's phi values are
-            # confounded through the likelihood, so shift them jointly
-            # (Poisson means unchanged; accepted on the prior ratio alone)
-            for j, members in ridge_channels:
-                u = ridge_adapt.scale[j] * rng.standard_normal()
-                phis = phi[members]
-                d_phi = (2 * u * phis.sum() - members.size * u**2) / (2 * sigma2)
-                b_new = beta[j] + u
-                d_beta = -(b_new**2 - beta[j] ** 2) / (2 * spec.prior_beta_var)
-                accept = math.log(rng.random()) < d_phi + d_beta
-                if accept:
-                    beta[j] = b_new
-                    phi[members] -= u
-                ridge_adapt.record(accept, at=j)
+            # coefficient shift: beta + delta, phi - X delta (eta unchanged),
+            # delta ~ N(P^-1 r, P^-1) with r = X' phi / sigma2 - beta / V
+            lam = xtx_val / sigma2 + 1 / v_beta
+            r = spec.x.T @ phi / sigma2 - beta / v_beta
+            delta = xtx_vec @ ((xtx_vec.T @ r) / lam + rng.standard_normal(p) / np.sqrt(lam))
+            beta += delta
+            phi -= spec.x @ delta
 
         # --- variances, conjugate inverse-gamma
         if spec.include_spatial and spec.fix_tau2 is None:
@@ -671,7 +671,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             theta_adapt.adapt()
             phi_adapt.adapt()
             rho_adapt.adapt()
-            ridge_adapt.adapt()
 
         if not in_burnin and (sweep - mcmc.burnin) % mcmc.thin == 0 and stored < n_stored:
             store_beta[stored] = beta

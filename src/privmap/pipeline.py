@@ -49,6 +49,7 @@ from .standardize import (
 )
 from .tables import SECONDS, fmt, read_table, write_table
 from .tabulation import (
+    DEFAULT_AGE_BANDS,
     AgeSchema,
     GroupSchema,
     default_group_schema,
@@ -57,8 +58,6 @@ from .tabulation import (
     write_covariates,
     write_tabulation,
 )
-
-DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,11 @@ def study():
     return run_study(dgp, sources, pov, adj, McmcConfig(2400, 1200, 4, seed=0), jobs=1)
 
 
+def _converged_shares(study):
+    """Share of each source's fits whose Geweke check passed."""
+    return ", ".join(f"{src} {np.mean(flags):.2f}" for src, flags in study.convergence.items())
+
+
 def test_criterion_6_truth_denominators_unbiased(study):
     b1 = study.coef_bias_mean["truth"][1]
     b2 = study.coef_bias_mean["truth"][2]
@@ -257,7 +262,8 @@ def test_criterion_6_truth_denominators_unbiased(study):
         6,
         "truth-source coefficient bias",
         ok,
-        f"mean bias(b1) {b1:+.4f} (<=0.02), mean bias(b2) {b2:+.4f} (<=0.005), 50 reps",
+        f"mean bias(b1) {b1:+.4f} (<=0.02), mean bias(b2) {b2:+.4f} (<=0.005), 50 reps; "
+        f"converged share {_converged_shares(study)}",
     )
 
 
@@ -269,7 +275,8 @@ def test_criterion_7_das_ordering(study):
         7,
         "group-contrast bias sign and ordering",
         ok,
-        f"v19 {b1_v19:+.4f} (>0), v22 {b1_v22:+.4f} (in [-0.02, 0.03]), v19 > v22: {b1_v19 > b1_v22}",
+        f"v19 {b1_v19:+.4f} (>0), v22 {b1_v22:+.4f} (in [-0.02, 0.03]), v19 > v22: {b1_v19 > b1_v22}; "
+        f"converged share {_converged_shares(study)}",
     )
 
 

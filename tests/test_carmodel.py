@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from privmap.carmodel import (
     LOG_DET_SPAN,
@@ -265,6 +266,24 @@ def test_posterior_contraction_with_more_data():
     assert sd_at(250, 3) > sd_at(1250, 3)
 
 
+def test_fit_flat_likelihood_recovers_prior():
+    # offsets of 1e-8 with zero counts make the likelihood flat, so the chain
+    # must sample the prior: rho ~ Uniform(0, 1) with mean 0.5, and tau2 and
+    # sigma2 ~ IG(3, 1) with median 0.374. Over seeds 1-13 the rho mean had a
+    # Monte Carlo sd of 0.008 and each median 0.006-0.008 (2%), so these
+    # bounds fail any kernel that moves the rho mean by 0.055 or a median by
+    # 15% (bound plus 3 sd). Recentering theta into the intercept after each
+    # sweep gave a rho mean of 0.40 and a tau2 median of 0.30.
+    _, adj = build_synthetic_geography(16, [4, 4], "grid", seed=1)
+    ec = ExpectedCounts(list(adj.leaf_ids), ("pop",), np.full((16, 1), 1e-8), "truth")
+    spec = build_spec(ec, None, adj, prior_beta_var=1.0, prior_ig_shape=3.0, prior_ig_scale=1.0)
+    draws = fit(np.zeros(16), spec, McmcConfig(30_000, 2000, 10, seed=1))
+    ig_median = 1 / scipy.stats.gamma.ppf(0.5, 3.0)
+    assert abs(draws.rho.mean() - 0.5) < 0.03
+    assert abs(np.median(draws.tau2) / ig_median - 1) < 0.08
+    assert abs(np.median(draws.sigma2) / ig_median - 1) < 0.08
+
+
 def test_fit_reproducible_bit_exact():
     _, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     ec = make_expected(9, seed=2)
@@ -288,7 +307,8 @@ def test_fit_reproducible_bit_exact():
 
 def test_fit_draws_and_acceptance_pinned(tmp_path):
     # sha256 of the draws file and the per-block acceptance rates of a seeded
-    # toy fit, pinned when fit kept its acceptance totals by hand
+    # toy fit, pinned to the kernel with the exact intercept and coefficient
+    # shift draws: a change to any move or to the order of its draws fails it
     _, adj = build_synthetic_geography(16, [4, 4], "grid", seed=1)
     r = rng(4)
     ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), r.uniform(1.0, 8.0, (16, 2)), "truth")
@@ -296,8 +316,13 @@ def test_fit_draws_and_acceptance_pinned(tmp_path):
     draws = fit(spec.flatten(r.poisson(ec.values)), spec, McmcConfig(400, 200, 2, seed=21))
     write_draws(draws, tmp_path / "draws.csv")
     digest = hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest()
-    assert digest == "1661adb43ccc052ae35879d98699d88416cbd1e47ed78f49a9089993014cc49d"
-    assert draws.accept_rates == {"beta": 0.5475, "theta": 0.25875, "phi": 0.306328125, "rho": 0.81}
+    assert digest == "f110b13a1620f110486fb8f58e1dfdd1ad4c13e91fe21d9cf40c091a9a4ac9f4"
+    assert draws.accept_rates == {
+        "beta": 0.5491666666666667,
+        "theta": 0.2253125,
+        "phi": 0.391953125,
+        "rho": 0.7875,
+    }
 
 
 def test_offset_invariance():
@@ -368,7 +393,13 @@ def test_mcmc_config_validation():
         McmcConfig(100, 100, 1)
     with pytest.raises(ModelError):
         McmcConfig(100, 10, 0)
+    # a negative burn-in would store more draws than the run makes
+    with pytest.raises(ModelError, match="burn-in"):
+        McmcConfig(10, -5, 1)
+    with pytest.raises(ModelError, match="iterations must be"):
+        McmcConfig(0, -1, 1)
     assert McmcConfig(2400, 1200, 4).n_stored == 300
+    assert McmcConfig(1, 0, 1).n_stored == 1
 
 
 # ---------------------------------------------------------------------------
