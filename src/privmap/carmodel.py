@@ -440,41 +440,31 @@ def predict_counts(draws: PosteriorDraws, spec: ModelSpec) -> SmrEstimates:
 
 _ADAPT_WINDOW = 50
 _TARGET_ACCEPT = 0.44
+# random-walk step per dimension of a block, in units of the target's sd
+# (Roberts, Gelman & Gilks 1997): 2.38 / sqrt(d) for a d-dimensional block
+_RW_SCALE = 2.38
 
 
-class _Adapter:
-    """Per-block random-walk scales, tuned only during burn-in, and the
-    block's acceptance counts over the whole run."""
+def _proposal_shapes(spec: ModelSpec, exp_eta: np.ndarray, tau2: float, sigma2: float):
+    """Random-walk shapes from each block's conditional precision at the
+    current state, Fisher information plus prior precision.
 
-    def __init__(self, size: int, initial: float):
-        self.log_scale = np.full(size, math.log(initial))
-        self.accepted = np.zeros(size)
-        self.proposed = np.zeros(size)
-        self.n_accepted = self.n_proposed = 0
-
-    @property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.log_scale)
-
-    @property
-    def rate(self) -> float:
-        return self.n_accepted / self.n_proposed if self.n_proposed else float("nan")
-
-    def record(self, accepted, at=slice(None)) -> None:
-        """One proposal for each coordinate ``at``; ``accepted`` flags the moves kept."""
-        self.accepted[at] += accepted
-        self.proposed[at] += 1
-        self.n_accepted += int(np.count_nonzero(accepted))
-        self.n_proposed += np.size(accepted)
-
-    def adapt(self) -> None:
-        rate = np.divide(
-            self.accepted, self.proposed, out=np.zeros_like(self.accepted), where=self.proposed > 0
-        )
-        self.log_scale += np.where(rate > _TARGET_ACCEPT, 0.15, -0.15)
-        self.log_scale = np.clip(self.log_scale, math.log(1e-4), math.log(50.0))
-        self.accepted[:] = 0
-        self.proposed[:] = 0
+    Returns a root R of beta's proposal covariance (2.38^2 / p) (X' diag(mu)
+    X + I/V)^-1, and the sds 2.38 / sqrt(mu_i+ + d_i / tau2) of the spatial
+    effects and 2.38 / sqrt(mu_s + 1 / sigma2) of the overdispersion effects
+    (None when the model leaves the block out).
+    """
+    p = spec.x.shape[1]
+    info = (spec.x.T * exp_eta) @ spec.x + np.diag(np.full(p, 1 / spec.prior_beta_var))
+    # info = L L', so R = L'^-1 gives R R' = info^-1
+    beta_root = _RW_SCALE / math.sqrt(p) * np.linalg.inv(np.linalg.cholesky(info)).T
+    theta_sd = phi_sd = None
+    if spec.include_spatial:
+        exp_by_unit = np.bincount(spec.unit_idx, weights=exp_eta, minlength=spec.n_units)
+        theta_sd = _RW_SCALE / np.sqrt(exp_by_unit + spec.plan.degrees / tau2)
+    if spec.include_overdispersion:
+        phi_sd = _RW_SCALE / np.sqrt(exp_eta + 1 / sigma2)
+    return beta_root, theta_sd, phi_sd
 
 
 def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> PosteriorDraws:
@@ -482,7 +472,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
     One sweep makes, in order:
 
-    - a random-walk move per coefficient;
+    - one random-walk move of the whole coefficient vector;
     - random-walk moves of the spatial effects, one graph-coloring block at
       a time (a block is conditionally independent), then the intercept
       shift: beta_0 + c and theta - c;
@@ -495,9 +485,13 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     amount exactly from the Gaussian the priors give it along that
     direction, a generalised Gibbs step on a translation (Liu & Sabatti
     2000); the intercept shift needs column 0 of X to be the intercept, as
-    ``build_spec`` makes it. Step sizes adapt during burn-in only, so the
-    post-burn-in chain is a fixed-kernel sampler and runs are
-    bit-reproducible for a given seed.
+    ``build_spec`` makes it. The coefficient, spatial and overdispersion
+    proposals take their shapes from the conditional precisions (see
+    ``_proposal_shapes``), recomputed from the state at the start and after
+    each burn-in window; the spatial dependence step is the one tuned scale,
+    nudged toward a 0.44 acceptance rate per window. Both freeze after
+    burn-in, so the post-burn-in chain is a fixed-kernel sampler and runs
+    are bit-reproducible for a given seed.
     """
     if mcmc is None:
         mcmc = McmcConfig()
@@ -548,10 +542,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
         # P = X'X / sigma2 + I / V shares X'X's eigenvectors
         xtx_val, xtx_vec = np.linalg.eigh(spec.x.T @ spec.x)
 
-    beta_adapt = _Adapter(p, 0.1)
-    theta_adapt = _Adapter(n_units, 0.5)
-    phi_adapt = _Adapter(s_count, 0.5)
-    rho_adapt = _Adapter(1, 0.1)
+    beta_root, theta_sd, phi_sd = _proposal_shapes(spec, exp_eta, tau2, sigma2)
+    rho_step, rho_seen = 0.1, 0  # rho's step, and its acceptances before this window
+    # each block's accepted and proposed moves over the whole run
+    accepted = dict.fromkeys(("beta", "theta", "phi", "rho"), 0)
+    proposed = dict.fromkeys(accepted, 0)
 
     n_stored = mcmc.n_stored
     store_beta = np.empty((n_stored, p))
@@ -566,34 +561,32 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     for sweep in range(1, mcmc.iterations + 1):
         in_burnin = sweep <= mcmc.burnin
 
-        # --- coefficients, one coordinate at a time
-        scales = beta_adapt.scale
-        for j in range(p):
-            step = scales[j] * rng.standard_normal()
-            delta_eta = spec.x[:, j] * step
-            new_eta = eta + delta_eta
-            new_exp = np.exp(new_eta)
-            b_new = beta[j] + step
-            log_r = (
-                float(y @ delta_eta)
-                - float(new_exp.sum() - exp_eta.sum())
-                - (b_new**2 - beta[j] ** 2) / (2 * v_beta)
-            )
-            accept = math.log(rng.random()) < log_r
-            if accept:
-                beta[j] = b_new
-                eta, exp_eta = new_eta, new_exp
-            beta_adapt.record(accept, at=j)
+        # --- coefficients, one block move
+        step = beta_root @ rng.standard_normal(p)
+        delta_eta = spec.x @ step
+        new_eta = eta + delta_eta
+        new_exp = np.exp(new_eta)
+        b_new = beta + step
+        log_r = (
+            float(y @ delta_eta)
+            - float(new_exp.sum() - exp_eta.sum())
+            - float(b_new @ b_new - beta @ beta) / (2 * v_beta)
+        )
+        accept = math.log(rng.random()) < log_r
+        if accept:
+            beta = b_new
+            eta, exp_eta = new_eta, new_exp
+        accepted["beta"] += accept
+        proposed["beta"] += 1
 
         # --- spatial effects, by color class
         if spec.include_spatial:
-            t_scales = theta_adapt.scale
             # per-unit sums of Poisson means; a theta_i step of eps scales
             # every stratum of unit i by e^eps, so the sums update in place
             exp_by_unit = np.bincount(spec.unit_idx, weights=exp_eta, minlength=n_units)
             eta_dirty = False
             for members in color_masks:
-                eps = t_scales[members] * rng.standard_normal(members.size)
+                eps = theta_sd[members] * rng.standard_normal(members.size)
                 m = car_conditional(theta, plan, rho, tau2)[0][members]
                 lik = y_by_unit[members] * eps - exp_by_unit[members] * np.expm1(eps)
                 t_old = theta[members]
@@ -607,7 +600,8 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                     delta_unit[moved] = eps[accept]
                     eta += delta_unit[spec.unit_idx]
                     eta_dirty = True
-                theta_adapt.record(accept, at=members)
+                accepted["theta"] += int(accept.sum())
+                proposed["theta"] += members.size
             if eta_dirty:
                 exp_eta = np.exp(eta)
             # intercept shift: beta_0 + c, theta - c (eta unchanged), c drawn
@@ -620,15 +614,15 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
         # --- overdispersion effects, all at once (conditionally independent)
         if spec.include_overdispersion:
-            f_scales = phi_adapt.scale
-            eps = f_scales * rng.standard_normal(s_count)
+            eps = phi_sd * rng.standard_normal(s_count)
             lik = y * eps - exp_eta * np.expm1(eps)
             pri = -((phi + eps) ** 2 - phi**2) / (2 * sigma2)
             accept = np.log(rng.random(s_count)) < lik + pri
             phi += eps * accept
             eta += eps * accept
             exp_eta = np.exp(eta)
-            phi_adapt.record(accept)
+            accepted["phi"] += int(accept.sum())
+            proposed["phi"] += s_count
 
             # coefficient shift: beta + delta, phi - X delta (eta unchanged),
             # delta ~ N(P^-1 r, P^-1) with r = X' phi / sigma2 - beta / V
@@ -651,8 +645,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
         # --- spatial dependence, bounded random walk on [0, 1)
         if spec.include_spatial:
-            step = rho_adapt.scale[0] * rng.standard_normal()
-            rho_new = rho + step
+            rho_new = rho + rho_step * rng.standard_normal()
             u = rng.random()
             accept = False
             if 0.0 <= rho_new < 1.0:
@@ -664,13 +657,14 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                 accept = math.log(u) < log_r
             if accept:
                 rho = rho_new
-            rho_adapt.record(accept)
+            accepted["rho"] += accept
+            proposed["rho"] += 1
 
         if in_burnin and sweep % _ADAPT_WINDOW == 0:
-            beta_adapt.adapt()
-            theta_adapt.adapt()
-            phi_adapt.adapt()
-            rho_adapt.adapt()
+            nudge = 0.15 if (accepted["rho"] - rho_seen) / _ADAPT_WINDOW > _TARGET_ACCEPT else -0.15
+            rho_step = min(max(rho_step * math.exp(nudge), 1e-4), 50.0)
+            rho_seen = accepted["rho"]
+            beta_root, theta_sd, phi_sd = _proposal_shapes(spec, exp_eta, tau2, sigma2)
 
         if not in_burnin and (sweep - mcmc.burnin) % mcmc.thin == 0 and stored < n_stored:
             store_beta[stored] = beta
@@ -683,7 +677,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             store_rho[stored] = rho
             stored += 1
 
-    rates = {"beta": beta_adapt.rate, "theta": theta_adapt.rate, "phi": phi_adapt.rate, "rho": rho_adapt.rate}
+    rates = {b: accepted[b] / proposed[b] if proposed[b] else float("nan") for b in accepted}
     return PosteriorDraws(
         colnames=list(spec.colnames),
         beta=store_beta,

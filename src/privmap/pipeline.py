@@ -25,7 +25,7 @@ from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, 
 from .das import (
     VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
 )
-from .errors import ConfigError, MissingInputError, ProtectionError, SimulationError
+from .errors import ConfigError, MissingInputError, ModelError, ProtectionError, SimulationError
 from .geo import (
     LAYOUTS, build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 )
@@ -174,10 +174,17 @@ def _validate_config(cfg: dict) -> None:
     std = cfg["std"]
     if not isinstance(std["age_bands"], list) or len(std["age_bands"]) < 1:
         raise ConfigError("std.age_bands must be a non-empty list of labels")
+    for key, value in cfg["model"]["priors"].items():
+        if not (_is_num(value) and 0 < value < math.inf):
+            raise ConfigError(f"model.priors.{key} must be a positive finite number, got {value!r}")
     mcmc = cfg["model"]["mcmc"]
     for key in ("iterations", "burnin", "thin"):
-        if not isinstance(mcmc[key], int) or mcmc[key] < 1:
-            raise ConfigError(f"model.mcmc.{key} must be a positive integer")
+        if not isinstance(mcmc[key], int) or isinstance(mcmc[key], bool):
+            raise ConfigError(f"model.mcmc.{key} must be an integer, got {mcmc[key]!r}")
+    try:
+        McmcConfig(mcmc["iterations"], mcmc["burnin"], mcmc["thin"])
+    except ModelError as exc:
+        raise ConfigError(f"model.mcmc: {exc}") from None
     sim = cfg["sim"]
     if not isinstance(sim["n_reps"], int) or sim["n_reps"] < 1:
         raise ConfigError("sim.n_reps must be a positive integer")

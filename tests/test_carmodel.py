@@ -308,7 +308,8 @@ def test_fit_reproducible_bit_exact():
 def test_fit_draws_and_acceptance_pinned(tmp_path):
     # sha256 of the draws file and the per-block acceptance rates of a seeded
     # toy fit, pinned to the kernel with the exact intercept and coefficient
-    # shift draws: a change to any move or to the order of its draws fails it
+    # shift draws and the proposals sized from the conditional precisions: a
+    # change to any move or to the order of its draws fails it
     _, adj = build_synthetic_geography(16, [4, 4], "grid", seed=1)
     r = rng(4)
     ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), r.uniform(1.0, 8.0, (16, 2)), "truth")
@@ -316,13 +317,26 @@ def test_fit_draws_and_acceptance_pinned(tmp_path):
     draws = fit(spec.flatten(r.poisson(ec.values)), spec, McmcConfig(400, 200, 2, seed=21))
     write_draws(draws, tmp_path / "draws.csv")
     digest = hashlib.sha256((tmp_path / "draws.csv").read_bytes()).hexdigest()
-    assert digest == "f110b13a1620f110486fb8f58e1dfdd1ad4c13e91fe21d9cf40c091a9a4ac9f4"
+    assert digest == "8eb3dcb010ede5640e5351db26a7a71bf34b5fe5970c00fa6e3fb2fc241b86a1"
     assert draws.accept_rates == {
-        "beta": 0.5491666666666667,
-        "theta": 0.2253125,
-        "phi": 0.391953125,
-        "rho": 0.7875,
+        "beta": 0.2925,
+        "theta": 0.428125,
+        "phi": 0.4425,
+        "rho": 0.8,
     }
+
+
+def test_fit_acceptance_holds_at_large_counts():
+    # expected counts of 1e4-8e4 per stratum shrink every conditional
+    # posterior to an sd near 1/sqrt(count), far below any fixed starting
+    # step: the proposals must follow that scale within one short burn-in
+    _, adj = build_synthetic_geography(64, [8, 8], "grid", seed=1)
+    r = rng(6)
+    ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), r.uniform(1.0, 8.0, (64, 2)) * 1e4, "truth")
+    spec = build_spec(ec, r.uniform(0, 1, 64), adj)
+    draws = fit(spec.flatten(r.poisson(ec.values)), spec, McmcConfig(200, 100, 1, seed=3))
+    for block in ("beta", "theta", "phi"):
+        assert 0.15 <= draws.accept_rates[block] <= 0.7, (block, draws.accept_rates)
 
 
 def test_offset_invariance():

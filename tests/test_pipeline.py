@@ -82,6 +82,16 @@ def test_load_config_validates_values(tmp_path):
         {"das": {"variant": "v19", "epsilon_total": 0.5}},  # v19 pins 4.0
         {"sim": {"sources": ["v19"]}},   # truth required
         {"model": {"mcmc": {"thin": 0}}},
+        {"model": {"mcmc": {"iterations": 100, "burnin": 200}}},  # burn-in past the run
+        {"model": {"mcmc": {"iterations": 100, "burnin": 100}}},
+        {"model": {"mcmc": {"burnin": -1}}},
+        {"model": {"mcmc": {"iterations": 2400.0}}},
+        {"model": {"priors": {"beta_var": "big"}}},
+        {"model": {"priors": {"beta_var": -1}}},  # improper prior
+        {"model": {"priors": {"ig_shape": -1}}},
+        {"model": {"priors": {"ig_scale": 0}}},
+        {"model": {"priors": {"beta_var": float("inf")}}},
+        {"model": {"priors": {"ig_shape": True}}},
         {"seed": "one"},
         {"seed": -1},
         {"das": {"level_shares": 3}},
@@ -94,6 +104,9 @@ def test_load_config_validates_values(tmp_path):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):
             load_config(path)
+    # McmcConfig's range rules apply at load: no burn-in is allowed
+    cfg = load_config(write_config(tmp_path, {"model": {"mcmc": {"iterations": 100, "burnin": 0, "thin": 1}}}))
+    assert cfg["model"]["mcmc"]["burnin"] == 0
 
 
 def test_load_config_accepts_inf_epsilon(tmp_path):
