@@ -258,7 +258,9 @@ class CarPlan:
     """The spatial structure of one leaf adjacency, as the sampler uses it.
 
     Holds the degrees w_i+, the adjacency's CSR weights (shared, not a
-    copy), the greedy color classes, and a Chebyshev series for the log-det
+    copy), the greedy color classes with a copy of each class's CSR rows
+    (so a class's conditional means cost one mat-vec over its own rows),
+    and a Chebyshev series for the log-det
     of the CAR precision in rho. All of it depends on the adjacency alone,
     so one plan serves every fit on that adjacency; it holds plain arrays
     only, so it pickles.
@@ -280,6 +282,7 @@ class CarPlan:
         self.weights = adjacency.weights
         colors = greedy_coloring(self.weights)
         self.color_classes = [np.flatnonzero(colors == c) for c in range(colors.max(initial=-1) + 1)]
+        self.color_rows = [self.weights[members] for members in self.color_classes]
         self.log_det_d: float | None = None
         self.log_det_coef: np.ndarray | None = None
         if self.connected:  # every degree is positive, so D - rho W is positive definite
@@ -536,7 +539,8 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     v_beta = spec.prior_beta_var
     if spec.include_spatial:
         plan = spec.plan
-        w_sparse, deg, color_masks = plan.weights, plan.degrees, plan.color_classes
+        w_sparse, deg = plan.weights, plan.degrees
+        color_blocks = list(zip(plan.color_classes, plan.color_rows))
         deg_sum = float(deg.sum())
     if spec.include_overdispersion:
         # P = X'X / sigma2 + I / V shares X'X's eigenvectors
@@ -585,12 +589,13 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             # every stratum of unit i by e^eps, so the sums update in place
             exp_by_unit = np.bincount(spec.unit_idx, weights=exp_eta, minlength=n_units)
             eta_dirty = False
-            for members in color_masks:
+            for members, rows in color_blocks:
                 eps = theta_sd[members] * rng.standard_normal(members.size)
-                m = car_conditional(theta, plan, rho, tau2)[0][members]
+                d = deg[members]
+                m = rho * (rows @ theta) / d  # car_conditional's mean, on this class's rows
                 lik = y_by_unit[members] * eps - exp_by_unit[members] * np.expm1(eps)
                 t_old = theta[members]
-                pri = -deg[members] / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)
+                pri = -d / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)
                 accept = np.log(rng.random(members.size)) < lik + pri
                 if accept.any():
                     moved = members[accept]

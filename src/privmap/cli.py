@@ -61,7 +61,9 @@ def _run_stage(ctx, fn, **kwargs):
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config document (JSON).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Replicate workers for simulate.")
+@click.option(
+    "--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Replicate workers for simulate."
+)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory (PRIVMAP_OUT wins).")
 @click.pass_context
 def main(ctx, config_path, seed, jobs, out_dir):
@@ -86,8 +88,11 @@ def protect(ctx, variant):
     _run_stage(ctx, stage_protect, variant=variant)
 
 
+SOURCES = ("truth", *VARIANTS)
+
+
 @main.command()
-@click.option("--source", default=None, help="truth or a protected variant name.")
+@click.option("--source", type=click.Choice(SOURCES), default=None, help="truth or a protected variant name.")
 @click.pass_context
 def expect(ctx, source):
     """Build age-standardized expected counts for one source."""
@@ -95,7 +100,7 @@ def expect(ctx, source):
 
 
 @main.command()
-@click.option("--source", default=None, help="Denominator source for the offsets.")
+@click.option("--source", type=click.Choice(SOURCES), default=None, help="Denominator source for the offsets.")
 @click.pass_context
 def fit(ctx, source):
     """Fit the spatial model to the observed event counts."""

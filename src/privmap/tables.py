@@ -6,8 +6,16 @@ line ends), one header line, and reals at 10 significant digits. Readers
 check the header and the field count of every record, then the cells of
 keyed tables, and raise the caller's error class naming the file and the
 1-based line or the cell, so a malformed input fails as a stage-contract
-error rather than a crash. Reading is columnar: a file becomes one list of
-strings per field, and keyed cells are checked and parsed in bulk.
+error rather than a crash.
+
+A cube or an expected-count table is read in the writer's order first: a
+file exactly as ``write_cells`` writes it is split once into lines, each
+line is checked to start with its cell's key, and the rest is parsed as
+one number, with no label lookup. Every other file, and every other table
+(covariates among them), is read by columns: it becomes one list of
+strings per field, and keyed cells are located, checked and parsed in
+bulk, naming the first fault. One helper
+renders the keys for both the writer and the in-order reader.
 """
 
 from __future__ import annotations
@@ -62,19 +70,33 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# renders one record as write_table would, "\r\n" included, and returns it
+_render = csv.writer(SimpleNamespace(write=str)).writerow
+
+
+def _key_fields(axes) -> list[list[str]]:
+    """Each label of each axis as ``write_table`` would quote it, followed by
+    its delimiter: a cell's key is its labels' fields joined, and the value
+    completes the line. The one place a key's rendering is decided."""
+    fields = []
+    for axis in axes:
+        # an axis that renders as one record without a quote has no label
+        # to quote, which spares a render per label; [:-2] drops the "\r\n"
+        plain = '"' not in _render(axis)
+        fields.append([label + "," if plain else _render((label, ""))[:-2] for label in axis])
+    return fields
+
+
 @_timed("write")
 def write_cells(path, header, blocks) -> None:
-    """The dual of :func:`read_cells`: a header line, then for each block
+    """The dual of :func:`read_keyed`: a header line, then for each block
     ``(axes, values)`` one line per cell of the product of ``axes`` in C
-    order, the cell's labels followed by its already rendered ``values``
+    order, the cell's key followed by its already rendered ``values``
     entry. Each distinct label is quoted once, as ``write_table`` would."""
-    render = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line
     with open(path, "w", newline="") as fh:
-        fh.write(render(header))
+        fh.write(_render(header))
         for axes, values in blocks:
-            # each label field with its delimiter; [:-2] drops the "\r\n"
-            fields = [[render((label, ""))[:-2] for label in axis] for axis in axes]
-            lines = map(str.__add__, map("".join, product(*fields)), values)
+            lines = map(str.__add__, map("".join, product(*_key_fields(axes))), values)
             while chunk := list(islice(lines, 1 << 15)):  # bounded memory
                 fh.write("\r\n".join(chunk) + "\r\n")
 
@@ -171,6 +193,62 @@ def read_cells(path, columns, axes, error) -> np.ndarray:
     out = np.empty(counts.size)
     out[flat] = values
     return out.reshape(shape)
+
+
+@_timed("read")
+def read_in_order(path, header, choices) -> tuple[int, np.ndarray] | None:
+    """The fast path of :func:`read_keyed`, for a file exactly as
+    :func:`write_cells` writes it: ``(i, values)`` when ``path`` holds the
+    header line and then one line per cell of the product of the axes
+    ``choices[i]`` in C order, each the cell's key and a finite number, and
+    every line ends in ``\\r\\n``; None for any other file.
+
+    The text is split once into lines; each line loses its cell's key and
+    the remainder is parsed by ``float``. A quote, a line end other than
+    ``\\r\\n``, a missing final line end, another row count, another key or
+    a remainder that is not one finite number leaves the file to the
+    general path, which locates the fault.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    n = text.count("\n") - 1  # records, if the header and every line end in "\r\n"
+    picks = [i for i, axes in enumerate(choices) if math.prod(map(len, axes)) == n]
+    if not picks or n < 1 or text.count("\r") != n + 1 or '"' in text:
+        return None
+    lines, first = text.split("\r\n"), _render(header)[:-2]
+    # as many "\r\n" as "\r" and "\n" (no line end but the writer's), and the last one ends the text
+    if len(lines) != n + 2 or lines[0] != first or lines[-1]:
+        return None
+    del lines[0], lines[-1]
+    record_chars = len(text) - len(first) - 2 * (n + 1)  # the n lines, without their line ends
+    del text
+    for i in picks:
+        fields = _key_fields(choices[i])
+        remainders = list(map(str.removeprefix, lines, map("".join, product(*fields))))
+        # a line whose key does not match keeps it whole, so the remainders
+        # are this much shorter than the lines only if every key matched
+        key_chars = sum(n // len(axis) * sum(map(len, axis)) for axis in fields)
+        if sum(map(len, remainders)) != record_chars - key_chars:
+            continue
+        del lines
+        try:  # a remainder with a comma (an extra field) or no number fails
+            values = np.fromiter(map(float, remainders), float, count=n)
+        except ValueError:
+            return None
+        return (i, values.reshape(tuple(map(len, fields)))) if np.isfinite(values).all() else None
+    return None
+
+
+def read_keyed(path, header, axes, error) -> np.ndarray:
+    """Dense array of the last column of a keyed table whose first line is
+    exactly ``header``, keyed by the columns before it over ``axes``.
+
+    A file as :func:`write_cells` writes it takes :func:`read_in_order`;
+    any other goes through :func:`read_table` and :func:`read_cells`, which
+    raise ``error`` naming the file and the line or the first cell at fault.
+    """
+    found = read_in_order(path, header, [axes])
+    return found[1] if found else read_cells(path, read_table(path, header, error), axes, error)
 
 
 def check_nonnegative(path, values, axes, what, error) -> None:

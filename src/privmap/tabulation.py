@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GeographyError, TabulationError
 from .geo import Hierarchy
-from .tables import check_nonnegative, fmt, fmt_ints, read_cells, read_table, write_cells
+from .tables import check_nonnegative, fmt, fmt_ints, read_cells, read_in_order, read_table, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -122,19 +122,30 @@ class TabulationCube:
 
 
 def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_column: str = "count") -> TabulationCube:
-    """Read a complete leaf-or-other-level cube; missing or duplicate cells fail."""
-    columns = read_table(path, ["unit_id", "age_band", "group", value_column], TabulationError)
-    if not columns[0]:
-        raise TabulationError(f"{path}: empty tabulation file")
-    # units of no rank are left to read_cells, which names their cell
-    units = set(columns[0])
-    ranks = [r for r in range(h.depth) if not units.isdisjoint(h.units_at(r))] or [h.depth - 1]
-    if len(ranks) != 1:
-        raise TabulationError(f"{path}: tabulation mixes units from ranks {ranks}")
-    axes = [h.units_at(ranks[0]), ages.bands, groups.groups]
-    values = read_cells(path, columns, axes, TabulationError)
-    check_nonnegative(path, values, axes, "count", TabulationError)
-    return TabulationCube(h, ranks[0], ages, groups, values, integer_valued=True)
+    """Read a complete leaf-or-other-level cube; missing or duplicate cells fail.
+
+    A cube as ``write_tabulation`` writes it is read in order, at the rank
+    whose cell count matches its line count; any other file is read by
+    columns, at the rank of its units.
+    """
+    header = ["unit_id", "age_band", "group", value_column]
+    choices = [[h.units_at(rank), ages.bands, groups.groups] for rank in range(h.depth)]
+    found = read_in_order(path, header, choices)
+    if found:
+        rank, values = found
+    else:
+        columns = read_table(path, header, TabulationError)
+        if not columns[0]:
+            raise TabulationError(f"{path}: empty tabulation file")
+        # units of no rank are left to read_cells, which names their cell
+        units = set(columns[0])
+        ranks = [r for r in range(h.depth) if not units.isdisjoint(h.units_at(r))] or [h.depth - 1]
+        if len(ranks) != 1:
+            raise TabulationError(f"{path}: tabulation mixes units from ranks {ranks}")
+        rank = ranks[0]
+        values = read_cells(path, columns, choices[rank], TabulationError)
+    check_nonnegative(path, values, choices[rank], "count", TabulationError)
+    return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
 
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:

@@ -90,11 +90,15 @@ def test_car_prior_rejects_bad_params():
 def test_car_conditional_formula():
     _, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     theta = rng(4).normal(0, 1, 9)
-    mean, var = car_conditional(theta, CarPlan(adj), 0.3, 1.7)
+    plan = CarPlan(adj)
+    mean, var = car_conditional(theta, plan, 0.3, 1.7)
     for i in range(9):
         nbrs = np.flatnonzero(adj.weights.toarray()[i] > 0)
         assert mean[i] == pytest.approx(0.3 * theta[nbrs].sum() / len(nbrs), abs=1e-12)
         assert var[i] == pytest.approx(1.7 / len(nbrs), abs=1e-12)
+    # the sampler's per-class rows give the same bytes as the full mat-vec
+    for members, rows in zip(plan.color_classes, plan.color_rows):
+        assert (0.3 * (rows @ theta) / plan.degrees[members]).tobytes() == mean[members].tobytes()
 
 
 def test_greedy_coloring_proper():

@@ -348,8 +348,14 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text(json.dumps({"das": {"variant": "v99"}}))
     result = run_cli(["--config", str(bad), "--out", str(tmp_path / "x"), "geo"])
     assert result.exit_code == 2
-    # missing stage input -> 3
+    # an unknown source or a worker count below one -> 2, before any stage runs
     cfg_path = write_config(tmp_path)
+    for args in (["expect", "--source", "bogus"], ["fit", "--source", "bogus"], ["--jobs", "0", "simulate"],
+                 ["--jobs", "-3", "simulate"]):
+        result = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "u")] + args)
+        assert result.exit_code == 2, args
+    assert not (tmp_path / "u").exists()
+    # missing stage input -> 3
     result = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "y"), "simulate"])
     assert result.exit_code == 3
     # malformed stage input -> 4, naming the file

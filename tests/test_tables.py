@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,15 @@ from privmap.das import AuditRecord, write_audit
 from privmap.errors import GeographyError, StandardizationError, TabulationError
 from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 from privmap.pipeline import load_config, stage_report
+from privmap.simulate import synth_population
 from privmap.standardize import ExpectedCounts, read_expected, write_expected
-from privmap.tables import read_cells, read_table
+from privmap.tables import read_cells, read_in_order, read_keyed, read_table, write_cells
 from privmap.tabulation import (
     AgeSchema,
     GroupSchema,
     TabulationCube,
+    default_age_schema,
+    default_group_schema,
     ingest,
     read_covariates,
     write_covariates,
@@ -346,9 +350,12 @@ CORRUPTIONS = ("blank-line", "short-row", "long-row", "unknown-label", "duplicat
 
 @st.composite
 def keyed_tables(draw):
-    """A keyed table's text (labels quoted as the writers quote them, rows
-    shuffled, either line end, final newline or not) with up to two
-    corruptions, and the axes it is read against."""
+    """A keyed table's text (labels quoted as the writers quote them) with
+    up to two corruptions, the header and the axes it is read against, and
+    the values in the writer's order when the text should be exactly what
+    ``write_cells`` writes, else None. The rows are in the writer's order
+    with its line ends, or in its order or shuffled with either line end
+    and a final line end or not."""
     chars = st.sampled_from(draw(st.sampled_from([PLAIN_CHARS, QUOTED_CHARS])))
     axes = [
         draw(st.lists(st.text(chars, max_size=4), min_size=1, max_size=3, unique=True))
@@ -358,9 +365,13 @@ def keyed_tables(draw):
     rows = [[axis[i] for axis, i in zip(axes, cell)] for cell in np.ndindex(*map(len, axes))]
     for row in rows:
         row.append(draw(st.one_of(st.integers(-5, 10**6).map(str), st.floats(-1e9, 1e9).map(lambda x: f"{x:.10g}"))))
-    rows = draw(st.permutations(rows))
+    layout = draw(st.sampled_from(["writer", "in-order", "shuffled"]))
+    if layout == "shuffled":
+        rows = draw(st.permutations(rows))
+    corruptions = draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2))
+    exact = [row[-1] for row in rows] if layout == "writer" and not corruptions else None
     blank_lines = []
-    for corruption in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
+    for corruption in corruptions:
         r = draw(st.integers(0, len(rows) - 1))
         if corruption in ("abc", "nan", "inf"):
             rows[r] = rows[r][:-1] + [corruption]
@@ -383,8 +394,10 @@ def keyed_tables(draw):
     lines = buf.getvalue().split("\r\n")[:-1]
     for r in blank_lines:
         lines.insert(1 + r, "")
+    if layout == "writer":
+        return "\r\n".join(lines) + "\r\n", header, axes, exact
     eol = draw(st.sampled_from(["\r\n", "\n"]))
-    return eol.join(lines) + draw(st.sampled_from([eol, ""])), header, axes
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), header, axes, None
 
 
 def _outcome(read, path):
@@ -394,39 +407,100 @@ def _outcome(read, path):
         return type(exc), str(exc)
 
 
-def _assert_readers_agree(path, header, axes):
-    old_rows = _outcome(lambda p: reference_read_table(p, header, TabulationError), path)
-    columns = _outcome(lambda p: read_table(p, header, TabulationError), path)
-    if isinstance(old_rows, tuple):  # the same failure, word for word
-        assert columns == old_rows
-        return
-    assert columns == [list(field) for field in zip(*old_rows)] or (columns == [[] for _ in header] and not old_rows)
-    old = _outcome(lambda p: reference_read_cells(p, old_rows, axes, TabulationError), path)
-    new = _outcome(lambda p: read_cells(p, columns, axes, TabulationError), path)
-    if isinstance(old, tuple):
+def _assert_same(new, old):
+    if isinstance(old, tuple):  # the same failure, word for word
         assert new == old
     else:
         assert new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
+def _assert_readers_agree(path, header, axes):
+    """The columnar reader and the keyed reader against the row reference."""
+    old_rows = _outcome(lambda p: reference_read_table(p, header, TabulationError), path)
+    columns = _outcome(lambda p: read_table(p, header, TabulationError), path)
+    keyed = _outcome(lambda p: read_keyed(p, header, axes, TabulationError), path)
+    if isinstance(old_rows, tuple):
+        assert columns == old_rows and keyed == old_rows
+        return
+    assert columns == [list(field) for field in zip(*old_rows)] or (columns == [[] for _ in header] and not old_rows)
+    old = _outcome(lambda p: reference_read_cells(p, old_rows, axes, TabulationError), path)
+    _assert_same(_outcome(lambda p: read_cells(p, columns, axes, TabulationError), path), old)
+    _assert_same(keyed, old)
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=keyed_tables())
 def test_columnar_reader_matches_row_reference(tmp_path, table):
-    text, header, axes = table
+    text, header, axes, exact = table
     path = tmp_path / "table.csv"
     path.write_text(text, newline="")
     _assert_readers_agree(path, header, axes)
+    if exact is not None:  # the writer's bytes, read in order unless a label is quoted
+        write_cells(tmp_path / "written.csv", header, [(axes, exact)])
+        assert (tmp_path / "written.csv").read_bytes() == path.read_bytes()
+        assert (read_in_order(path, header, [axes]) is None) == ('"' in text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "\n", "\r\n", "k,value", "k,value\r\n", "k,value\n\n", "k,value\r\n\r\n", "k,value\ra,1", "k,value\na,1\n\n",
-     "k,value\r\na,1\r\nb", "k,v\na,1", '"k",value\na,1', 'k,value\n"a",1\n"a\r\n",2'],
-)
-def test_columnar_reader_matches_row_reference_at_edges(tmp_path, text):
+_QUOTED = [["a", "a\r\n"]]  # a label the writer quotes: never read in order
+_PLAIN = [["a", "b"]]
+_EDGES = [(text, _QUOTED, False) for text in (
+    "", "\n", "\r\n", "k,value", "k,value\r\n", "k,value\n\n", "k,value\r\n\r\n", "k,value\ra,1", "k,value\na,1\n\n",
+    "k,value\r\na,1\r\nb", "k,v\na,1", '"k",value\na,1', 'k,value\n"a",1\n"a\r\n",2')] + [
+    ("k,value\r\na,1\n\r\nb,2\r\n", _PLAIN, False),  # float() strips a lone "\n" or "\r" ...
+    ("k,value\r\na,1\r\r\nb,2\r\n", _PLAIN, False),
+    ("k,value\r\na,1\r\r\nb,2\n\r\n", _PLAIN, False),  # ... and one of each makes the counts even
+    ("k,value\n\ra,1\n\rb,2\n\r", _PLAIN, False),  # as many "\r" as "\n", and no "\r\n"
+    ("k,value\r\na,1\r\n2\r\n", _PLAIN, False),  # a record that is only a number
+    ("k,value\r\na,1\r\nb,2,3\r\n", _PLAIN, False),
+    ("k,value\r\na,1\r\nb,2", _PLAIN, False),
+    ("k,value\r\na,1\r\nb,2\r\nb,3", _PLAIN, False),  # as many line ends as cells, and one more record ...
+    ("k,value\r\na,1\r\n2\r\nxy", _PLAIN, False),  # ... as long as the key a keyless record lacks
+    ("k,VALUE\r\na,1\r\nb,2\r\n", _PLAIN, False),
+    ('k,value\r\n"a",1\r\nb,2\r\n', _PLAIN, False),
+    ("k,value\r\na,nan\r\nb,2\r\n", _PLAIN, False),
+    ("k,value\r\nb,2\r\na,1\r\n", _PLAIN, False),
+    ("k,value\r\na,-1\r\nb,2\r\n", _PLAIN, True),  # in order; a negative count is the caller's check
+    ("k,value\r\na,1\r\nb,2\r\n", _PLAIN, True),  # the writer's bytes
+]
+
+
+@pytest.mark.parametrize(("text", "axes", "in_order"), [pytest.param(*edge, id=edge[0]) for edge in _EDGES])
+def test_columnar_reader_matches_row_reference_at_edges(tmp_path, text, axes, in_order):
     path = tmp_path / "table.csv"
     path.write_text(text, newline="")
-    _assert_readers_agree(path, ["k", "value"], [["a", "a\r\n"]])
+    _assert_readers_agree(path, ["k", "value"], axes)
+    assert (read_in_order(path, ["k", "value"], [axes]) is not None) == in_order
+
+
+def test_ingest_reads_the_writers_cube_in_order_at_every_rank(geo, tmp_path):
+    h, _ = geo
+    header = ["unit_id", "age_band", "group", "count"]
+    choices = [[h.units_at(rank), AGES.bands, GROUPS.groups] for rank in range(h.depth)]
+    for rank in range(h.depth):
+        cube = cube_at(h, rank, np.arange(len(h.units_at(rank)) * AGES.n * GROUPS.n))
+        path = tmp_path / f"rank{rank}.csv"
+        write_tabulation(cube, path)
+        assert read_in_order(path, header, choices)[0] == rank  # picked by its line count
+        read = ingest(path, AGES, GROUPS, h)
+        assert read.rank == rank and read.values.tobytes() == cube.values.tobytes()
+
+
+def test_ingest_memory_at_10k_leaves(tmp_path):
+    # 140,000 cells: reading in order holds one string per line and peaked
+    # at 16 MB; the columnar reader, one string per field, peaked at 39.5 MB
+    h, _ = build_synthetic_geography(10_000, [4, 5, 5, 10, 10], "grid", seed=5)
+    ages, groups = default_age_schema(), default_group_schema()
+    pop = synth_population(h, ages, groups, seed=5)
+    path = tmp_path / "population.csv"
+    write_tabulation(pop, path)
+    tracemalloc.start()
+    try:
+        cube = ingest(path, ages, groups, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cube.values.tobytes() == pop.values.tobytes()
+    assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
