@@ -374,13 +374,13 @@ def _chain_ranks(parent_of: dict[str, str]) -> dict[str, int]:
 def read_hierarchy(path) -> Hierarchy:
     """Load a hierarchy, ranking each unit by its parent chain, so rows may
     come in any order; a level name must name exactly one rank."""
-    ids, level_names, parents = read_table(path, ["unit_id", "level", "parent_id"], GeographyError)
-    roots = parents.count("")
+    records = read_table(path, ["unit_id", "level", "parent_id"], GeographyError)
+    roots = sum(not parent for _, _, parent in records)
     if roots != 1:
         raise GeographyError(f"{path}: hierarchy must have exactly one root, found {roots}")
-    rank = _chain_ranks(dict(zip(ids, parents)))
+    rank = _chain_ranks({uid: parent for uid, _, parent in records})
     level_rank: dict[str, int] = {}
-    for uid, level_name in zip(ids, level_names):
+    for uid, level_name, _ in records:
         if uid in rank and level_rank.setdefault(level_name, rank[uid]) != rank[uid]:
             raise GeographyError(
                 f"{path}: level {level_name!r} used at ranks {level_rank[level_name]} and {rank[uid]} (unit {uid})"
@@ -390,7 +390,7 @@ def read_hierarchy(path) -> Hierarchy:
         if level_at.setdefault(r, level_name) != level_name:
             raise GeographyError(f"{path}: rank {r} has two level names, {level_at[r]!r} and {level_name!r}")
     units = []
-    for uid, level_name, parent in zip(ids, level_names, parents):
+    for uid, level_name, parent in records:
         # a unit cut off from the root keeps its level's rank, so that
         # validate() names the broken link
         r = rank.get(uid, level_rank.get(level_name))
@@ -414,7 +414,7 @@ def write_adjacency(a: Adjacency, path) -> None:
 
 def read_adjacency(path, leaf_ids: list[str]) -> Adjacency:
     ids = np.asarray(leaf_ids)
-    edges = np.array(read_table(path, ["unit_a", "unit_b"], GeographyError), dtype=str).T
+    edges = np.array(read_table(path, ["unit_a", "unit_b"], GeographyError), dtype=str).reshape(-1, 2)
     by_id = np.argsort(ids)
     pos = by_id[np.searchsorted(ids, edges, sorter=by_id).clip(max=ids.size - 1)]
     known = (ids[pos] == edges).all(axis=1)

@@ -25,7 +25,7 @@ from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, 
 from .das import (
     VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
 )
-from .errors import ConfigError, MissingInputError, ModelError, ProtectionError, SimulationError
+from .errors import ConfigError, MissingInputError, ModelError, ProtectionError, SimulationError, TabulationError
 from .geo import (
     LAYOUTS, build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 )
@@ -171,9 +171,13 @@ def _validate_config(cfg: dict) -> None:
     n_levels = len(geo["branching"]) + 1
     if das["level_shares"] is not None and len(das["level_shares"]) != n_levels:
         raise ConfigError(f"das.level_shares has {len(das['level_shares'])} entries for {n_levels} geolevels")
-    std = cfg["std"]
-    if not isinstance(std["age_bands"], list) or len(std["age_bands"]) < 1:
-        raise ConfigError("std.age_bands must be a non-empty list of labels")
+    bands = cfg["std"]["age_bands"]
+    if not isinstance(bands, list) or not all(isinstance(band, str) for band in bands):
+        raise ConfigError(f"std.age_bands must be a list of string labels, got {bands!r}")
+    try:
+        AgeSchema(tuple(bands))
+    except TabulationError as exc:
+        raise ConfigError(f"std.age_bands: {exc}") from None
     for key, value in cfg["model"]["priors"].items():
         if not (_is_num(value) and 0 < value < math.inf):
             raise ConfigError(f"model.priors.{key} must be a positive finite number, got {value!r}")
@@ -494,7 +498,7 @@ COEF_BIAS_HEADER = ["source", "coefficient", "true_value", "mean_bias", "sd_bias
 
 def _read_study_table(path: Path, header: list[str]) -> list[list]:
     """A simulate table's rows: two label fields naming the row, then numbers."""
-    rows = list(zip(*read_table(path, header, SimulationError)))
+    rows = read_table(path, header, SimulationError)
     if len({(a, b) for a, b, *_ in rows}) != len(rows):
         raise SimulationError(f"{path}: more than one row for the same {header[0]} and {header[1]}")
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StandardizationError
-from .tables import check_nonnegative, fmt, read_keyed, write_cells
+from .tables import check_cells, fmt, read_keyed, write_cells
 from .tabulation import AgeSchema, GroupSchema, TabulationCube, aggregate
 
 
@@ -193,5 +193,5 @@ def write_expected(ec: ExpectedCounts, path) -> None:
 
 def read_expected(path, unit_ids: list[str], groups: tuple[str, ...], source: str = "custom") -> ExpectedCounts:
     values = read_keyed(path, ["unit_id", "group", "expected"], [unit_ids, groups], StandardizationError)
-    check_nonnegative(path, values, [unit_ids, groups], "expected count", StandardizationError)
+    check_cells(path, values, [unit_ids, groups], values < 0, "negative expected count", StandardizationError)
     return ExpectedCounts(list(unit_ids), tuple(groups), values, source)

@@ -12,9 +12,9 @@ A cube or an expected-count table is read in the writer's order first: a
 file exactly as ``write_cells`` writes it is split once into lines, each
 line is checked to start with its cell's key, and the rest is parsed as
 one number, with no label lookup. Every other file, and every other table
-(covariates among them), is read by columns: it becomes one list of
-strings per field, and keyed cells are located, checked and parsed in
-bulk, naming the first fault. One helper
+(covariates among them), is read one record at a time by ``csv.reader``;
+keyed cells are then filled one record at a time through one label
+dictionary per axis, and the first record at fault is named. One helper
 renders the keys for both the writer and the in-order reader.
 """
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 import time
-from itertools import chain, islice, product, repeat
+from itertools import islice, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,96 +102,59 @@ def write_cells(path, header, blocks) -> None:
 
 @_timed("read")
 def read_table(path, header, error) -> list[list[str]]:
-    """The columns, one list of strings per field, of a file whose first
-    line is exactly ``header``.
+    """The records of a file whose first line is exactly ``header``.
 
     An empty file, any other header, or a record without exactly
     ``len(header)`` fields raises ``error`` naming the file and the line.
-    Text with a quote in it goes through ``csv.reader``; other text is split
-    at the line ends a file opened with ``newline=""`` has, then at commas.
     """
-    header, k = list(header), len(header)
+    header = list(header)
     with open(path, newline="") as fh:
-        text = fh.read()
-    if not text:
-        raise error(f"{path}: empty file, expected header {','.join(header)}")
-    quoted = '"' in text
-    if quoted:
-        records = list(csv.reader(io.StringIO(text, newline="")))
-        first = records.pop(0)
-        widths = np.fromiter(map(len, records), np.intp, count=len(records))
-    else:
-        records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not records[-1]:
-            records.pop()
-        first = records.pop(0).split(",")
-        widths = np.fromiter(map(str.count, records, repeat(",")), np.intp, count=len(records)) + 1
-    bad = np.flatnonzero(widths != k)
-    if first != header or bad.size:  # parse with csv up to the fault, for its line number
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{path}: empty file, expected header {','.join(header)}")
         if first != header:
-            next(reader)
             raise error(f"{path}:{reader.line_num}: header {','.join(first)}, expected {','.join(header)}")
-        row = next(islice(reader, bad[0] + 1, None))
-        raise error(f"{path}:{reader.line_num}: {len(row)} fields, expected {k}")
-    del text
-    if quoted:
-        flat = list(chain.from_iterable(records))
-    else:
-        records = ",".join(records)  # frees the lines before the fields are split out
-        flat = records.split(",") if records else []
-    return [flat[j::k] for j in range(k)]
-
-
-def _number(text) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+        records = []
+        for record in reader:
+            if len(record) != len(header):
+                raise error(f"{path}:{reader.line_num}: {len(record)} fields, expected {len(header)}")
+            records.append(record)
+    return records
 
 
 @_timed("read")
-def read_cells(path, columns, axes, error) -> np.ndarray:
-    """Dense array of the last of ``columns``, keyed by the columns before it.
+def read_cells(path, records, axes, error) -> np.ndarray:
+    """Dense array of the last field of ``records``, keyed by their leading
+    fields, one per axis.
 
-    ``axes`` holds the labels of each key column, in column order; a cell's
-    position on an axis is its label's position there. An unknown label, a
-    value that is not a finite number, a duplicate cell or a missing cell
-    raises ``error`` naming ``path`` and the cell; a record at fault is the
-    first one in file order, and its first fault in that order is reported.
+    ``axes`` holds the labels of each key field, in field order; a cell's
+    position on an axis is its label's position there. The first record
+    with an unknown label, a duplicate cell or a value that is not a finite
+    number, and then a missing cell, raises ``error`` naming ``path`` and
+    the cell.
     """
-    *keys, raw = columns
-    n, shape = len(raw), tuple(map(len, axes))
-    index = [
-        np.fromiter(map({label: i for i, label in enumerate(axis)}.get, column, repeat(-1)), np.intp, count=n)
-        for axis, column in zip(axes, keys)
-    ]
-    known = np.logical_and.reduce([i >= 0 for i in index])
-    flat = np.ravel_multi_index(index, shape, mode="clip")
-    try:
-        values = np.fromiter(map(float, raw), float, count=n)
-    except ValueError:
-        values = np.fromiter(map(_number, raw), float, count=n)
-    counts = np.bincount(flat[known], minlength=math.prod(shape))
-    bad = ~known | ~np.isfinite(values)
-    if bad.any() or counts.max(initial=0) > 1:
-        seen = known.copy()  # a known cell seen on an earlier record
-        seen[np.flatnonzero(known)[np.unique(flat[known], return_index=True)[1]]] = False
-        r = np.flatnonzero(bad | seen)[0]
-        cell = _cell([column[r] for column in keys])
-        if not known[r]:
-            label = next(column[r] for column, i in zip(keys, index) if i[r] < 0)
-            raise error(f"{path}: unknown label {label!r} in cell {cell}")
-        if seen[r]:
-            raise error(f"{path}: duplicate cell {cell}")
-        raise error(f"{path}: value {raw[r]!r} of cell {cell} is not a finite number")
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        first = [axis[i] for axis, i in zip(axes, np.unravel_index(missing[0], shape))]
-        raise error(f"{path}: missing cell {_cell(first)} and {missing.size - 1} more")
-    out = np.empty(counts.size)
-    out[flat] = values
-    return out.reshape(shape)
+    index = [{label: i for i, label in enumerate(axis)} for axis in axes]
+    values = np.full(tuple(map(len, axes)), np.nan)
+    for record in records:
+        try:  # map stops after the key fields, one per axis
+            cell = tuple(map(dict.__getitem__, index, record))
+        except KeyError as exc:
+            raise error(f"{path}: unknown label {exc.args[0]!r} in cell {_cell(record[: len(axes)])}") from None
+        if not math.isnan(values[cell]):
+            raise error(f"{path}: duplicate cell {_cell(record[: len(axes)])}")
+        try:
+            value = float(record[-1])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise error(f"{path}: value {record[-1]!r} of cell {_cell(record[: len(axes)])} is not a finite number")
+        values[cell] = value
+    missing = np.argwhere(np.isnan(values))
+    if len(missing):
+        first = [axis[i] for axis, i in zip(axes, missing[0])]
+        raise error(f"{path}: missing cell {_cell(first)} and {len(missing) - 1} more")
+    return values
 
 
 @_timed("read")
@@ -251,12 +213,13 @@ def read_keyed(path, header, axes, error) -> np.ndarray:
     return found[1] if found else read_cells(path, read_table(path, header, error), axes, error)
 
 
-def check_nonnegative(path, values, axes, what, error) -> None:
-    """Raise ``error`` naming ``path`` and the first cell of ``values`` below zero."""
-    negative = np.argwhere(values < 0)
-    if len(negative):
-        cell = [axis[i] for axis, i in zip(axes, negative[0])]
-        raise error(f"{path}: negative {what} {values[tuple(negative[0])]:g} in cell {_cell(cell)}")
+def check_cells(path, values, axes, bad, what, error) -> None:
+    """Raise ``error`` naming ``path``, ``what`` and the value of the first
+    cell of ``values`` where the mask ``bad`` is true."""
+    at = np.argwhere(bad)
+    if len(at):
+        cell = [axis[i] for axis, i in zip(axes, at[0])]
+        raise error(f"{path}: {what} {fmt(values[tuple(at[0])])} in cell {_cell(cell)}")
 
 
 def _cell(keys) -> str:

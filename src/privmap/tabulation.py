@@ -8,13 +8,12 @@ intermediate cubes carry reals and may go negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .errors import GeographyError, TabulationError
 from .geo import Hierarchy
-from .tables import check_nonnegative, fmt, fmt_ints, read_cells, read_in_order, read_table, write_cells
+from .tables import check_cells, fmt, fmt_ints, read_cells, read_in_order, read_table, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -94,7 +93,7 @@ class TabulationCube:
         if integer_valued:
             if np.any(values < 0):
                 raise TabulationError("integer cube contains negative cells")
-            if not np.allclose(values, np.round(values)):
+            if np.any(values != np.round(values)):
                 raise TabulationError("integer cube contains non-integral cells")
             values = np.round(values)
         self.values = values
@@ -125,8 +124,8 @@ def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_co
     """Read a complete leaf-or-other-level cube; missing or duplicate cells fail.
 
     A cube as ``write_tabulation`` writes it is read in order, at the rank
-    whose cell count matches its line count; any other file is read by
-    columns, at the rank of its units.
+    whose cell count matches its line count; any other file is read one
+    record at a time, at the rank of its units.
     """
     header = ["unit_id", "age_band", "group", value_column]
     choices = [[h.units_at(rank), ages.bands, groups.groups] for rank in range(h.depth)]
@@ -134,17 +133,18 @@ def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_co
     if found:
         rank, values = found
     else:
-        columns = read_table(path, header, TabulationError)
-        if not columns[0]:
+        records = read_table(path, header, TabulationError)
+        if not records:
             raise TabulationError(f"{path}: empty tabulation file")
         # units of no rank are left to read_cells, which names their cell
-        units = set(columns[0])
+        units = {record[0] for record in records}
         ranks = [r for r in range(h.depth) if not units.isdisjoint(h.units_at(r))] or [h.depth - 1]
         if len(ranks) != 1:
             raise TabulationError(f"{path}: tabulation mixes units from ranks {ranks}")
         rank = ranks[0]
-        values = read_cells(path, columns, choices[rank], TabulationError)
-    check_nonnegative(path, values, choices[rank], "count", TabulationError)
+        values = read_cells(path, records, choices[rank], TabulationError)
+    check_cells(path, values, choices[rank], values < 0, "negative count", TabulationError)
+    check_cells(path, values, choices[rank], values != np.round(values), "non-integral count", TabulationError)
     return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
 
 
@@ -218,6 +218,5 @@ def write_covariates(path, unit_ids: list[str], name: str, values: np.ndarray) -
 
 def read_covariates(path, unit_ids: list[str], name: str) -> np.ndarray:
     """One covariate's value per unit; rows of other covariates are skipped."""
-    units, names, values = read_table(path, ["unit_id", "name", "value"], TabulationError)
-    keep = list(map(name.__eq__, names))
-    return read_cells(path, [list(compress(units, keep)), list(compress(values, keep))], [unit_ids], TabulationError)
+    records = read_table(path, ["unit_id", "name", "value"], TabulationError)
+    return read_cells(path, [record for record in records if record[1] == name], [unit_ids], TabulationError)

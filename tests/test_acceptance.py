@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import privmap as pm
+from privmap import tables, tabulation
 from privmap.carmodel import McmcConfig, build_spec, fit
 from privmap.cli import main as cli_main
 from privmap.das import (
@@ -355,6 +356,13 @@ PIPE_CONFIG = {
     "sim": {"n_reps": 2, "sources": ["truth", "v19", "v20", "v22"]},
 }
 
+PIPE_CMDS = (
+    [["geo"]]
+    + [["protect", "--variant", v] for v in ("v19", "v20", "v22")]
+    + [["expect", "--source", s] for s in ("truth", "v19", "v20", "v22")]
+    + [["fit", "--source", "truth"], ["simulate"], ["report"]]
+)
+
 REPORT_FILES = (
     "simulate/coef_bias.csv",
     "simulate/smr_bias.csv",
@@ -374,11 +382,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         base = ["--config", str(cfg_path), "--out", str(out)]
-        cmds = [["geo"]]
-        cmds += [["protect", "--variant", v] for v in ("v19", "v20", "v22")]
-        cmds += [["expect", "--source", s] for s in ("truth", "v19", "v20", "v22")]
-        cmds += [["fit", "--source", "truth"], ["simulate"], ["report"]]
-        for cmd in cmds:
+        for cmd in PIPE_CMDS:
             result = runner.invoke(cli_main, base + cmd, catch_exceptions=False)
             assert result.exit_code == 0, result.output
         hashes[run] = {
@@ -386,3 +390,28 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         }
     ok = hashes["a"] == hashes["b"]
     criterion(10, "byte-identical reports across reruns", ok, f"{len(REPORT_FILES)} files compared")
+
+
+def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
+    # every cube and expected-count file the stages write is read back in
+    # the writer's order; only the covariate file takes the record readers
+    reads = []
+    for module in (tables, tabulation):
+        for name in ("read_in_order", "read_cells"):
+            def spy(path, *args, _read=getattr(module, name), _name=name):
+                found = _read(path, *args)
+                reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
+                return found
+
+            monkeypatch.setattr(module, name, spy)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(PIPE_CONFIG))
+    for cmd in PIPE_CMDS:
+        result = CliRunner().invoke(cli_main, ["--config", str(cfg_path), "--out", str(tmp_path)] + cmd)
+        assert result.exit_code == 0, result.output
+    in_order = {path for name, path, found in reads if name == "read_in_order" and found}
+    assert all(found for _, _, found in reads), [read for read in reads if not read[2]]
+    assert in_order == {"geo/population.csv", "geo/deaths.csv"} | {
+        f"protect/protected_{v}.csv" for v in ("v19", "v20", "v22")
+    } | {f"expect/expected_{s}.csv" for s in ("truth", "v19", "v20", "v22")}
+    assert {path for name, path, _ in reads if name == "read_cells"} == {"geo/covariates.csv"}

@@ -100,6 +100,9 @@ def test_load_config_validates_values(tmp_path):
         {"das": {"variant": "v19", "pass_shares": [0.5, 0.5]}},  # v19 is single-pass
         {"das": {"noise_family": "cauchy"}},
         {"das": {"variant": "v20", "pass_shares": [0.6, 0.4]}},  # source v19 is single-pass
+        {"std": {"age_bands": [1, 2]}},  # labels are strings
+        {"std": {"age_bands": ["a", "a"]}},  # AgeSchema's rules apply at load
+        {"std": {"age_bands": []}},
     ):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):

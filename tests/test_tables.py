@@ -226,15 +226,16 @@ READERS = {
 }
 
 
+BAD_VALUES = {"non-numeric": "abc", "negative": "-1.5", "non-integral": "1.5", "non-integral-large": "100000.5"}
+
+
 def _corrupt(lines: list[str], case: str) -> list[str]:
     if case == "empty":
         return []
     if case == "short-row":
         return lines[:-1] + [lines[-1].rsplit(",", 1)[0]]
-    if case == "non-numeric":
-        return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",abc"] + lines[3:]
-    if case == "negative":
-        return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",-1.5"] + lines[3:]
+    if case in BAD_VALUES:
+        return lines[:2] + [lines[2].rsplit(",", 1)[0] + "," + BAD_VALUES[case]] + lines[3:]
     if case == "duplicate-key":
         return lines + [lines[1]]
     if case == "unknown-key":
@@ -267,7 +268,7 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
             "missing-parent", "wrong-parent-rank", "childless-unit", "two-level-names", "detached-unknown-level"
         )
     ]
-    + [("expected", "negative")]
+    + [("expected", "negative"), ("cube", "non-integral"), ("cube", "non-integral-large")]
     + [(reader, "unknown-key") for reader in ("adjacency", "cube", "covariates", "expected")],
 )
 def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
@@ -280,8 +281,34 @@ def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
     assert path.name in str(err.value)
 
 
+def test_ingest_names_a_non_integral_count(geo, tmp_path):
+    # the writer's layout, so the count is read in order: it is checked
+    # exactly, not within a tolerance, and named with its cell
+    h, _ = geo
+    path = tmp_path / "population.csv"
+    axes = [h.leaf_ids, AGES.bands, GROUPS.groups]
+    write_cells(path, ["unit_id", "age_band", "group", "count"], [(axes, ["100000.5"] + ["1"] * 15)])
+    assert read_in_order(path, ["unit_id", "age_band", "group", "count"], [axes])
+    message = r"population\.csv: non-integral count 100000\.5 in cell \(U2-0, 0-4, NHW\)"
+    with pytest.raises(TabulationError, match=message):
+        ingest(path, AGES, GROUPS, h)
+
+
+def test_read_covariates_skips_other_covariates(geo, tmp_path):
+    h, _ = geo
+    path = tmp_path / "covariates.csv"
+    rows = [[uid, name, str(v)] for i, uid in enumerate(h.leaf_ids) for name, v in (("income", -i), ("poverty", i))]
+    path.write_text("".join(",".join(row) + "\r\n" for row in [["unit_id", "name", "value"], *rows]), newline="")
+    assert read_covariates(path, h.leaf_ids, "poverty").tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert read_covariates(path, h.leaf_ids, "income").tolist() == [0.0, -1.0, -2.0, -3.0]
+    with pytest.raises(TabulationError, match=r"covariates\.csv: missing cell \(U2-0\) and 3 more"):
+        read_covariates(path, h.leaf_ids, "smoking")
+
+
 # ---------------------------------------------------------------------------
-# the columnar reader against the row-at-a-time reader it replaced
+# the record readers and the in-order reader against the row-at-a-time
+# reference; the test names still say "columnar", after the bulk reader the
+# record readers replaced, so that their ids stay stable
 
 
 def reference_read_table(path, header, error) -> list[list[str]]:
@@ -415,16 +442,16 @@ def _assert_same(new, old):
 
 
 def _assert_readers_agree(path, header, axes):
-    """The columnar reader and the keyed reader against the row reference."""
+    """The record readers and the keyed reader against the row reference."""
     old_rows = _outcome(lambda p: reference_read_table(p, header, TabulationError), path)
-    columns = _outcome(lambda p: read_table(p, header, TabulationError), path)
+    rows = _outcome(lambda p: read_table(p, header, TabulationError), path)
     keyed = _outcome(lambda p: read_keyed(p, header, axes, TabulationError), path)
     if isinstance(old_rows, tuple):
-        assert columns == old_rows and keyed == old_rows
+        assert rows == old_rows and keyed == old_rows
         return
-    assert columns == [list(field) for field in zip(*old_rows)] or (columns == [[] for _ in header] and not old_rows)
+    assert rows == old_rows
     old = _outcome(lambda p: reference_read_cells(p, old_rows, axes, TabulationError), path)
-    _assert_same(_outcome(lambda p: read_cells(p, columns, axes, TabulationError), path), old)
+    _assert_same(_outcome(lambda p: read_cells(p, rows, axes, TabulationError), path), old)
     _assert_same(keyed, old)
 
 
@@ -487,7 +514,7 @@ def test_ingest_reads_the_writers_cube_in_order_at_every_rank(geo, tmp_path):
 
 def test_ingest_memory_at_10k_leaves(tmp_path):
     # 140,000 cells: reading in order holds one string per line and peaked
-    # at 16 MB; the columnar reader, one string per field, peaked at 39.5 MB
+    # at 16 MB; the record reader, one list of strings per line, at 42.7 MB
     h, _ = build_synthetic_geography(10_000, [4, 5, 5, 10, 10], "grid", seed=5)
     ages, groups = default_age_schema(), default_group_schema()
     pop = synth_population(h, ages, groups, seed=5)
