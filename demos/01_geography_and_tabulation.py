@@ -13,8 +13,8 @@ from privmap.tabulation import aggregate, default_age_schema, default_group_sche
 from privmap.simulate import synth_population
 
 h, adj = build_synthetic_geography(n_leaves=300, branching=[2, 2, 3, 5, 5], layout="grid", seed=7)
-print(f"hierarchy: depth {h.depth}, levels {[lv.name for lv in h.levels]}")
-print(f"leaves: {len(h.leaf_ids)}; root: {h.root_id}")
+print(f"hierarchy: depth {h.depth}, levels {h.level_names}")
+print(f"leaves: {len(h.leaf_ids)}; root: {h.units_at(0)[0]}")
 print(f"adjacency: {len(adj.edges())} edges; degree range {adj.row_sums.min():.0f}-{adj.row_sums.max():.0f}")
 report = validate(h, adj)
 print(f"validation violations: {report.violations or 'none'}")

@@ -45,8 +45,7 @@ class ModelSpec:
     offset: np.ndarray     # (S,) log expected counts
     unit_idx: np.ndarray   # (S,) stratum -> leaf index
     group_idx: np.ndarray  # (S,) stratum -> group index
-    plan: CarPlan | None = None  # spatial structure, present when include_spatial
-    include_spatial: bool = True
+    plan: CarPlan | None = None  # spatial structure, absent when spatial effects are off
     include_overdispersion: bool = True
     prior_beta_var: float = 1e5
     prior_ig_shape: float = 1.0
@@ -55,6 +54,10 @@ class ModelSpec:
     fix_sigma2: float | None = None
     excluded: list[tuple[str, str]] = field(default_factory=list)
     covariate_scaling: dict = field(default_factory=dict)
+
+    @property
+    def include_spatial(self) -> bool:
+        return self.plan is not None
 
     @property
     def n_strata(self) -> int:
@@ -143,7 +146,6 @@ def build_spec(
         unit_idx=unit_idx,
         group_idx=group_idx,
         plan=plan,
-        include_spatial=include_spatial,
         include_overdispersion=include_overdispersion,
         prior_beta_var=prior_beta_var,
         prior_ig_shape=prior_ig_shape,
@@ -177,15 +179,6 @@ class McmcConfig:
 
 # ---------------------------------------------------------------------------
 # CAR structure helpers
-
-
-def car_conditional(
-    theta: np.ndarray, plan: CarPlan, rho: float, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-conditional mean and variance of each spatial effect given the rest:
-    mean rho * sum_k w_ik theta_k / w_i+, variance scale / w_i+."""
-    w_theta = plan.weights @ theta
-    return rho * w_theta / plan.degrees, scale / plan.degrees
 
 
 def _ldl(q: scipy.sparse.spmatrix) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
@@ -592,7 +585,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             for members, rows in color_blocks:
                 eps = theta_sd[members] * rng.standard_normal(members.size)
                 d = deg[members]
-                m = rho * (rows @ theta) / d  # car_conditional's mean, on this class's rows
+                m = rho * (rows @ theta) / d
                 lik = y_by_unit[members] * eps - exp_by_unit[members] * np.expm1(eps)
                 t_old = theta[members]
                 pri = -d / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)

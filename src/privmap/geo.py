@@ -15,27 +15,10 @@ from .errors import GeographyError
 from .tables import read_table, write_table
 
 
-@dataclass(frozen=True)
-class GeoLevel:
-    """One stratum of the nesting, rank 0 being the root."""
-
-    rank: int
-    name: str
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise GeographyError(f"level rank must be >= 0, got {self.rank}")
-
-
-@dataclass(frozen=True)
-class GeoUnit:
-    id: str
-    rank: int
-    parent_id: str | None
-
-
+MAX_DEPTH = 6
 LAYOUTS = ("grid", "random-planar")
 DEFAULT_LEVEL_NAMES = ["root", "region", "county", "tract", "blockgroup", "block"]
+HIERARCHY_HEADER = ["unit_id", "level", "parent_id"]
 
 
 def _level_names(depth: int) -> list[str]:
@@ -46,114 +29,79 @@ def _level_names(depth: int) -> list[str]:
 
 
 class Hierarchy:
-    """A rooted tree of geographic units with contiguous level ranks.
+    """A rooted tree of geographic units, built from ``(unit_id, level,
+    parent_id)`` records in any order, the root's parent id being empty.
 
-    Per-rank index arrays are built once here: the unit ids at each rank in
-    insertion order, each unit's position among them, and for each rank the
-    position of every unit's parent among the units one rank up. A unit whose
-    parent is missing or not one rank up gets parent position -1; such a
-    tree still constructs, so that :meth:`validate` can report on it.
+    A unit's rank is the length of its parent chain. The first fault raises
+    GeographyError naming it: a repeated unit id, other than one root, a
+    missing parent, a chain that loops or passes six levels, a level name at
+    two ranks or a rank with two names, fewer than two levels, or an
+    internal unit without children. Kept are the unit ids at each rank in
+    record order, for each rank below the root the position of every unit's
+    parent among the units one rank up, and the level names.
     """
 
-    def __init__(self, units: list[GeoUnit], levels: list[GeoLevel]):
-        self.levels = sorted(levels, key=lambda lv: lv.rank)
-        ranks = [lv.rank for lv in self.levels]
-        if ranks != list(range(len(ranks))):
-            raise GeographyError(f"level ranks must be contiguous from 0, got {ranks}")
-        if not (2 <= len(ranks) <= 6):
-            raise GeographyError(f"hierarchy depth must be between 2 and 6, got {len(ranks)}")
-        self.units = list(units)
-        self._by_id = {u.id: u for u in self.units}
-        if len(self._by_id) != len(self.units):
-            raise GeographyError("unit ids are not unique")
-        self._ids: list[list[str]] = [[] for _ in self.levels]
-        self._position: dict[str, int] = {}
-        for u in self.units:
-            if not 0 <= u.rank < self.depth:
-                raise GeographyError(f"unit {u.id}: rank {u.rank} outside levels 0..{self.depth - 1}")
-            self._position[u.id] = len(self._ids[u.rank])
-            self._ids[u.rank].append(u.id)
-        roots = [u.id for u in self.units if u.parent_id is None]
-        if len(roots) != 1:
-            raise GeographyError(f"hierarchy must have exactly one root, found {len(roots)}")
-        self.root_id = roots[0]
-        self._parent_index = [
-            np.array([self._parent_position(self._by_id[uid]) for uid in ids], dtype=np.intp)
-            for ids in self._ids
+    def __init__(self, records):
+        records = list(records)
+        parent_of = {uid: parent for uid, _, parent in records}
+        if len(parent_of) != len(records):
+            seen: set[str] = set()
+            repeat = next(uid for uid, _, _ in records if uid in seen or seen.add(uid))
+            raise GeographyError(f"unit id {repeat} is not unique")
+        roots = sum(not parent for parent in parent_of.values())
+        if roots != 1:
+            raise GeographyError(f"hierarchy must have exactly one root, found {roots}")
+        ranks, level_rank = [], {}
+        for uid, level, parent in records:
+            rank, u = 0, uid
+            while parent:
+                if parent not in parent_of:
+                    raise GeographyError(f"unit {u}: missing parent {parent}")
+                rank += 1
+                if rank == MAX_DEPTH:
+                    raise GeographyError(f"unit {uid}: parent chain loops or is deeper than {MAX_DEPTH} levels")
+                u, parent = parent, parent_of[parent]
+            if level_rank.setdefault(level, rank) != rank:
+                raise GeographyError(f"level {level!r} used at ranks {level_rank[level]} and {rank} (unit {uid})")
+            ranks.append(rank)
+        names: dict[int, str] = {}
+        ids: list[list[str]] = [[] for _ in range(MAX_DEPTH)]
+        position: dict[str, int] = {}
+        for (uid, level, _), rank in zip(records, ranks):
+            if names.setdefault(rank, level) != level:
+                raise GeographyError(f"rank {rank} has two level names, {names[rank]!r} and {level!r} (unit {uid})")
+            position[uid] = len(ids[rank])
+            ids[rank].append(uid)
+        # every rank up to the deepest is on some unit's chain
+        if len(names) < 2:
+            raise GeographyError(f"hierarchy depth must be between 2 and {MAX_DEPTH}, got {len(names)}")
+        self.level_names = [names[r] for r in range(len(names))]
+        self._ids = ids[: self.depth]
+        self._parents = [
+            np.array([position[parent_of[uid]] for uid in self._ids[r]], dtype=np.intp) for r in range(1, self.depth)
         ]
-
-    def _parent_position(self, u: GeoUnit) -> int:
-        parent = self._by_id.get(u.parent_id)
-        return self._position[parent.id] if parent is not None and parent.rank == u.rank - 1 else -1
+        for r, parents in enumerate(self._parents):
+            childless = np.flatnonzero(np.bincount(parents, minlength=len(self._ids[r])) == 0)
+            if childless.size:
+                raise GeographyError(f"unit {self._ids[r][childless[0]]}: no children at {self.level_names[r]} level")
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def leaf_level(self) -> GeoLevel:
-        return self.levels[-1]
-
-    def unit(self, unit_id: str) -> GeoUnit:
-        try:
-            return self._by_id[unit_id]
-        except KeyError:
-            raise GeographyError(f"unknown unit id {unit_id!r}") from None
+        return len(self.level_names)
 
     def units_at(self, rank: int) -> list[str]:
-        """Unit ids at a rank, in stable (insertion) order; shared, do not mutate."""
+        """Unit ids at a rank, in record order; shared, do not mutate."""
         return self._ids[rank]
-
-    def index(self, unit_id: str, rank: int) -> int:
-        """Position of a unit among :meth:`units_at` ``rank``."""
-        if self.unit(unit_id).rank != rank:
-            raise GeographyError(f"unit {unit_id!r} is not at rank {rank}")
-        return self._position[unit_id]
 
     def parent_index(self, rank: int) -> np.ndarray:
         """Position of each unit's parent among the units one rank up."""
-        index = self._parent_index[rank]
-        if rank == 0 or np.any(index < 0):
-            raise GeographyError(f"units at rank {rank} lack a parent one rank up; see validate()")
-        return index
-
-    def children(self, unit_id: str) -> list[str]:
-        rank = self.unit(unit_id).rank
-        if rank == self.depth - 1:
-            return []
-        below = np.flatnonzero(self._parent_index[rank + 1] == self._position[unit_id])
-        return [self._ids[rank + 1][k] for k in below]
+        if not 0 < rank < self.depth:
+            raise GeographyError(f"no parent index at rank {rank} of a {self.depth}-level hierarchy")
+        return self._parents[rank - 1]
 
     @property
     def leaf_ids(self) -> list[str]:
-        return self.units_at(self.depth - 1)
-
-    def validate(self) -> list[str]:
-        """Tree-structure violations; empty list when well formed."""
-        report = []
-        for u in self.units:
-            if u.parent_id is None:
-                if u.rank != 0:
-                    report.append(f"unit {u.id}: no parent but rank {u.rank} != 0")
-                continue
-            parent = self._by_id.get(u.parent_id)
-            if parent is None:
-                report.append(f"unit {u.id}: missing parent {u.parent_id}")
-            elif parent.rank != u.rank - 1:
-                report.append(
-                    f"unit {u.id}: parent {u.parent_id} has rank {parent.rank}, expected {u.rank - 1}"
-                )
-        # with every parent one rank up there is no cycle and every unit
-        # reaches the root, so these and childless internal units are all
-        # the ways a tree can be malformed
-        for rank in range(self.depth - 1):
-            parent = self._parent_index[rank + 1]
-            n_children = np.bincount(parent[parent >= 0], minlength=len(self._ids[rank]))
-            report.extend(
-                f"unit {self._ids[rank][k]}: no children at {self.levels[rank].name} level"
-                for k in np.flatnonzero(n_children == 0)
-            )
-        return report
+        return self._ids[-1]
 
 
 def _entry_rows(w: scipy.sparse.csr_matrix) -> np.ndarray:
@@ -236,9 +184,9 @@ class ValidationReport:
 
 
 def validate(h: Hierarchy, a: Adjacency) -> ValidationReport:
-    """Collect tree, symmetry, and island violations; empty report means valid."""
-    report = list(h.validate())
-    report.extend(a.validate())
+    """Collect symmetry, island and leaf-set violations; empty report means
+    valid. A hierarchy that constructs is a well-formed tree."""
+    report = a.validate()
     leaf_set = set(h.leaf_ids)
     adj_set = set(a.leaf_ids)
     if leaf_set != adj_set:
@@ -313,7 +261,6 @@ def build_synthetic_geography(
 
     depth = len(branching) + 1
     names = _level_names(depth)
-    levels = [GeoLevel(r, names[r]) for r in range(depth)]
 
     # counts per level: how many units actually exist once leaves are capped
     counts = [n_leaves]
@@ -322,14 +269,11 @@ def build_synthetic_geography(
     counts.append(1)
     counts = counts[::-1]  # counts[rank]
 
-    units: list[GeoUnit] = [GeoUnit("U0-0", 0, None)]
+    records = [("U0-0", names[0], "")]
     for rank in range(1, depth):
         fan = branching[rank - 1]
-        for i in range(counts[rank]):
-            parent = f"U{rank - 1}-{i // fan}"
-            units.append(GeoUnit(f"U{rank}-{i}", rank, parent))
-
-    h = Hierarchy(units, levels)
+        records += [(f"U{rank}-{i}", names[rank], f"U{rank - 1}-{i // fan}") for i in range(counts[rank])]
+    h = Hierarchy(records)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, n_leaves]))
     if layout == "grid":
@@ -349,63 +293,21 @@ def build_synthetic_geography(
 
 
 def write_hierarchy(h: Hierarchy, path) -> None:
-    rows = ([u.id, h.levels[u.rank].name, u.parent_id or ""] for u in h.units)
-    write_table(path, ["unit_id", "level", "parent_id"], rows)
-
-
-def _chain_ranks(parent_of: dict[str, str]) -> dict[str, int]:
-    """Depth below the root (the unit with no parent) of every unit whose
-    parent chain reaches it; units on a broken or looping chain are left out."""
-    rank: dict[str, int | None] = {}
-    for uid in parent_of:
-        chain, u = [], uid
-        while u in parent_of and u not in rank:
-            rank[u] = None  # on the current walk, so reaching it again is a loop
-            chain.append(u)
-            u = parent_of[u]
-        # u is now the root's empty parent id, a unit already walked, or a missing parent
-        r = -1 if not u else rank.get(u)
-        for c in reversed(chain):
-            r = None if r is None else r + 1
-            rank[c] = r
-    return {u: r for u, r in rank.items() if r is not None}
+    """One unit_id,level,parent_id row per unit, rank by rank."""
+    rows = [[h.units_at(0)[0], h.level_names[0], ""]]
+    for rank in range(1, h.depth):
+        up, name = h.units_at(rank - 1), h.level_names[rank]
+        rows += ([uid, name, up[p]] for uid, p in zip(h.units_at(rank), h.parent_index(rank).tolist()))
+    write_table(path, HIERARCHY_HEADER, rows)
 
 
 def read_hierarchy(path) -> Hierarchy:
-    """Load a hierarchy, ranking each unit by its parent chain, so rows may
-    come in any order; a level name must name exactly one rank."""
-    records = read_table(path, ["unit_id", "level", "parent_id"], GeographyError)
-    roots = sum(not parent for _, _, parent in records)
-    if roots != 1:
-        raise GeographyError(f"{path}: hierarchy must have exactly one root, found {roots}")
-    rank = _chain_ranks({uid: parent for uid, _, parent in records})
-    level_rank: dict[str, int] = {}
-    for uid, level_name, _ in records:
-        if uid in rank and level_rank.setdefault(level_name, rank[uid]) != rank[uid]:
-            raise GeographyError(
-                f"{path}: level {level_name!r} used at ranks {level_rank[level_name]} and {rank[uid]} (unit {uid})"
-            )
-    level_at: dict[int, str] = {}
-    for level_name, r in level_rank.items():
-        if level_at.setdefault(r, level_name) != level_name:
-            raise GeographyError(f"{path}: rank {r} has two level names, {level_at[r]!r} and {level_name!r}")
-    units = []
-    for uid, level_name, parent in records:
-        # a unit cut off from the root keeps its level's rank, so that
-        # validate() names the broken link
-        r = rank.get(uid, level_rank.get(level_name))
-        if r is None:
-            raise GeographyError(f"{path}: unit {uid}: parent chain does not reach the root")
-        units.append(GeoUnit(uid, r, parent or None))
-    levels = [GeoLevel(r, name) for name, r in level_rank.items()]
+    """Load a hierarchy from its records, which may come in any order."""
+    records = read_table(path, HIERARCHY_HEADER, GeographyError)
     try:
-        h = Hierarchy(units, levels)
+        return Hierarchy(records)
     except GeographyError as exc:
         raise GeographyError(f"{path}: {exc}") from None
-    report = h.validate()
-    if report:
-        raise GeographyError(f"{path}: {report[0]}" + (f" and {len(report) - 1} more" if len(report) > 1 else ""))
-    return h
 
 
 def write_adjacency(a: Adjacency, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeographyError, TabulationError
+from .errors import TabulationError
 from .geo import Hierarchy
 from .tables import check_cells, fmt, fmt_ints, read_cells, read_in_order, read_table, write_cells
 
@@ -96,14 +96,16 @@ class TabulationCube:
             if np.any(values != np.round(values)):
                 raise TabulationError("integer cube contains non-integral cells")
             values = np.round(values)
+        else:
+            values = values.copy()  # the cube freezes its values, not the caller's array
         self.values = values
         self.values.flags.writeable = False
         self.integer_valued = integer_valued
 
     def unit_index(self, unit_id: str) -> int:
         try:
-            return self.hierarchy.index(unit_id, self.rank)
-        except GeographyError:
+            return self.unit_ids.index(unit_id)
+        except ValueError:
             raise TabulationError(f"unit {unit_id!r} not in cube") from None
 
     @property

@@ -12,7 +12,6 @@ from privmap.carmodel import (
     McmcConfig,
     PosteriorDraws,
     build_spec,
-    car_conditional,
     fit,
     geweke_z,
     greedy_coloring,
@@ -88,17 +87,20 @@ def test_car_prior_rejects_bad_params():
 
 
 def test_car_conditional_formula():
+    # fit's full-conditional mean of each spatial effect, taken on its colour
+    # class's rows, against the neighbour loop rho * sum_k w_ik theta_k / w_i+;
+    # its prior precision w_i+ / tau2 uses the degree, the neighbour count
     _, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
     theta = rng(4).normal(0, 1, 9)
     plan = CarPlan(adj)
-    mean, var = car_conditional(theta, plan, 0.3, 1.7)
-    for i in range(9):
-        nbrs = np.flatnonzero(adj.weights.toarray()[i] > 0)
-        assert mean[i] == pytest.approx(0.3 * theta[nbrs].sum() / len(nbrs), abs=1e-12)
-        assert var[i] == pytest.approx(1.7 / len(nbrs), abs=1e-12)
-    # the sampler's per-class rows give the same bytes as the full mat-vec
+    dense = adj.weights.toarray()
     for members, rows in zip(plan.color_classes, plan.color_rows):
-        assert (0.3 * (rows @ theta) / plan.degrees[members]).tobytes() == mean[members].tobytes()
+        mean = 0.3 * (rows @ theta) / plan.degrees[members]
+        for i, m in zip(members, mean):
+            nbrs = np.flatnonzero(dense[i] > 0)
+            assert plan.degrees[i] == len(nbrs)
+            assert m == pytest.approx(0.3 * theta[nbrs].sum() / len(nbrs), abs=1e-12)
+    assert sorted(np.concatenate(plan.color_classes).tolist()) == list(range(9))
 
 
 def test_greedy_coloring_proper():

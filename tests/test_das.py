@@ -23,7 +23,7 @@ from privmap.das import (
     write_audit,
 )
 from privmap.errors import ProtectionError
-from privmap.geo import GeoLevel, GeoUnit, Hierarchy, build_synthetic_geography
+from privmap.geo import Hierarchy, build_synthetic_geography
 from privmap.tabulation import (
     AgeSchema,
     GroupSchema,
@@ -584,14 +584,14 @@ def test_audit_file_single_pass_has_no_totals_rows(small_cube, tmp_path):
 
 
 def ragged_hierarchy(r, depth, max_fan):
-    """A random tree with 1..max_fan children per internal unit whose units
+    """A random tree with 1..max_fan children per internal unit whose records
     are listed in shuffled order, so siblings are not contiguous."""
-    units, frontier = [GeoUnit("r", 0, None)], ["r"]
+    records, frontier = [("r", "L0", "")], ["r"]
     for rank in range(1, depth):
-        kids = [GeoUnit(f"{p}.{c}", rank, p) for p in frontier for c in range(int(r.integers(1, max_fan + 1)))]
-        units += kids
-        frontier = [u.id for u in kids]
-    return Hierarchy([units[i] for i in r.permutation(len(units))], [GeoLevel(k, f"L{k}") for k in range(depth)])
+        kids = [(f"{p}.{c}", f"L{rank}", p) for p in frontier for c in range(int(r.integers(1, max_fan + 1)))]
+        records += kids
+        frontier = [uid for uid, _, _ in kids]
+    return Hierarchy([records[i] for i in r.permutation(len(records))])
 
 
 def ragged_cube(seed, depth, max_fan):

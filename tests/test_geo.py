@@ -7,8 +7,6 @@ from privmap.errors import GeographyError
 from privmap.geo import (
     LAYOUTS,
     Adjacency,
-    GeoLevel,
-    GeoUnit,
     Hierarchy,
     build_synthetic_geography,
     read_adjacency,
@@ -46,7 +44,7 @@ def test_grid_edge_count(n, branching):
 def test_same_seed_identical():
     h1, a1 = build_synthetic_geography(20, [4, 5], "random-planar", seed=42)
     h2, a2 = build_synthetic_geography(20, [4, 5], "random-planar", seed=42)
-    assert [u.id for u in h1.units] == [u.id for u in h2.units]
+    assert all(h1.units_at(r) == h2.units_at(r) for r in range(h1.depth))
     assert np.array_equal(a1.weights.toarray(), a2.weights.toarray())
 
 
@@ -80,37 +78,37 @@ def test_rejects_unknown_layout():
 
 def test_tree_property_counts():
     h, _ = build_synthetic_geography(30, [5, 6], "grid", seed=1)
-    non_root = [u for u in h.units if u.parent_id is not None]
-    assert len(non_root) == len(h.units) - 1
-    # depth-first traversal reaches every unit exactly once
-    seen = []
-    stack = [h.root_id]
+    assert h.units_at(0) == ["U0-0"]
+    # depth-first traversal from the root reaches every unit exactly once
+    children = {}
+    for rank in range(1, h.depth):
+        up = h.units_at(rank - 1)
+        for uid, p in zip(h.units_at(rank), h.parent_index(rank)):
+            children.setdefault(up[p], []).append(uid)
+    seen, stack = [], h.units_at(0)[:]
     while stack:
         uid = stack.pop()
         seen.append(uid)
-        stack.extend(h.children(uid))
-    assert sorted(seen) == sorted(u.id for u in h.units)
+        stack.extend(children.get(uid, []))
+    assert sorted(seen) == sorted(uid for rank in range(h.depth) for uid in h.units_at(rank))
 
 
 def test_per_rank_index_arrays_follow_insertion_order():
-    # units listed out of rank order, siblings not contiguous
-    units = [
-        GeoUnit("b1", 2, "a2"),
-        GeoUnit("a1", 1, "r"),
-        GeoUnit("r", 0, None),
-        GeoUnit("b2", 2, "a1"),
-        GeoUnit("a2", 1, "r"),
-        GeoUnit("b3", 2, "a2"),
+    # records listed out of rank order, siblings not contiguous
+    records = [
+        ("b1", "leaf", "a2"),
+        ("a1", "mid", "r"),
+        ("r", "root", ""),
+        ("b2", "leaf", "a1"),
+        ("a2", "mid", "r"),
+        ("b3", "leaf", "a2"),
     ]
-    h = Hierarchy(units, [GeoLevel(0, "root"), GeoLevel(1, "mid"), GeoLevel(2, "leaf")])
+    h = Hierarchy(records)
+    assert h.level_names == ["root", "mid", "leaf"]
     assert h.units_at(1) == ["a1", "a2"]
     assert h.leaf_ids == ["b1", "b2", "b3"]
     assert h.parent_index(2).tolist() == [1, 0, 1]
     assert h.parent_index(1).tolist() == [0, 0]
-    assert [h.index(uid, 2) for uid in h.leaf_ids] == [0, 1, 2]
-    assert h.children("a2") == ["b1", "b3"]
-    with pytest.raises(GeographyError):
-        h.index("b1", 1)
     with pytest.raises(GeographyError):
         h.parent_index(0)
 
@@ -122,21 +120,26 @@ def test_validate_well_formed_empty_report():
     assert report.violations == []
 
 
-def test_validate_missing_parent():
-    levels = [GeoLevel(0, "root"), GeoLevel(1, "leaf")]
-    units = [
-        GeoUnit("r", 0, None),
-        GeoUnit("a", 1, "r"),
-        GeoUnit("b", 1, "ghost"),
-        GeoUnit("c", 1, "r"),
-        GeoUnit("d", 1, "r"),
-    ]
-    h = Hierarchy(units, levels)
-    w = np.zeros((4, 4))
-    for i in range(3):
-        w[i, i + 1] = w[i + 1, i] = 1
-    report = validate(h, Adjacency(["a", "b", "c", "d"], w))
-    assert any("missing parent" in v for v in report.violations)
+def test_missing_parent_fails_at_construction():
+    records = [("r", "root", ""), ("a", "leaf", "r"), ("b", "leaf", "ghost"), ("c", "leaf", "r")]
+    with pytest.raises(GeographyError, match="unit b: missing parent ghost"):
+        Hierarchy(records)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("r", "root", ""), ("a", "leaf", "r"), ("a", "leaf", "r")], "unit id a is not unique"),
+        ([("r", "root", ""), ("s", "root", ""), ("a", "leaf", "r")], "exactly one root, found 2"),
+        ([("r", "root", ""), ("a", "leaf", "b"), ("b", "leaf", "a")], "unit a: parent chain loops"),
+        ([("r", "root", ""), ("a", "leaf", "r"), ("b", "mid", "r")], "rank 1 has two level names, 'leaf' and 'mid' (unit b)"),
+        ([("r", "root", ""), ("a", "mid", "r"), ("b", "leaf", "a"), ("c", "mid", "r")], "unit c: no children at mid level"),
+    ],
+)
+def test_malformed_records_fail_naming_the_fault(records, message):
+    with pytest.raises(GeographyError) as err:
+        Hierarchy(records)
+    assert message in str(err.value)
 
 
 def test_validate_asymmetric_weight():
@@ -165,8 +168,8 @@ def test_hierarchy_file_roundtrip(tmp_path):
     write_adjacency(adj, ap)
     h2 = read_hierarchy(hp)
     a2 = read_adjacency(ap, h2.leaf_ids)
-    assert [u.id for u in h2.units] == [u.id for u in h.units]
-    assert [(lv.rank, lv.name) for lv in h2.levels] == [(lv.rank, lv.name) for lv in h.levels]
+    assert all(h2.units_at(r) == h.units_at(r) for r in range(h.depth))
+    assert h2.level_names == h.level_names
     assert np.array_equal(a2.weights.toarray(), adj.weights.toarray())
     # writing again gives identical bytes
     hp2 = tmp_path / "hierarchy2.csv"
@@ -183,8 +186,8 @@ def test_adjacency_reader_rejects_unknown_leaf(tmp_path):
 
 
 def test_depth_bounds():
-    with pytest.raises(GeographyError):
-        Hierarchy([GeoUnit("r", 0, None)], [GeoLevel(0, "root")])
+    with pytest.raises(GeographyError, match="hierarchy depth must be between 2 and 6, got 1"):
+        Hierarchy([("r", "root", "")])
 
 
 def test_hierarchy_rows_in_any_order_load_same_ranks(tmp_path):
@@ -195,8 +198,8 @@ def test_hierarchy_rows_in_any_order_load_same_ranks(tmp_path):
     order = np.random.default_rng(0).permutation(len(rest))
     shuffled.write_text("\n".join([header] + [rest[i] for i in order] + [root]) + "\n")
     a, b = read_hierarchy(ordered), read_hierarchy(shuffled)
-    assert {u.id: u.rank for u in b.units} == {u.id: u.rank for u in a.units}
-    assert [(lv.rank, lv.name) for lv in b.levels] == [(lv.rank, lv.name) for lv in a.levels]
+    assert all(sorted(b.units_at(r)) == sorted(a.units_at(r)) for r in range(a.depth))
+    assert b.level_names == a.level_names
     assert sorted(b.leaf_ids) == sorted(a.leaf_ids)
 
 
@@ -206,9 +209,9 @@ def test_hierarchy_level_name_at_two_ranks_rejected(tmp_path):
     write_hierarchy(h, path)
     lines = path.read_text().splitlines()
     uid, _, parent = lines[2].split(",")  # a unit one rank below the root
-    lines[2] = f"{uid},{h.leaf_level.name},{parent}"
+    lines[2] = f"{uid},{h.level_names[-1]},{parent}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(GeographyError, match=f"hierarchy.csv: level '{h.leaf_level.name}' used at ranks"):
+    with pytest.raises(GeographyError, match=f"hierarchy.csv: level '{h.level_names[-1]}' used at ranks"):
         read_hierarchy(path)
 
 

@@ -251,6 +251,15 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
         return lines[:-1] + [lines[-1].split(",")[0] + ",other," + lines[-1].split(",")[2]]
     if case == "detached-unknown-level":
         return lines + ["stray,other,nowhere"]
+    if case == "parent-loop":
+        return lines + [f"loop-a,{level_1},loop-b", f"loop-b,{level_1},loop-a"]
+    if case == "too-deep":
+        # four levels below a leaf of the three-level fixture: a seventh level
+        parent, deeper = lines[-1].split(",")[0], []
+        for k in range(4):
+            deeper.append(f"deep-{k},deep{k},{parent}")
+            parent = f"deep-{k}"
+        return lines + deeper
     return lines + [f"extra,{level_1},{root}"]  # childless unit
 
 
@@ -265,7 +274,13 @@ def _corrupt(lines: list[str], case: str) -> list[str]:
     + [
         ("hierarchy", case)
         for case in (
-            "missing-parent", "wrong-parent-rank", "childless-unit", "two-level-names", "detached-unknown-level"
+            "missing-parent",
+            "wrong-parent-rank",
+            "childless-unit",
+            "two-level-names",
+            "detached-unknown-level",
+            "parent-loop",
+            "too-deep",
         )
     ]
     + [("expected", "negative"), ("cube", "non-integral"), ("cube", "non-integral-large")]

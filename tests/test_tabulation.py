@@ -167,6 +167,16 @@ def test_integer_cube_rejects_negative_and_fractional(tiny_geo):
         TabulationCube(h, 2, ages, groups, np.full((4, 1, 1), 0.5), integer_valued=True)
 
 
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_cube_leaves_the_callers_array_writeable(tiny_geo, integer_valued):
+    h, _ = tiny_geo
+    values = np.zeros((4, 7, 2))
+    cube = TabulationCube(h, 2, AgeSchema(tuple("abcdefg")), GroupSchema(("x", "y")), values, integer_valued)
+    assert values.flags.writeable and not cube.values.flags.writeable
+    values[0, 0, 0] = 5.0
+    assert cube.values[0, 0, 0] == 0.0
+
+
 def test_leveled_cubes_and_unit_totals():
     h, _ = build_synthetic_geography(12, [3, 4], "grid", seed=2)
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x",))
