@@ -134,7 +134,11 @@ def test_car_plan_and_prior_match_dense_reference():
     # the dense formulas the plan and the prior draw are defined by: the
     # log-det through the eigenvalues of D^-1/2 W D^-1/2 (Ord 1975), and a
     # draw x = S z whose map S whitens the precision, S' Q S = I
-    for layout, n, branching in (("grid", 300, [2, 3, 5, 10]), ("random-planar", 3000, [3, 10, 10, 10])):
+    for layout, n, branching in (
+        ("grid", 300, [2, 3, 5, 10]),
+        ("random-planar", 300, [2, 3, 5, 10]),
+        ("random-planar", 3000, [3, 10, 10, 10]),
+    ):
         _, adj = build_synthetic_geography(n, branching, layout, seed=11)
         w = adj.weights.toarray()
         deg = w.sum(axis=1)
@@ -147,11 +151,12 @@ def test_car_plan_and_prior_match_dense_reference():
         for rho in rhos:
             expected = np.sum(np.log(deg)) + np.sum(np.log1p(-rho * eigs))
             assert plan.log_det(rho) == pytest.approx(expected, rel=1e-10, abs=0), (layout, rho)
-    _, adj = build_synthetic_geography(300, [2, 3, 5, 10], "grid", seed=11)
-    q = (np.diag(adj.row_sums) - 0.3 * adj.weights.toarray()) / 1.7
-    x = sample_car_prior(adj, 0.3, 1.7, rng(5), size=300).T
-    z = rng(5).standard_normal((300, 300))
-    assert np.abs(x.T @ q @ x - z.T @ z).max() <= 1e-10 * np.abs(z.T @ z).max()
+    for layout in ("grid", "random-planar"):
+        _, adj = build_synthetic_geography(300, [2, 3, 5, 10], layout, seed=11)
+        q = (np.diag(adj.row_sums) - 0.3 * adj.weights.toarray()) / 1.7
+        x = sample_car_prior(adj, 0.3, 1.7, rng(5), size=300).T
+        z = rng(5).standard_normal((300, 300))
+        assert np.abs(x.T @ q @ x - z.T @ z).max() <= 1e-10 * np.abs(z.T @ z).max(), layout
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +335,58 @@ def test_fit_draws_and_acceptance_pinned(tmp_path):
         "phi": 0.4425,
         "rho": 0.8,
     }
+
+
+def draws_digest(draws):
+    h = hashlib.sha256()
+    for field in ("beta", "theta", "phi", "tau2", "sigma2", "rho"):
+        h.update(np.ascontiguousarray(getattr(draws, field)).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the raw bytes of every stored draw, and the acceptance rates, per
+# sampler branch, on a 36-leaf random-planar graph with 5 colour classes and
+# one excluded zero cell: a change to the order of any draw or to the
+# arithmetic of any move fails it
+BRANCH_PINS = {
+    "both-free": (
+        {},
+        "38218dc4240066efdcf661fad6bb03ba72fff2a7af34881c9a372ff46b8538a8",
+        {"beta": 0.3025, "theta": 0.36694444444444446, "phi": 0.3546830985915493, "rho": 0.66},
+    ),
+    "fixed-variances": (
+        {"fix_tau2": 0.3, "fix_sigma2": 0.05},
+        "df344800b73eedd4073181a9285620e8b6ebadcae0e74ca871c9ed844e7a5f58",
+        {"beta": 0.3225, "theta": 0.4442361111111111, "phi": 0.44316901408450704, "rho": 0.7375},
+    ),
+    "no-overdispersion": (
+        {"include_overdispersion": False},
+        "e465aeb35b404172abfc2b9b5f12ebad7b7297279d20f872a2e161ec70d10f81",
+        {"beta": 0.295, "theta": 0.4375, "phi": None, "rho": 0.7175},
+    ),
+    "no-spatial": (
+        {"include_spatial": False},
+        "09dc2f4742c86e644ad146704bfd11bcc3fbcd48a97706c9b6abbbb10daa23f2",
+        {"beta": 0.2675, "theta": None, "phi": 0.39422535211267606, "rho": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCH_PINS)
+def test_fit_branch_draws_pinned(branch):
+    options, digest, rates = BRANCH_PINS[branch]
+    _, adj = build_synthetic_geography(36, [6, 6], "random-planar", seed=1)
+    assert len(CarPlan(adj).color_classes) == 5
+    r = rng(12)
+    vals = r.uniform(1.0, 8.0, (36, 2))
+    vals[7, 1] = 0.0
+    ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), vals, "truth")
+    spec = build_spec(ec, r.uniform(0, 1, 36), adj, **options)
+    assert spec.excluded == [(adj.leaf_ids[7], "Black")]
+    draws = fit(spec.flatten(r.poisson(vals)), spec, McmcConfig(400, 200, 2, seed=17))
+    assert draws_digest(draws) == digest
+    # a block the model leaves out reports NaN, pinned here as None
+    assert {b: None if math.isnan(v) else v for b, v in draws.accept_rates.items()} == rates
 
 
 def test_fit_acceptance_holds_at_large_counts():
