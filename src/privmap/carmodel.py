@@ -21,13 +21,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 from numpy.polynomial import chebyshev
 
 from .errors import ModelError
 from .geo import Adjacency
 from .standardize import ExpectedCounts
 from .tables import fmt, write_table
+
+# scipy is imported on use, as in geo: the protect, expect and report stages
+# never need it, and a module-level scipy.sparse import made a fresh
+# `import privmap` about twice as slow
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +184,20 @@ class McmcConfig:
 # CAR structure helpers
 
 
-def _ldl(q: scipy.sparse.spmatrix) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
+def _ldl(q: scipy.sparse.spmatrix, ordering: str = "MMD_AT_PLUS_A") -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
     """Sparse LDL' of a symmetric precision matrix.
 
-    SuperLU with a symmetric fill-reducing ordering and no pivoting gives
-    Q[p][:, p] = L U with U = D L', where p inverts the returned ``perm``;
-    the pivots D are U's diagonal. Returns ``perm`` and U. A precision that
-    is not positive definite (a pivot that is not positive, a row pivoted
-    off the diagonal, or a singular matrix) raises ModelError.
+    SuperLU with a symmetric ordering (by default fill-reducing; "NATURAL"
+    keeps the order Q comes in) and no pivoting gives Q[p][:, p] = L U with
+    U = D L', where p inverts the returned ``perm``; the pivots D are U's
+    diagonal. Returns ``perm`` and U. A precision that is not positive
+    definite (a pivot that is not positive, a row pivoted off the diagonal,
+    or a singular matrix) raises ModelError.
     """
     from scipy.sparse.linalg import splu
 
     try:
-        lu = splu(q.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
+        lu = splu(q.tocsc(), permc_spec=ordering, diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor this way
         raise ModelError(f"CAR precision not positive definite: {exc}") from None
     u = lu.U
@@ -208,6 +212,7 @@ def sample_car_prior(
     """Exact joint draw(s) from the proper CAR prior with precision
     Q = (D - rho*W)/scale: with Q's sparse factor L D L', each draw is
     y = L'^-1 D^-1/2 z (solved as U y = D^1/2 z), put back in leaf order."""
+    import scipy.sparse
     from scipy.sparse.linalg import spsolve_triangular
 
     if not (0.0 <= rho < 1.0):
@@ -262,7 +267,10 @@ class CarPlan:
     log(1 - rho) in t = -log(1 - rho) over [0, LOG_DET_SPAN], from exact
     sparse factorizations at LOG_DET_NODES Chebyshev nodes (Pace & Barry
     1997). g is smooth there: on a connected graph 1 - rho is the only
-    factor of |D - rho W| that vanishes as rho -> 1.
+    factor of |D - rho W| that vanishes as rho -> 1. D - rho W has one
+    sparsity pattern at every rho > 0, so one fill-reducing ordering, taken
+    from a first factorization, serves every node: D and W are permuted
+    symmetrically once and each node is factored in that order.
 
     A graph that is not connected (an island, or several components) gets
     ``connected`` False and no series; fitting on it raises ModelError.
@@ -279,7 +287,13 @@ class CarPlan:
         self.log_det_d: float | None = None
         self.log_det_coef: np.ndarray | None = None
         if self.connected:  # every degree is positive, so D - rho W is positive definite
+            import scipy.sparse
+
             self.log_det_d = float(np.sum(np.log(self.degrees)))
+            perm, _ = _ldl(scipy.sparse.diags(self.degrees) - 0.5 * self.weights)
+            order = np.argsort(perm)
+            self._ordered_d = scipy.sparse.diags(self.degrees[order])
+            self._ordered_w = self.weights[order][:, order]
 
             def g(x):
                 rho = -np.expm1(-(x + 1) * LOG_DET_SPAN / 2)
@@ -288,7 +302,7 @@ class CarPlan:
             self.log_det_coef = chebyshev.chebinterpolate(g, LOG_DET_NODES - 1)
 
     def _factor_log_det(self, rho: float) -> float:
-        _, u = _ldl(scipy.sparse.diags(self.degrees) - rho * self.weights)
+        _, u = _ldl(self._ordered_d - rho * self._ordered_w, "NATURAL")
         return float(np.sum(np.log(u.diagonal())))
 
     def log_det(self, rho: float) -> float:
@@ -446,9 +460,10 @@ def _proposal_shapes(spec: ModelSpec, exp_eta: np.ndarray, tau2: float, sigma2: 
     current state, Fisher information plus prior precision.
 
     Returns a root R of beta's proposal covariance (2.38^2 / p) (X' diag(mu)
-    X + I/V)^-1, and the sds 2.38 / sqrt(mu_i+ + d_i / tau2) of the spatial
-    effects and 2.38 / sqrt(mu_s + 1 / sigma2) of the overdispersion effects
-    (None when the model leaves the block out).
+    X + I/V)^-1, the sds 2.38 / sqrt(mu_i+ + d_i / tau2) of the spatial
+    effects, one array per colour class, and the sds 2.38 / sqrt(mu_s + 1 /
+    sigma2) of the overdispersion effects (None when the model leaves the
+    block out).
     """
     p = spec.x.shape[1]
     info = (spec.x.T * exp_eta) @ spec.x + np.diag(np.full(p, 1 / spec.prior_beta_var))
@@ -457,7 +472,8 @@ def _proposal_shapes(spec: ModelSpec, exp_eta: np.ndarray, tau2: float, sigma2: 
     theta_sd = phi_sd = None
     if spec.include_spatial:
         exp_by_unit = np.bincount(spec.unit_idx, weights=exp_eta, minlength=spec.n_units)
-        theta_sd = _RW_SCALE / np.sqrt(exp_by_unit + spec.plan.degrees / tau2)
+        sd = _RW_SCALE / np.sqrt(exp_by_unit + spec.plan.degrees / tau2)
+        theta_sd = [sd[members] for members in spec.plan.color_classes]
     if spec.include_overdispersion:
         phi_sd = _RW_SCALE / np.sqrt(exp_eta + 1 / sigma2)
     return beta_root, theta_sd, phi_sd
@@ -494,8 +510,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.n_strata,):
         raise ModelError(f"y has shape {y.shape}, expected ({spec.n_strata},)")
-    if np.any(y < 0) or not np.allclose(y, np.round(y)):
-        raise ModelError("counts must be non-negative integers")
+    bad = np.flatnonzero(~np.isfinite(y) | (y < 0) | (y != np.round(y)))
+    if bad.size:
+        s = bad[0]
+        stratum = f"({spec.unit_ids[spec.unit_idx[s]]}, {spec.groups[spec.group_idx[s]]})"
+        raise ModelError(f"counts must be finite non-negative integers: {fmt(y[s])} in stratum {stratum}")
     if not np.all(np.isfinite(spec.offset)):
         raise ModelError("offsets must be finite; exclude or floor zero expected counts")
     if spec.include_spatial and not spec.plan.connected:
@@ -533,8 +552,14 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     if spec.include_spatial:
         plan = spec.plan
         w_sparse, deg = plan.weights, plan.degrees
-        color_blocks = list(zip(plan.color_classes, plan.color_rows))
+        # each colour class's members, CSR rows, degrees and events
+        color_blocks = [
+            (members, rows, deg[members], y_by_unit[members])
+            for members, rows in zip(plan.color_classes, plan.color_rows)
+        ]
+        delta_unit = np.empty(n_units)  # a sweep's theta steps; the classes cover every unit
         deg_sum = float(deg.sum())
+        log_det_rho = plan.log_det(rho)  # of the current rho, replaced when a move is accepted
     if spec.include_overdispersion:
         # P = X'X / sigma2 + I / V shares X'X's eigenvectors
         xtx_val, xtx_vec = np.linalg.eigh(spec.x.T @ spec.x)
@@ -581,27 +606,23 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             # per-unit sums of Poisson means; a theta_i step of eps scales
             # every stratum of unit i by e^eps, so the sums update in place
             exp_by_unit = np.bincount(spec.unit_idx, weights=exp_eta, minlength=n_units)
-            eta_dirty = False
-            for members, rows in color_blocks:
-                eps = theta_sd[members] * rng.standard_normal(members.size)
-                d = deg[members]
+            for (members, rows, d, y_class), sd in zip(color_blocks, theta_sd):
+                eps = sd * rng.standard_normal(members.size)
                 m = rho * (rows @ theta) / d
-                lik = y_by_unit[members] * eps - exp_by_unit[members] * np.expm1(eps)
+                lik = y_class * eps - exp_by_unit[members] * np.expm1(eps)
                 t_old = theta[members]
                 pri = -d / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)
                 accept = np.log(rng.random(members.size)) < lik + pri
-                if accept.any():
-                    moved = members[accept]
-                    theta[moved] += eps[accept]
-                    exp_by_unit[moved] *= np.exp(eps[accept])
-                    delta_unit = np.zeros(n_units)
-                    delta_unit[moved] = eps[accept]
-                    eta += delta_unit[spec.unit_idx]
-                    eta_dirty = True
-                accepted["theta"] += int(accept.sum())
+                # a rejected step becomes +-0.0, which leaves theta, the sums
+                # and eta unchanged bit for bit
+                eps *= accept
+                theta[members] = t_old + eps
+                exp_by_unit[members] *= np.exp(eps)
+                delta_unit[members] = eps
+                accepted["theta"] += int(np.count_nonzero(accept))
                 proposed["theta"] += members.size
-            if eta_dirty:
-                exp_eta = np.exp(eta)
+            eta += delta_unit[spec.unit_idx]
+            np.exp(eta, out=exp_eta)
             # intercept shift: beta_0 + c, theta - c (eta unchanged), c drawn
             # from its Gaussian conditional; 1'(D - rho W) = (1 - rho) d'
             a = (1 - rho) * deg_sum / tau2 + 1 / v_beta
@@ -616,10 +637,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             lik = y * eps - exp_eta * np.expm1(eps)
             pri = -((phi + eps) ** 2 - phi**2) / (2 * sigma2)
             accept = np.log(rng.random(s_count)) < lik + pri
-            phi += eps * accept
-            eta += eps * accept
-            exp_eta = np.exp(eta)
-            accepted["phi"] += int(accept.sum())
+            eps *= accept
+            phi += eps
+            eta += eps
+            np.exp(eta, out=exp_eta)
+            accepted["phi"] += int(np.count_nonzero(accept))
             proposed["phi"] += s_count
 
             # coefficient shift: beta + delta, phi - X delta (eta unchanged),
@@ -630,11 +652,14 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             beta += delta
             phi -= spec.x @ delta
 
+        if spec.include_spatial:  # theta's quadratic forms; theta holds until the sweep ends
+            quad_w = float(theta @ (w_sparse @ theta))
+            quad_d = float(deg @ theta**2)
+
         # --- variances, conjugate inverse-gamma
         if spec.include_spatial and spec.fix_tau2 is None:
-            quad = float(deg @ theta**2 - rho * (theta @ (w_sparse @ theta)))
             shape = spec.prior_ig_shape + n_units / 2
-            rate = spec.prior_ig_scale + quad / 2
+            rate = spec.prior_ig_scale + (quad_d - rho * quad_w) / 2
             tau2 = rate / rng.gamma(shape)
         if spec.include_overdispersion and spec.fix_sigma2 is None:
             shape = spec.prior_ig_shape + s_count / 2
@@ -647,14 +672,13 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             u = rng.random()
             accept = False
             if 0.0 <= rho_new < 1.0:
-                quad_w = float(theta @ (w_sparse @ theta))
-                quad_d = float(deg @ theta**2)
-                log_r = 0.5 * (plan.log_det(rho_new) - plan.log_det(rho)) - (
+                log_det_new = plan.log_det(rho_new)
+                log_r = 0.5 * (log_det_new - log_det_rho) - (
                     (quad_d - rho_new * quad_w) - (quad_d - rho * quad_w)
                 ) / (2 * tau2)
                 accept = math.log(u) < log_r
             if accept:
-                rho = rho_new
+                rho, log_det_rho = rho_new, log_det_new
             accepted["rho"] += accept
             proposed["rho"] += 1
 

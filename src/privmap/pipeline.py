@@ -446,6 +446,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         poverty = read_covariates(covariates_path, h.leaf_ids, "poverty")
         ec, = _load_expected(st, [source], h, groups)
         priors = cfg["model"]["priors"]
+        start = time.perf_counter()
         spec = build_spec(
             ec,
             poverty,
@@ -454,10 +455,15 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
             prior_ig_shape=priors["ig_shape"],
             prior_ig_scale=priors["ig_scale"],
         )
+        plan_s = time.perf_counter() - start  # build_spec builds the CAR plan
         y = spec.flatten(deaths.values.sum(axis=1))  # events per (unit, group)
         m = cfg["model"]["mcmc"]
         seed = int(np.random.SeedSequence([cfg["seed"], 8800]).generate_state(1)[0])
+        start = time.perf_counter()
         draws = fit(y, spec, McmcConfig(m["iterations"], m["burnin"], m["thin"], seed))
+        sweep_us = (time.perf_counter() - start) / m["iterations"] * 1e6
+        # the manifest is never byte-compared, so timings may go in it
+        st.extra.update(plan_s=round(plan_s, 3), sweep_us=round(sweep_us, 1))
         summary = mrr_summary(draws)
         smr = predict_counts(draws, spec)
         st.write(f"fit/draws_{source}.csv", lambda p: write_draws(draws, p))

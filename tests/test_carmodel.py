@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,11 @@ def test_fit_input_validation():
         fit(np.array([1.0, -2.0, 0.0, 1.0]), spec)
     with pytest.raises(ModelError):
         fit(np.array([1.5, 2.0, 0.0, 1.0]), spec)
+    # exactly integral and finite, naming the first bad stratum
+    for bad, shown in ((100000.5, "100000.5"), (2.000001, "2.000001"), (np.inf, "inf"), (np.nan, "nan")):
+        message = f"counts must be finite non-negative integers: {shown} in stratum ({adj.leaf_ids[2]}, a)"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            fit(np.array([1.0, 2.0, bad, 1.0]), spec)
 
 
 @pytest.mark.parametrize(

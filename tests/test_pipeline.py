@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -143,6 +144,16 @@ def test_protect_manifest_records_the_budget_it_ran(tmp_path):
     assert stages["protect:v19"] == {"variant": "v19", "epsilon_total": 4.0, "pass_shares": None}
     assert stages["protect:custom"] == {"variant": "custom", "epsilon_total": 0.5, "pass_shares": None}
     assert stages["protect:v20"] == {"variant": "v20", "epsilon_total": 4.0, "pass_shares": [0.5, 0.5]}
+
+
+def test_import_loads_no_scipy():
+    # only geo and the fit need scipy, and both import it on use; a fresh
+    # `import privmap` stays about half as long without it
+    code = "import sys, privmap, privmap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_missing_config_file():
@@ -398,13 +409,19 @@ def test_manifest_records_stage_cpu_and_peak_memory(tmp_path):
     cmds = [["geo"], ["protect", "--variant", "v19"], ["expect", "--source", "truth"], ["expect", "--source", "v19"]]
     for cmd in cmds + [["fit", "--source", "v19"], ["simulate"], ["report"]]:
         assert run_cli(base + cmd).exit_code == 0
-    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    stages = manifest["stages"]
     assert [st["stage"].split(":")[0] for st in stages] == [
         "geo", "protect", "expect", "expect", "fit", "simulate", "report"
     ]
     for st in stages:
         assert st["cpu_s"] >= 0 and st["peak_rss_mb"] > 0 and st["wall_s"] >= 0
         assert 0 <= st["read_s"] <= st["wall_s"] and 0 <= st["write_s"] <= st["wall_s"]
+    # the fit's CAR plan build and its time per sweep, parts of its wall time
+    fit_extra, fit_wall = stages[4]["extra"], stages[4]["wall_s"] + 0.001  # wall_s is rounded
+    sweeps = manifest["config"]["model"]["mcmc"]["iterations"]
+    assert fit_extra["source"] == "v19" and 0 <= fit_extra["plan_s"] <= fit_wall
+    assert 0 < fit_extra["sweep_us"] * 1e-6 * sweeps <= fit_wall
 
 
 # sha256 of every output but the manifest, pinned when the writers rendered
