@@ -609,15 +609,17 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             for (members, rows, d, y_class), sd in zip(color_blocks, theta_sd):
                 eps = sd * rng.standard_normal(members.size)
                 m = rho * (rows @ theta) / d
-                lik = y_class * eps - exp_by_unit[members] * np.expm1(eps)
+                mu = exp_by_unit[members]
+                lik = y_class * eps - mu * np.expm1(eps)
                 t_old = theta[members]
-                pri = -d / (2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)
+                # d / (-2 tau2) rounds exactly as -d / (2 tau2)
+                pri = d / (-2 * tau2) * ((t_old + eps - m) ** 2 - (t_old - m) ** 2)
                 accept = np.log(rng.random(members.size)) < lik + pri
                 # a rejected step becomes +-0.0, which leaves theta, the sums
                 # and eta unchanged bit for bit
                 eps *= accept
                 theta[members] = t_old + eps
-                exp_by_unit[members] *= np.exp(eps)
+                exp_by_unit[members] = mu * np.exp(eps)
                 delta_unit[members] = eps
                 accepted["theta"] += int(np.count_nonzero(accept))
                 proposed["theta"] += members.size
@@ -652,15 +654,16 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             beta += delta
             phi -= spec.x @ delta
 
-        if spec.include_spatial:  # theta's quadratic forms; theta holds until the sweep ends
+        # --- variances, conjugate inverse-gamma
+        if spec.include_spatial:
+            # theta's quadratic forms serve the tau2 draw and the rho move:
+            # theta holds until the sweep ends
             quad_w = float(theta @ (w_sparse @ theta))
             quad_d = float(deg @ theta**2)
-
-        # --- variances, conjugate inverse-gamma
-        if spec.include_spatial and spec.fix_tau2 is None:
-            shape = spec.prior_ig_shape + n_units / 2
-            rate = spec.prior_ig_scale + (quad_d - rho * quad_w) / 2
-            tau2 = rate / rng.gamma(shape)
+            if spec.fix_tau2 is None:
+                shape = spec.prior_ig_shape + n_units / 2
+                rate = spec.prior_ig_scale + (quad_d - rho * quad_w) / 2
+                tau2 = rate / rng.gamma(shape)
         if spec.include_overdispersion and spec.fix_sigma2 is None:
             shape = spec.prior_ig_shape + s_count / 2
             rate = spec.prior_ig_scale + float(phi @ phi) / 2
