@@ -29,8 +29,7 @@ from .standardize import ExpectedCounts
 from .tables import fmt, write_table
 
 # scipy is imported on use, as in geo: the protect, expect and report stages
-# never need it, and a module-level scipy.sparse import made a fresh
-# `import privmap` about twice as slow
+# never need it, and importing it doubled the time of a fresh `import privmap`
 
 
 # ---------------------------------------------------------------------------
