@@ -20,7 +20,7 @@ from .errors import (
     StandardizationError,
     TabulationError,
 )
-from .geo import Adjacency, Hierarchy, build_synthetic_geography, validate
+from .geo import Adjacency, Hierarchy, build_synthetic_geography
 from .tabulation import (
     AgeSchema,
     GroupSchema,

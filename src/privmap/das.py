@@ -73,9 +73,6 @@ class NoiseModel:
         if self.family not in NOISE_FAMILIES:
             raise ProtectionError(f"unknown noise family {self.family!r}")
 
-    def variance(self, eps: float) -> float:
-        return dlaplace_variance(eps)
-
     def sample(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         if not (eps > 0) or not math.isfinite(eps):
             raise ProtectionError(f"per-query epsilon must be positive and finite, got {eps}")

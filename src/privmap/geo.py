@@ -7,8 +7,6 @@ leaf adjacency as an undirected graph with binary weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GeographyError
@@ -115,6 +113,10 @@ class Adjacency:
 
     The weights are stored as one canonical CSR matrix (float, sorted
     indices, no explicit zeros), whether they were given dense or sparse.
+    The proper CAR prior needs them symmetric with a zero diagonal, so the
+    first asymmetric pair, in row-major order, and then the first unit
+    weighted to itself raise GeographyError naming the units. Islands and
+    disconnected graphs are allowed; the spatial model judges connectivity.
     """
 
     def __init__(self, leaf_ids: list[str], weights):
@@ -131,6 +133,17 @@ class Adjacency:
         self.weights = scipy.sparse.csr_matrix(weights, dtype=float, copy=True)
         self.weights.sum_duplicates()
         self.weights.eliminate_zeros()
+        w = self.weights
+        asym = w != w.T
+        if asym.nnz:
+            i, k = min(zip(*(part.tolist() for part in asym.nonzero())))
+            raise GeographyError(
+                f"asymmetric weight between {self.leaf_ids[i]} and {self.leaf_ids[k]}: {w[i, k]} vs {w[k, i]}"
+            )
+        diag = w.diagonal()
+        if np.any(diag):
+            i = np.flatnonzero(diag)[0]
+            raise GeographyError(f"unit {self.leaf_ids[i]}: nonzero diagonal weight {diag[i]}")
 
     @property
     def n(self) -> int:
@@ -148,53 +161,10 @@ class Adjacency:
         upper = (k > i) & (w.data > 0)
         return [(self.leaf_ids[a], self.leaf_ids[b]) for a, b in zip(i[upper].tolist(), k[upper].tolist())]
 
-    def validate(self) -> list[str]:
-        report = []
-        w = self.weights
-        asym = (w != w.T).tocsr()
-        asym.sort_indices()
-        for i, k in zip(_entry_rows(asym).tolist(), asym.indices.tolist()):
-            if i < k:
-                report.append(
-                    f"asymmetric weight between {self.leaf_ids[i]} and {self.leaf_ids[k]}: "
-                    f"{w[i, k]} vs {w[k, i]}"
-                )
-        diag = w.diagonal()
-        if np.any(diag != 0):
-            bad = [self.leaf_ids[i] for i in np.flatnonzero(diag)]
-            report.append(f"nonzero diagonal weights for {bad}")
-        islands = [self.leaf_ids[i] for i in np.flatnonzero(self.row_sums < 1)]
-        for uid in islands:
-            report.append(f"unit {uid} is an island (no neighbors)")
-        return report
-
     def is_connected(self) -> bool:
         from scipy.sparse.csgraph import connected_components
 
         return self.n > 0 and connected_components(self.weights, directed=False, return_labels=False) == 1
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(h: Hierarchy, a: Adjacency) -> ValidationReport:
-    """Collect symmetry, island and leaf-set violations; empty report means
-    valid. A hierarchy that constructs is a well-formed tree."""
-    report = a.validate()
-    leaf_set = set(h.leaf_ids)
-    adj_set = set(a.leaf_ids)
-    if leaf_set != adj_set:
-        report.append(
-            f"adjacency leaves differ from hierarchy leaves "
-            f"(missing {sorted(leaf_set - adj_set)}, extra {sorted(adj_set - leaf_set)})"
-        )
-    return ValidationReport(report)
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
@@ -283,8 +253,6 @@ def build_synthetic_geography(
     adj = Adjacency(h.leaf_ids, _edge_weights(n_leaves, i, k))
     if not adj.is_connected():
         raise GeographyError(f"{layout} layout produced a disconnected leaf graph")
-    if np.any(adj.row_sums < 1):
-        raise GeographyError(f"{layout} layout produced island leaves")
     return h, adj
 
 
@@ -331,4 +299,7 @@ def read_adjacency(path, leaf_ids: list[str]) -> Adjacency:
         if not known[bad[0]]:
             raise GeographyError(f"{path}: edge ({ua}, {ub}) references unknown leaf")
         raise GeographyError(f"{path}: duplicate edge ({ua}, {ub})")
-    return Adjacency(leaf_ids, _edge_weights(ids.size, pos[:, 0], pos[:, 1]))
+    try:
+        return Adjacency(leaf_ids, _edge_weights(ids.size, pos[:, 0], pos[:, 1]))
+    except GeographyError as exc:
+        raise GeographyError(f"{path}: {exc}") from None

@@ -190,10 +190,23 @@ def _validate_config(cfg: dict) -> None:
     except ModelError as exc:
         raise ConfigError(f"model.mcmc: {exc}") from None
     sim = cfg["sim"]
-    if not isinstance(sim["n_reps"], int) or sim["n_reps"] < 1:
-        raise ConfigError("sim.n_reps must be a positive integer")
+    if not isinstance(sim["n_reps"], int) or isinstance(sim["n_reps"], bool):
+        raise ConfigError(f"sim.n_reps must be an integer, got {sim['n_reps']!r}")
     if not isinstance(sim["beta"], list) or not all(_is_num(b) for b in sim["beta"]):
         raise ConfigError("sim.beta must be a list of numbers")
+    for key in ("rho", "phi_var", "minority_ratio", "pop_scale", "minority_sigma", "hazard_scale"):
+        if not (_is_num(sim[key]) and -math.inf < sim[key] < math.inf):
+            raise ConfigError(f"sim.{key} must be a finite number, got {sim[key]!r}")
+    for key in ("minority_ratio", "pop_scale"):  # their ratio is a lognormal's mean
+        if sim[key] <= 0:
+            raise ConfigError(f"sim.{key} must be positive, got {sim[key]!r}")
+    for key in ("minority_sigma", "hazard_scale"):  # a lognormal's spread, a hazard multiplier
+        if sim[key] < 0:
+            raise ConfigError(f"sim.{key} must be non-negative, got {sim[key]!r}")
+    try:
+        DgpConfig(tuple(sim["beta"]), sim["rho"], phi_var=sim["phi_var"], n_reps=sim["n_reps"])
+    except SimulationError as exc:
+        raise ConfigError(f"sim: {exc}") from None
     if not isinstance(sim["sources"], list) or "truth" not in sim["sources"]:
         raise ConfigError("sim.sources must be a list containing 'truth'")
     for src in sim["sources"]:

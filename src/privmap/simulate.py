@@ -190,9 +190,7 @@ def synth_population(
         else:
             mean = pop_scale / minority_ratio
             totals = rng.lognormal(np.log(mean) - minority_sigma**2 / 2, minority_sigma, size=n)
-        totals = np.round(totals).astype(np.int64)
-        for i in range(n):
-            values[i, :, g] = rng.multinomial(totals[i], weights)
+        values[:, :, g] = rng.multinomial(np.round(totals).astype(np.int64), weights)
     return TabulationCube(h, h.depth - 1, ages, groups, values, integer_valued=True)
 
 

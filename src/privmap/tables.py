@@ -158,12 +158,12 @@ def read_cells(path, records, axes, error) -> np.ndarray:
 
 
 @_timed("read")
-def read_in_order(path, header, choices) -> tuple[int, np.ndarray] | None:
+def read_in_order(path, header, axes) -> np.ndarray | None:
     """The fast path of :func:`read_keyed`, for a file exactly as
-    :func:`write_cells` writes it: ``(i, values)`` when ``path`` holds the
-    header line and then one line per cell of the product of the axes
-    ``choices[i]`` in C order, each the cell's key and a finite number, and
-    every line ends in ``\\r\\n``; None for any other file.
+    :func:`write_cells` writes it: the values when ``path`` holds the header
+    line and then one line per cell of the product of ``axes`` in C order,
+    each the cell's key and a finite number, and every line ends in
+    ``\\r\\n``; None for any other file.
 
     The text is split once into lines; each line loses its cell's key and
     the remainder is parsed by ``float``. A quote, a line end other than
@@ -174,8 +174,7 @@ def read_in_order(path, header, choices) -> tuple[int, np.ndarray] | None:
     with open(path, newline="") as fh:
         text = fh.read()
     n = text.count("\n") - 1  # records, if the header and every line end in "\r\n"
-    picks = [i for i, axes in enumerate(choices) if math.prod(map(len, axes)) == n]
-    if not picks or n < 1 or text.count("\r") != n + 1 or '"' in text:
+    if n < 1 or n != math.prod(map(len, axes)) or text.count("\r") != n + 1 or '"' in text:
         return None
     lines, first = text.split("\r\n"), _render(header)[:-2]
     # as many "\r\n" as "\r" and "\n" (no line end but the writer's), and the last one ends the text
@@ -184,21 +183,19 @@ def read_in_order(path, header, choices) -> tuple[int, np.ndarray] | None:
     del lines[0], lines[-1]
     record_chars = len(text) - len(first) - 2 * (n + 1)  # the n lines, without their line ends
     del text
-    for i in picks:
-        fields = _key_fields(choices[i])
-        remainders = list(map(str.removeprefix, lines, map("".join, product(*fields))))
-        # a line whose key does not match keeps it whole, so the remainders
-        # are this much shorter than the lines only if every key matched
-        key_chars = sum(n // len(axis) * sum(map(len, axis)) for axis in fields)
-        if sum(map(len, remainders)) != record_chars - key_chars:
-            continue
-        del lines
-        try:  # a remainder with a comma (an extra field) or no number fails
-            values = np.fromiter(map(float, remainders), float, count=n)
-        except ValueError:
-            return None
-        return (i, values.reshape(tuple(map(len, fields)))) if np.isfinite(values).all() else None
-    return None
+    fields = _key_fields(axes)
+    remainders = list(map(str.removeprefix, lines, map("".join, product(*fields))))
+    del lines
+    # a line whose key does not match keeps it whole, so the remainders are
+    # this much shorter than the lines only if every key matched
+    key_chars = sum(n // len(axis) * sum(map(len, axis)) for axis in fields)
+    if sum(map(len, remainders)) != record_chars - key_chars:
+        return None
+    try:  # a remainder with a comma (an extra field) or no number fails
+        values = np.fromiter(map(float, remainders), float, count=n)
+    except ValueError:
+        return None
+    return values.reshape(tuple(map(len, fields))) if np.isfinite(values).all() else None
 
 
 def read_keyed(path, header, axes, error) -> np.ndarray:
@@ -209,8 +206,8 @@ def read_keyed(path, header, axes, error) -> np.ndarray:
     any other goes through :func:`read_table` and :func:`read_cells`, which
     raise ``error`` naming the file and the line or the first cell at fault.
     """
-    found = read_in_order(path, header, [axes])
-    return found[1] if found else read_cells(path, read_table(path, header, error), axes, error)
+    found = read_in_order(path, header, axes)
+    return found if found is not None else read_cells(path, read_table(path, header, error), axes, error)
 
 
 def check_cells(path, values, axes, bad, what, error) -> None:

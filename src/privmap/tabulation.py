@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import TabulationError
 from .geo import Hierarchy
-from .tables import check_cells, fmt, fmt_ints, read_cells, read_in_order, read_table, write_cells
+from .tables import check_cells, fmt, fmt_ints, read_cells, read_keyed, read_table, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -123,31 +123,13 @@ class TabulationCube:
 
 
 def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_column: str = "count") -> TabulationCube:
-    """Read a complete leaf-or-other-level cube; missing or duplicate cells fail.
-
-    A cube as ``write_tabulation`` writes it is read in order, at the rank
-    whose cell count matches its line count; any other file is read one
-    record at a time, at the rank of its units.
-    """
-    header = ["unit_id", "age_band", "group", value_column]
-    choices = [[h.units_at(rank), ages.bands, groups.groups] for rank in range(h.depth)]
-    found = read_in_order(path, header, choices)
-    if found:
-        rank, values = found
-    else:
-        records = read_table(path, header, TabulationError)
-        if not records:
-            raise TabulationError(f"{path}: empty tabulation file")
-        # units of no rank are left to read_cells, which names their cell
-        units = {record[0] for record in records}
-        ranks = [r for r in range(h.depth) if not units.isdisjoint(h.units_at(r))] or [h.depth - 1]
-        if len(ranks) != 1:
-            raise TabulationError(f"{path}: tabulation mixes units from ranks {ranks}")
-        rank = ranks[0]
-        values = read_cells(path, records, choices[rank], TabulationError)
-    check_cells(path, values, choices[rank], values < 0, "negative count", TabulationError)
-    check_cells(path, values, choices[rank], values != np.round(values), "non-integral count", TabulationError)
-    return TabulationCube(h, rank, ages, groups, values, integer_valued=True)
+    """Read a complete leaf cube; a missing or duplicate cell, or a negative
+    or non-integral count, fails naming its cell."""
+    axes = [h.leaf_ids, ages.bands, groups.groups]
+    values = read_keyed(path, ["unit_id", "age_band", "group", value_column], axes, TabulationError)
+    check_cells(path, values, axes, values < 0, "negative count", TabulationError)
+    check_cells(path, values, axes, values != np.round(values), "non-integral count", TabulationError)
+    return TabulationCube(h, h.depth - 1, ages, groups, values, integer_valued=True)
 
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:

@@ -396,14 +396,13 @@ def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
     # every cube and expected-count file the stages write is read back in
     # the writer's order; only the covariate file takes the record readers
     reads = []
-    for module in (tables, tabulation):
-        for name in ("read_in_order", "read_cells"):
-            def spy(path, *args, _read=getattr(module, name), _name=name):
-                found = _read(path, *args)
-                reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
-                return found
+    for module, name in ((tables, "read_in_order"), (tables, "read_cells"), (tabulation, "read_cells")):
+        def spy(path, *args, _read=getattr(module, name), _name=name):
+            found = _read(path, *args)
+            reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
+            return found
 
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(PIPE_CONFIG))
     for cmd in PIPE_CMDS:

@@ -11,7 +11,6 @@ from privmap.geo import (
     build_synthetic_geography,
     read_adjacency,
     read_hierarchy,
-    validate,
     write_adjacency,
     write_hierarchy,
 )
@@ -113,13 +112,6 @@ def test_per_rank_index_arrays_follow_insertion_order():
         h.parent_index(0)
 
 
-def test_validate_well_formed_empty_report():
-    h, adj = build_synthetic_geography(9, [3, 3], "grid", seed=1)
-    report = validate(h, adj)
-    assert report.ok
-    assert report.violations == []
-
-
 def test_missing_parent_fails_at_construction():
     records = [("r", "root", ""), ("a", "leaf", "r"), ("b", "leaf", "ghost"), ("c", "leaf", "r")]
     with pytest.raises(GeographyError, match="unit b: missing parent ghost"):
@@ -142,22 +134,29 @@ def test_malformed_records_fail_naming_the_fault(records, message):
     assert message in str(err.value)
 
 
-def test_validate_asymmetric_weight():
+def test_asymmetric_weight_fails_at_construction_naming_the_pair():
     h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
     w = adj.weights.toarray()
-    w[0, 1] = 1.0
-    w[1, 0] = 0.0
-    report = validate(h, Adjacency(h.leaf_ids, w))
-    assert any("asymmetric" in v for v in report.violations)
+    w[3, 2] = w[1, 0] = 0.0  # the first pair in row-major order is named
+    with pytest.raises(GeographyError, match=r"asymmetric weight between U2-0 and U2-1: 1\.0 vs 0\.0"):
+        Adjacency(h.leaf_ids, w)
 
 
-def test_validate_island():
+def test_diagonal_weight_fails_at_construction_naming_the_unit():
+    h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
+    w = adj.weights.toarray()
+    w[2, 2] = 1.0
+    with pytest.raises(GeographyError, match=r"unit U2-2: nonzero diagonal weight 1\.0"):
+        Adjacency(h.leaf_ids, w)
+
+
+def test_island_constructs_and_is_not_connected():
     h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
     w = adj.weights.toarray()
     w[3, :] = 0.0
     w[:, 3] = 0.0
-    report = validate(h, Adjacency(h.leaf_ids, w))
-    assert any("island" in v for v in report.violations)
+    island = Adjacency(h.leaf_ids, w)
+    assert island.row_sums[3] == 0 and not island.is_connected()
 
 
 def test_hierarchy_file_roundtrip(tmp_path):
@@ -227,6 +226,7 @@ def test_adjacency_reader_reports_first_offender_in_file_order(tmp_path):
         read_adjacency(ap, h.leaf_ids)
 
 
+
 # ---------------------------------------------------------------------------
 # sparse storage: dense references and memory
 
@@ -243,7 +243,7 @@ def test_sparse_edges_match_dense_reference(oracle_adjacency):
     dense = w.toarray()
     assert adj.edges() == [(adj.leaf_ids[i], adj.leaf_ids[k]) for i, k in dense_edges(dense)]
     assert np.array_equal(adj.row_sums, dense.sum(axis=1))
-    assert adj.validate() == [] and adj.is_connected()
+    assert adj.is_connected()
 
 
 def test_sparse_and_dense_weights_store_the_same_csr():
@@ -255,18 +255,6 @@ def test_sparse_and_dense_weights_store_the_same_csr():
         Adjacency(adj.leaf_ids, adj.weights[:, :29])
 
 
-def test_validate_reports_every_asymmetric_pair():
-    w = np.zeros((6, 6))
-    for i in range(5):
-        w[i, i + 1] = w[i + 1, i] = 1.0
-    for i, k in ((0, 1), (2, 3), (4, 5)):
-        w[k, i] = 0.0
-    report = Adjacency([f"u{i}" for i in range(6)], w).validate()
-    assert [v for v in report if "asymmetric" in v] == [
-        f"asymmetric weight between u{i} and u{k}: 1.0 vs 0.0" for i, k in ((0, 1), (2, 3), (4, 5))
-    ]
-
-
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_geography_round_trip_allocates_no_dense_matrix(tmp_path, layout):
     # a dense 5,000 x 5,000 float matrix is 200 MB
@@ -276,7 +264,7 @@ def test_geography_round_trip_allocates_no_dense_matrix(tmp_path, layout):
         path = tmp_path / "adjacency.csv"
         write_adjacency(adj, path)
         read = read_adjacency(path, h.leaf_ids)
-        assert read.validate() == [] and read.is_connected()
+        assert read.is_connected()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

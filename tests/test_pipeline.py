@@ -104,6 +104,12 @@ def test_load_config_validates_values(tmp_path):
         {"std": {"age_bands": [1, 2]}},  # labels are strings
         {"std": {"age_bands": ["a", "a"]}},  # AgeSchema's rules apply at load
         {"std": {"age_bands": []}},
+        {"sim": {"rho": "abc"}},  # DgpConfig's rules apply at load
+        {"sim": {"phi_var": -1}},
+        {"sim": {"pop_scale": "big"}},  # synth_population's and synth_deaths' ranges
+        {"sim": {"minority_ratio": 0}},
+        {"sim": {"minority_sigma": -0.5}},
+        {"sim": {"hazard_scale": -1}},
     ):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):
@@ -400,6 +406,22 @@ def test_cli_exit_codes(tmp_path):
     result = run_cli(["--config", str(cfg_path), "--out", str(out), "protect"])
     assert result.exit_code == 4
     assert "hierarchy.csv" in result.output and f"level {leaf_level!r} used at ranks" in result.output
+
+
+def test_cli_fit_rejects_a_self_loop_in_the_adjacency(tmp_path):
+    # the proper CAR prior needs a zero diagonal: a unit listed as its own
+    # neighbor fails the stage with 4, naming the file and the unit
+    cfg_path = write_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for cmd in (["geo"], ["expect", "--source", "truth"]):
+        assert run_cli(base + cmd).exit_code == 0
+    adjacency = tmp_path / "run" / "geo" / "adjacency.csv"
+    leaf = adjacency.read_text().splitlines()[1].split(",")[0]
+    with open(adjacency, "a", newline="") as fh:
+        fh.write(f"{leaf},{leaf}\r\n")
+    result = run_cli(base + ["fit", "--source", "truth"])
+    assert result.exit_code == 4
+    assert "adjacency.csv" in result.output and f"unit {leaf}: nonzero diagonal weight" in result.output
 
 
 def test_manifest_records_stage_cpu_and_peak_memory(tmp_path):
