@@ -227,21 +227,20 @@ def sample_car_prior(
 def greedy_coloring(weights: scipy.sparse.csr_matrix) -> np.ndarray:
     """Proper vertex coloring so units updated together share no edge.
 
-    Units take, in index order, the smallest color none of their positive-
-    weight neighbors has; ``weights`` is a CSR matrix.
+    Units take, in index order, the smallest color none of their neighbors
+    has; ``weights`` is a CSR matrix.
     """
     n = weights.shape[0]
     indptr = weights.indptr.tolist()
-    # a non-positive weight points at slot n, whose color is never set
-    neighbors = np.where(weights.data > 0, weights.indices, n).tolist()
-    colors = [-1] * (n + 1)
+    neighbors = weights.indices.tolist()
+    colors = [-1] * n
     for i in range(n):
         used = {colors[k] for k in neighbors[indptr[i] : indptr[i + 1]]}
         c = 0
         while c in used:
             c += 1
         colors[i] = c
-    return np.array(colors[:n], dtype=int)
+    return np.array(colors, dtype=int)
 
 
 # The log-det series covers t = -log(1 - rho) in [0, LOG_DET_SPAN], that is

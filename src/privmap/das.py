@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtectionError
-from .tables import fmt, fmt_ints, write_cells
+from .tables import fmt, write_cells
 from .tabulation import TabulationCube, leveled_cubes, unit_totals
 
 TOTALS_LABEL = "__all__"
@@ -476,9 +476,9 @@ def write_audit(audit: AuditRecord, path) -> None:
     for rank in sorted(audit.detail_noise):
         cube, eps = audit.published[rank], fmt(audit.epsilons[(rank, "detail")])
         axes = [cube.unit_ids, cube.ages.bands, cube.groups.groups, [eps]]
-        blocks.append((axes, fmt_ints(audit.detail_noise[rank])))
+        blocks.append((axes, audit.detail_noise[rank].astype(np.int64)))
     for rank in sorted(audit.totals_noise or {}):
         eps = fmt(audit.epsilons[(rank, "totals")])
         axes = [audit.published[rank].unit_ids, [TOTALS_LABEL], [TOTALS_LABEL], [eps]]
-        blocks.append((axes, fmt_ints(audit.totals_noise[rank])))
+        blocks.append((axes, audit.totals_noise[rank].astype(np.int64)))
     write_cells(path, ["unit_id", "age_band", "group", "epsilon", "noise"], blocks)

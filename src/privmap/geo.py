@@ -113,8 +113,9 @@ class Adjacency:
 
     The weights are stored as one canonical CSR matrix (float, sorted
     indices, no explicit zeros), whether they were given dense or sparse.
-    The proper CAR prior needs them symmetric with a zero diagonal, so the
-    first asymmetric pair, in row-major order, and then the first unit
+    The proper CAR prior needs them binary and symmetric with a zero
+    diagonal, so the first weight other than 0 or 1 and then the first
+    asymmetric pair, each in row-major order, and then the first unit
     weighted to itself raise GeographyError naming the units. Islands and
     disconnected graphs are allowed; the spatial model judges connectivity.
     """
@@ -134,6 +135,13 @@ class Adjacency:
         self.weights.sum_duplicates()
         self.weights.eliminate_zeros()
         w = self.weights
+        other = np.flatnonzero(w.data != 1)
+        if other.size:
+            e = other[0]
+            i, k = _entry_rows(w)[e], w.indices[e]
+            raise GeographyError(
+                f"weight {w.data[e]} between {self.leaf_ids[i]} and {self.leaf_ids[k]}, expected 0 or 1"
+            )
         asym = w != w.T
         if asym.nnz:
             i, k = min(zip(*(part.tolist() for part in asym.nonzero())))
@@ -158,7 +166,7 @@ class Adjacency:
         """Undirected edges, each listed once with endpoint ids in index order."""
         w = self.weights
         i, k = _entry_rows(w), w.indices
-        upper = (k > i) & (w.data > 0)
+        upper = k > i
         return [(self.leaf_ids[a], self.leaf_ids[b]) for a, b in zip(i[upper].tolist(), k[upper].tolist())]
 
     def is_connected(self) -> bool:

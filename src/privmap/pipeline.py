@@ -39,12 +39,15 @@ from .simulate import (
 )
 from .standardize import (
     ExpectedCounts,
+    check_totals,
     expected_counts,
     percent_error,
     rates_from_cubes,
     read_expected,
+    read_totals,
     underestimation_fraction,
     write_expected,
+    write_totals,
     zero_count_percent,
 )
 from .tables import SECONDS, fmt, read_table, write_table
@@ -402,6 +405,7 @@ def stage_geo(cfg: dict, out_dir: Path) -> dict:
         st.write("geo/adjacency.csv", lambda p: write_adjacency(adj, p))
         st.write("geo/population.csv", lambda p: write_tabulation(pop, p))
         st.write("geo/deaths.csv", lambda p: write_tabulation(deaths, p, value_column="deaths"))
+        st.write("geo/totals.csv", lambda p: write_totals(pop, deaths, p))
         st.write("geo/covariates.csv", lambda p: write_covariates(p, h.leaf_ids, "poverty", poverty))
     return st.result()
 
@@ -428,15 +432,13 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"expect:{source}", {"source": source}) as st:
         h = _load_hierarchy(st)
-        pop_path, deaths_path = st.inputs("geo/population.csv", "geo/deaths.csv")
-        pop_true = ingest(pop_path, ages, groups, h)
-        deaths = ingest(deaths_path, ages, groups, h, value_column="deaths")
+        totals_path, = st.inputs("geo/totals.csv")
         # rates always come from the unprotected statewide totals
-        rates = rates_from_cubes(deaths, pop_true, cfg["std"]["race_specific_rates"])
-        if source == "truth":
-            cube = pop_true
-        else:
-            cube = ingest(*st.inputs(f"protect/protected_{source}.csv"), ages, groups, h)
+        population, deaths = read_totals(totals_path, h, ages, groups)
+        rates = rates_from_cubes(deaths, population, cfg["std"]["race_specific_rates"])
+        cube_path, = st.inputs("geo/population.csv" if source == "truth" else f"protect/protected_{source}.csv")
+        cube = ingest(cube_path, ages, groups, h)
+        check_totals(cube, cube_path, population, totals_path, per_stratum=source == "truth")
         ec = expected_counts(cube, rates, source)
         st.write(f"expect/expected_{source}.csv", lambda p: write_expected(ec, p))
     return st.result()

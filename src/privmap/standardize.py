@@ -183,12 +183,58 @@ def zero_count_percent(source: ExpectedCounts) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
+# statewide totals: the reference rates' only input
+
+
+TOTALS_HEADER = ["age_band", "group", "measure", "count"]
+MEASURES = ("population", "deaths")
+
+
+def write_totals(population: TabulationCube, deaths: TabulationCube, path) -> None:
+    """Statewide population and deaths per (age band, group)."""
+    values = np.stack([population.values.sum(axis=0), deaths.values.sum(axis=0)], axis=-1)
+    axes = [population.ages.bands, population.groups.groups, MEASURES]
+    write_cells(path, TOTALS_HEADER, [(axes, values.astype(np.int64))])
+
+
+def read_totals(path, h, ages: AgeSchema, groups: GroupSchema) -> tuple[TabulationCube, TabulationCube]:
+    """The statewide population and deaths as root-rank cubes, which
+    :func:`rates_from_cubes` takes as they are; a count that is not a
+    non-negative integer fails naming its cell."""
+    axes = [ages.bands, groups.groups, MEASURES]
+    values = read_keyed(path, TOTALS_HEADER, axes, StandardizationError)
+    check_cells(path, values, axes, values < 0, "negative count", StandardizationError)
+    check_cells(path, values, axes, values != np.round(values), "non-integral count", StandardizationError)
+    return tuple(TabulationCube(h, 0, ages, groups, values[None, ..., m], True) for m in range(len(MEASURES)))
+
+
+def check_totals(cube: TabulationCube, cube_path, population: TabulationCube, totals_path, per_stratum: bool) -> None:
+    """The cube's statewide counts against the statewide population read
+    from ``totals_path``: every (band, group) sum when ``per_stratum``, else
+    the grand total only, which the mechanism keeps exactly. A mismatch
+    names both files."""
+    if per_stratum:
+        got, want = cube.values.sum(axis=0), population.values[0]
+        bad = np.argwhere(got != want)
+        if len(bad):
+            a, g = bad[0]
+            raise StandardizationError(
+                f"{cube_path}: population {fmt(got[a, g])} in ({cube.ages.bands[a]}, {cube.groups.groups[g]}) "
+                f"does not match {fmt(want[a, g])} in {totals_path}"
+            )
+    elif cube.total != population.total:
+        raise StandardizationError(
+            f"{cube_path}: total {fmt(cube.total)} does not match the population total "
+            f"{fmt(population.total)} in {totals_path}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # file round-trip (10 significant digits)
 
 
 def write_expected(ec: ExpectedCounts, path) -> None:
-    rendered = map(fmt, ec.values.ravel().tolist())
-    write_cells(path, ["unit_id", "group", "expected"], [([ec.unit_ids, ec.groups], rendered)])
+    write_cells(path, ["unit_id", "group", "expected"], [([ec.unit_ids, ec.groups], ec.values)])
 
 
 def read_expected(path, unit_ids: list[str], groups: tuple[str, ...], source: str = "custom") -> ExpectedCounts:

@@ -16,6 +16,11 @@ one number, with no label lookup. Every other file, and every other table
 keyed cells are then filled one record at a time through one label
 dictionary per axis, and the first record at fault is named. One helper
 renders the keys for both the writer and the in-order reader.
+
+The keyed writer renders the cells of each block by one ``%`` format call
+per chunk of about 2**15 lines: a template holds every line's key, with
+each ``%`` doubled, and one value spec, ``%d`` for an integer array and
+``%.10g`` (:data:`REAL`, the spec of :func:`fmt`) for a real one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import csv
 import functools
 import math
 import time
-from itertools import islice, product
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,15 +54,12 @@ def _timed(kind):
     return wrap
 
 
+REAL = ".10g"  # the one rendering of a real number: 10 significant digits
+
+
 def fmt(x) -> str:
-    """The one rendering of a real number: 10 significant digits."""
-    return format(x, ".10g")
-
-
-def fmt_ints(values):
-    """The integer rendering of each value of an array, in C order, as a
-    one-pass iterator."""
-    return map(str, np.asarray(values).astype(np.int64).ravel().tolist())
+    """A real number rendered as every table renders it."""
+    return format(x, REAL)
 
 
 @_timed("write")
@@ -90,14 +92,26 @@ def _key_fields(axes) -> list[list[str]]:
 def write_cells(path, header, blocks) -> None:
     """The dual of :func:`read_keyed`: a header line, then for each block
     ``(axes, values)`` one line per cell of the product of ``axes`` in C
-    order, the cell's key followed by its already rendered ``values``
-    entry. Each distinct label is quoted once, as ``write_table`` would."""
+    order, the cell's key followed by its entry of the array ``values``,
+    ``%d`` for an integer dtype and :data:`REAL` otherwise, one format call
+    per chunk of labels of the first axis. Each distinct label is quoted
+    once, as ``write_table`` would.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(_render(header))
         for axes, values in blocks:
-            lines = map(str.__add__, map("".join, product(*_key_fields(axes))), values)
-            while chunk := list(islice(lines, 1 << 15)):  # bounded memory
-                fh.write("\r\n".join(chunk) + "\r\n")
+            values = np.asarray(values)
+            spec = "%d" if values.dtype.kind in "iu" else "%" + REAL
+            outer, *rest = [[field.replace("%", "%%") for field in fields] for fields in _key_fields(axes)]
+            inner = ["".join(key) + spec for key in product(*rest)]
+            n = len(inner)
+            if not n:  # an empty axis: no cells
+                continue
+            values = values.reshape(len(outer) * n).tolist()
+            step = max(1, (1 << 15) // n)  # bounded memory
+            for start in range(0, len(outer), step):
+                template = "".join(u + ("\r\n" + u).join(inner) + "\r\n" for u in outer[start : start + step])
+                fh.write(template % tuple(values[start * n : (start + step) * n]))
 
 
 @_timed("read")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import TabulationError
 from .geo import Hierarchy
-from .tables import check_cells, fmt, fmt_ints, read_cells, read_keyed, read_table, write_cells
+from .tables import check_cells, read_cells, read_keyed, read_table, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -134,9 +134,9 @@ def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_co
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:
     """Canonical ordering (unit, band, group); integers rendered without a point."""
-    rendered = fmt_ints(cube.values) if cube.integer_valued else map(fmt, cube.values.ravel().tolist())
+    values = cube.values.astype(np.int64) if cube.integer_valued else cube.values
     axes = [cube.unit_ids, cube.ages.bands, cube.groups.groups]
-    write_cells(path, ["unit_id", "age_band", "group", value_column], [(axes, rendered)])
+    write_cells(path, ["unit_id", "age_band", "group", value_column], [(axes, values)])
 
 
 def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
@@ -196,8 +196,7 @@ def unit_totals(cube: TabulationCube) -> np.ndarray:
 
 
 def write_covariates(path, unit_ids: list[str], name: str, values: np.ndarray) -> None:
-    rendered = map(fmt, np.asarray(values, dtype=float).tolist())
-    write_cells(path, ["unit_id", "name", "value"], [([unit_ids, [name]], rendered)])
+    write_cells(path, ["unit_id", "name", "value"], [([unit_ids, [name]], np.asarray(values, dtype=float))])
 
 
 def read_covariates(path, unit_ids: list[str], name: str) -> np.ndarray:

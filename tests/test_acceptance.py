@@ -410,7 +410,7 @@ def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
         assert result.exit_code == 0, result.output
     in_order = {path for name, path, found in reads if name == "read_in_order" and found}
     assert all(found for _, _, found in reads), [read for read in reads if not read[2]]
-    assert in_order == {"geo/population.csv", "geo/deaths.csv"} | {
+    assert in_order == {"geo/population.csv", "geo/deaths.csv", "geo/totals.csv"} | {
         f"protect/protected_{v}.csv" for v in ("v19", "v20", "v22")
     } | {f"expect/expected_{s}.csv" for s in ("truth", "v19", "v20", "v22")}
     assert {path for name, path, _ in reads if name == "read_cells"} == {"geo/covariates.csv"}

@@ -142,6 +142,22 @@ def test_asymmetric_weight_fails_at_construction_naming_the_pair():
         Adjacency(h.leaf_ids, w)
 
 
+@pytest.mark.parametrize(
+    ("w", "message"),
+    [
+        ([[0, 2, 0], [2, 0, -1], [0, -1, 0]], "weight 2.0 between u0 and u1, expected 0 or 1"),
+        ([[0, 1, 0], [1, 0, -1], [0, -1, 0]], "weight -1.0 between u1 and u2, expected 0 or 1"),
+        ([[0, 0.5, 0], [0.5, 0, 1], [0, 1, 0]], "weight 0.5 between u0 and u1, expected 0 or 1"),
+    ],
+)
+def test_non_binary_weight_fails_at_construction_naming_the_pair(w, message):
+    # the CAR prior and the adjacency file know only 0/1 weights: a weight of
+    # 2 would count twice in a degree, and a negative one is lost on writing
+    with pytest.raises(GeographyError) as err:
+        Adjacency(["u0", "u1", "u2"], np.array(w, dtype=float))
+    assert message in str(err.value)
+
+
 def test_diagonal_weight_fails_at_construction_naming_the_unit():
     h, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
     w = adj.weights.toarray()

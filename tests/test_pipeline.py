@@ -205,6 +205,7 @@ def test_stage_geo_outputs(pipeline_run):
         "geo/adjacency.csv",
         "geo/population.csv",
         "geo/deaths.csv",
+        "geo/totals.csv",
         "geo/covariates.csv",
         "manifest.json",
     ):
@@ -220,6 +221,13 @@ def test_stage_protect_consistency(pipeline_run):
     assert (out / "protect" / "protected_v19.csv").exists()
     audit = (out / "protect" / "audit_v19.csv").read_text().splitlines()
     assert audit[0] == "unit_id,age_band,group,epsilon,noise"
+
+
+def test_stage_expect_reads_the_hierarchy_the_totals_and_one_cube(pipeline_run):
+    _, out = pipeline_run
+    stages = {st["stage"]: st for st in json.loads((out / "manifest.json").read_text())["stages"]}
+    for source, cube in (("v19", "protect/protected_v19.csv"), ("truth", "geo/population.csv")):
+        assert set(stages[f"expect:{source}"]["inputs"]) == {"geo/hierarchy.csv", "geo/totals.csv", cube}
 
 
 def test_stage_expect_files(pipeline_run):
@@ -408,6 +416,36 @@ def test_cli_exit_codes(tmp_path):
     assert "hierarchy.csv" in result.output and f"level {leaf_level!r} used at ranks" in result.output
 
 
+@pytest.mark.parametrize(("count", "message"), [("+1", "does not match"), ("1.5", "non-integral count 1.5")])
+def test_cli_expect_fails_on_a_tampered_totals_file(tmp_path, count, message):
+    # the statewide totals must describe the population geo wrote: a changed
+    # count fails expect with 4, naming the totals and the cube checked
+    cfg_path = write_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for cmd in (["geo"], ["protect", "--variant", "v19"]):
+        assert run_cli(base + cmd).exit_code == 0
+    totals = tmp_path / "run" / "geo" / "totals.csv"
+    header, first, *rest = totals.read_bytes().split(b"\r\n")
+    key, value = first.rsplit(b",", 1)
+    value = str(int(value) + 1) if count == "+1" else count
+    totals.write_bytes(b"\r\n".join([header, key + b"," + value.encode(), *rest]))
+    for source, cube in (("truth", "population.csv"), ("v19", "protected_v19.csv")):
+        result = run_cli(base + ["expect", "--source", source])
+        assert result.exit_code == 4, result.output
+        assert "totals.csv" in result.output and message in result.output
+        if count == "+1":  # a mismatch names the cube checked too
+            assert cube in result.output
+
+
+def test_cli_expect_without_the_totals_file_is_a_missing_input(tmp_path):
+    cfg_path = write_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    assert run_cli(base + ["geo"]).exit_code == 0
+    (tmp_path / "run" / "geo" / "totals.csv").unlink()
+    result = run_cli(base + ["expect", "--source", "truth"])
+    assert result.exit_code == 3 and "totals.csv" in result.output
+
+
 def test_cli_fit_rejects_a_self_loop_in_the_adjacency(tmp_path):
     # the proper CAR prior needs a zero diagonal: a unit listed as its own
     # neighbor fails the stage with 4, naming the file and the unit
@@ -458,6 +496,8 @@ QUOTED_LABEL_OUTPUTS = {
     "geo/deaths.csv": "b5f6b62dedd4ea4f9e78ad2051297415fe1bca22faffcce5f6e2bf1c4221ec71",
     "geo/hierarchy.csv": "7a67557856b94152ee2e1822256d3ab170f5823385a731011c8d88ffa362a3a5",
     "geo/population.csv": "c65e20563865e3b797f7bc4cff17939ed403548b13c4d86891d109183131abe9",
+    # pinned when geo began writing the statewide totals
+    "geo/totals.csv": "b3b3dd7ea7e93ecab06c403d61452ad86f55cbe4f01ca59bd8de7d20e0715024",
     "protect/audit_v19.csv": "5325a8411045d4b021955ea9b529a89968b93a89234a642dbfc0e1881f6993b5",
     "protect/audit_v20.csv": "bd0de5709693e0015c50527c4ca31514114e00cfd13102281cecd3246c462afd",
     "protect/audit_v22.csv": "a48bfda8803c0e776558caf258b447e4b5a584fdb98abef17ef4560f1c06fe9a",

@@ -5,16 +5,19 @@ from privmap.errors import StandardizationError
 from privmap.geo import build_synthetic_geography
 from privmap.standardize import (
     ExpectedCounts,
+    check_totals,
     expected_counts,
     percent_error,
     rates_from_cubes,
     read_expected,
+    read_totals,
     reference_rates,
     underestimation_fraction,
     write_expected,
+    write_totals,
     zero_count_percent,
 )
-from privmap.tabulation import AgeSchema, GroupSchema, TabulationCube
+from privmap.tabulation import AgeSchema, GroupSchema, TabulationCube, aggregate
 
 
 def make_cube(values, ages, groups, n_leaves=4, branching=(2, 2)):
@@ -222,3 +225,59 @@ def test_expected_file_roundtrip(tmp_path):
     write_expected(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert back.values == pytest.approx(values, rel=1e-9)  # 10 significant digits
+
+
+def test_totals_file_gives_the_leaf_cubes_rates(tmp_path):
+    # the statewide totals geo writes stand in for both leaf cubes: the same
+    # rates to the bit, pooled or per group
+    ages, groups = AgeSchema(("a", "b", "c")), GroupSchema(("x", "y"))
+    rng = np.random.default_rng(3)
+    pop = make_cube(rng.integers(0, 10**6, size=(4, 3, 2)), ages, groups)
+    deaths = pop.with_values(rng.binomial(pop.values.astype(np.int64), 0.01))
+    write_totals(pop, deaths, tmp_path / "totals.csv")
+    assert (tmp_path / "totals.csv").read_bytes().decode().split("\r\n")[:3] == [
+        "age_band,group,measure,count",
+        f"a,x,population,{int(pop.values[:, 0, 0].sum())}",
+        f"a,x,deaths,{int(deaths.values[:, 0, 0].sum())}",
+    ]
+    pop_total, deaths_total = read_totals(tmp_path / "totals.csv", pop.hierarchy, ages, groups)
+    assert pop_total.rank == deaths_total.rank == 0
+    for group_specific in (True, False):
+        got = rates_from_cubes(deaths_total, pop_total, group_specific).rates
+        assert got.tobytes() == rates_from_cubes(deaths, pop, group_specific).rates.tobytes()
+    check_totals(pop, "population.csv", pop_total, "totals.csv", per_stratum=True)
+    check_totals(pop.with_values(pop.values[::-1]), "protected.csv", pop_total, "totals.csv", per_stratum=False)
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        ("-1", r"totals\.csv: negative count -1 in cell \(a, x, population\)"),
+        ("1.5", r"totals\.csv: non-integral count 1\.5 in cell \(a, x, population\)"),
+    ],
+)
+def test_totals_file_rejects_a_count_that_is_not_a_non_negative_integer(tmp_path, edit, message):
+    ages, groups = AgeSchema(("a",)), GroupSchema(("x",))
+    pop = make_cube(np.full((4, 1, 1), 5), ages, groups)
+    path = tmp_path / "totals.csv"
+    write_totals(pop, pop, path)
+    path.write_bytes(path.read_bytes().replace(b"population,20", b"population," + edit.encode()))
+    with pytest.raises(StandardizationError, match=message):
+        read_totals(path, pop.hierarchy, ages, groups)
+
+
+def test_check_totals_names_both_files():
+    ages, groups = AgeSchema(("a", "b")), GroupSchema(("x",))
+    pop = make_cube(np.arange(8).reshape(4, 2, 1), ages, groups)  # strata sums 12 and 16
+    totals = TabulationCube(pop.hierarchy, 0, ages, groups, np.array([[[12.0], [17.0]]]), True)
+    message = r"^pop\.csv: population 16 in \(b, x\) does not match 17 in tot\.csv$"
+    with pytest.raises(StandardizationError, match=message):
+        check_totals(pop, "pop.csv", totals, "tot.csv", per_stratum=True)
+    message = r"^v19\.csv: total 28 does not match the population total 29 in tot\.csv$"
+    with pytest.raises(StandardizationError, match=message):
+        check_totals(pop, "v19.csv", totals, "tot.csv", per_stratum=False)
+    # a protected cube moves people between strata but keeps the grand total
+    moved = pop.with_values(pop.values + np.array([[[1.0], [-1.0]]]) * (np.arange(4) == 0)[:, None, None])
+    check_totals(moved, "v19.csv", aggregate(pop, 0), "tot.csv", per_stratum=False)
+    with pytest.raises(StandardizationError, match=r"population 13 in \(a, x\) does not match 12"):
+        check_totals(moved, "pop.csv", aggregate(pop, 0), "tot.csv", per_stratum=True)

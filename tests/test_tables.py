@@ -22,7 +22,7 @@ from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarch
 from privmap.pipeline import load_config, stage_report
 from privmap.simulate import synth_population
 from privmap.standardize import ExpectedCounts, read_expected, write_expected
-from privmap.tables import read_cells, read_in_order, read_keyed, read_table, write_cells
+from privmap.tables import fmt, read_cells, read_in_order, read_keyed, read_table, write_cells
 from privmap.tabulation import (
     AgeSchema,
     GroupSchema,
@@ -123,6 +123,26 @@ def test_expected_audit_and_draws_writers_bytes(geo, tmp_path):
     assert (tmp_path / "draws.csv").read_bytes() == (
         b"iteration,beta:intercept,beta:poverty,tau2,sigma2,rho\r\n"
         b"0,0.1,0.3333333333,0.5,0.001,0.2\r\n1,-2,1e-09,0.6666666667,7,0.9\r\n"
+    )
+
+
+def test_write_cells_renders_each_double_as_fmt(tmp_path):
+    # a float block takes one "%.10g" per value, the spec fmt renders with
+    values = [-0.0, 5e-324, 0.1, 1e16, 123456789012.5, -math.inf, math.nan, 1 / 3, -2.5e-310]
+    labels = [f"c{i}" for i in range(len(values))]
+    write_cells(tmp_path / "edges.csv", ["cell", "value"], [([labels], np.array(values))])
+    lines = (tmp_path / "edges.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "cell,value" and lines[-1] == ""
+    assert lines[1:-1] == [f"{label},{fmt(v)}" for label, v in zip(labels, values)]
+    assert lines[1:6] == ["c0,-0", "c1,4.940656458e-324", "c2,0.1", "c3,1e+16", "c4,1.23456789e+11"]
+
+
+def test_write_cells_escapes_percent_signs_in_labels(tmp_path):
+    # labels enter the format template, so a "%" in one must come out as is
+    axes = [["%d", "100%"], ["%%s", "a,%"]]
+    write_cells(tmp_path / "pct.csv", ["k0", "k1", "n"], [(axes, np.arange(4, dtype=np.int64))])
+    assert (tmp_path / "pct.csv").read_bytes() == (
+        b'k0,k1,n\r\n%d,%%s,0\r\n%d,"a,%",1\r\n100%,%%s,2\r\n100%,"a,%",3\r\n'
     )
 
 
@@ -302,7 +322,7 @@ def test_ingest_names_a_non_integral_count(geo, tmp_path):
     h, _ = geo
     path = tmp_path / "population.csv"
     axes = [h.leaf_ids, AGES.bands, GROUPS.groups]
-    write_cells(path, ["unit_id", "age_band", "group", "count"], [(axes, ["100000.5"] + ["1"] * 15)])
+    write_cells(path, ["unit_id", "age_band", "group", "count"], [(axes, np.array([100000.5] + [1.0] * 15))])
     assert read_in_order(path, ["unit_id", "age_band", "group", "count"], axes) is not None
     message = r"population\.csv: non-integral count 100000\.5 in cell \(U2-0, 0-4, NHW\)"
     with pytest.raises(TabulationError, match=message):
@@ -383,9 +403,10 @@ def _reference_cell(keys, axes) -> str:
     return f"({', '.join(keys[: len(axes)])})"
 
 
-# label characters: plain ones and ones str.splitlines breaks at but csv does
-# not; the quoted set adds those the writers quote
-PLAIN_CHARS = "ab7-+ éß北\u2028\x85\x1c\x0b"
+# label characters: plain ones, "%" (which the writer's format template
+# escapes) and ones str.splitlines breaks at but csv does not; the quoted set
+# adds those the writers quote
+PLAIN_CHARS = "ab7-+ %éß北\u2028\x85\x1c\x0b"
 QUOTED_CHARS = PLAIN_CHARS + ',"\r\n'
 CORRUPTIONS = ("blank-line", "short-row", "long-row", "unknown-label", "duplicate", "abc", "nan", "inf", "missing-cell")
 
@@ -395,7 +416,8 @@ def keyed_tables(draw):
     """A keyed table's text (labels quoted as the writers quote them) with
     up to two corruptions, the header and the axes it is read against, and
     the values in the writer's order when the text should be exactly what
-    ``write_cells`` writes, else None. The rows are in the writer's order
+    ``write_cells`` writes, else None: an int64 array when every value is an
+    integer, else a float64 one. The rows are in the writer's order
     with its line ends, or in its order or shuffled with either line end
     and a final line end or not."""
     chars = st.sampled_from(draw(st.sampled_from([PLAIN_CHARS, QUOTED_CHARS])))
@@ -405,13 +427,15 @@ def keyed_tables(draw):
     ]
     header = [f"k{j}" for j in range(len(axes))] + ["value"]
     rows = [[axis[i] for axis, i in zip(axes, cell)] for cell in np.ndindex(*map(len, axes))]
-    for row in rows:
-        row.append(draw(st.one_of(st.integers(-5, 10**6).map(str), st.floats(-1e9, 1e9).map(lambda x: f"{x:.10g}"))))
+    numbers = [draw(st.one_of(st.integers(-5, 10**6), st.floats(-1e9, 1e9))) for _ in rows]
+    for row, x in zip(rows, numbers):
+        row.append(str(x) if isinstance(x, int) else f"{x:.10g}")
     layout = draw(st.sampled_from(["writer", "in-order", "shuffled"]))
     if layout == "shuffled":
         rows = draw(st.permutations(rows))
     corruptions = draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2))
-    exact = [row[-1] for row in rows] if layout == "writer" and not corruptions else None
+    dtype = np.int64 if all(isinstance(x, int) for x in numbers) else np.float64
+    exact = np.array(numbers, dtype=dtype) if layout == "writer" and not corruptions else None
     blank_lines = []
     for corruption in corruptions:
         r = draw(st.integers(0, len(rows) - 1))
