@@ -9,7 +9,7 @@ group) cube that aggregates exactly up the tree.
 import numpy as np
 
 from privmap import build_synthetic_geography
-from privmap.tabulation import aggregate, default_age_schema, default_group_schema, marginals, unit_totals
+from privmap.tabulation import aggregate, default_age_schema, default_group_schema, unit_totals
 from privmap.simulate import synth_population
 
 h, adj = build_synthetic_geography(n_leaves=300, branching=[2, 2, 3, 5, 5], layout="grid", seed=7)
@@ -27,6 +27,6 @@ for g, label in enumerate(groups.groups):
 
 county = aggregate(pop, 1)
 print(f"\naggregated to rank 1: {len(county.unit_ids)} units, total {county.total:,.0f} (exactly preserved)")
-totals = marginals(pop, "both")
-print(f"unit total populations: median {np.median(unit_totals(pop)):,.0f}")
-print(f"marginal over both axes leaves one cell per unit: {totals.values.shape}")
+totals = unit_totals(pop)
+print(f"unit total populations: median {np.median(totals):,.0f}")
+print(f"summed over both axes, one total per unit: {totals.shape}")

@@ -29,7 +29,6 @@ from .tabulation import (
     default_age_schema,
     default_group_schema,
     ingest,
-    marginals,
 )
 from .das import (
     DasConfig,

@@ -74,10 +74,6 @@ class ModelSpec:
         return np.asarray(per_cell)[self.unit_idx, self.group_idx]
 
 
-ZERO_POLICIES = ("exclude", "floor")
-ZERO_FLOOR = 1e-6
-
-
 def build_spec(
     expected: ExpectedCounts,
     covariate: np.ndarray | None,
@@ -85,7 +81,6 @@ def build_spec(
     *,
     include_spatial: bool = True,
     include_overdispersion: bool = True,
-    zero_policy: str = "exclude",
     prior_beta_var: float = 1e5,
     prior_ig_shape: float = 1.0,
     prior_ig_scale: float = 0.01,
@@ -100,11 +95,8 @@ def build_spec(
     the spec builds its own plan.
 
     Cells with zero expected count cannot enter the likelihood (their log
-    offset is undefined); by default they are excluded and reported, or with
-    ``zero_policy="floor"`` the offset is floored at a tiny constant.
+    offset is undefined); they are excluded and reported.
     """
-    if zero_policy not in ZERO_POLICIES:
-        raise ModelError(f"unknown zero policy {zero_policy!r}")
     if include_spatial and adjacency is None:
         raise ModelError("spatial effects need an adjacency")
     if include_spatial and adjacency.leaf_ids != expected.unit_ids:
@@ -115,11 +107,10 @@ def build_spec(
 
     n, n_groups = expected.values.shape
     p_vals = expected.values
-    dropped = p_vals <= 0 if zero_policy == "exclude" else np.zeros(p_vals.shape, dtype=bool)
+    dropped = p_vals <= 0
     excluded = [(expected.unit_ids[i], expected.groups[g]) for i, g in zip(*np.nonzero(dropped))]
     unit_idx, group_idx = np.nonzero(~dropped)  # row-major, as the strata are ordered
-    offset_vals = p_vals[unit_idx, group_idx]
-    offset = np.log(np.maximum(offset_vals, ZERO_FLOOR if zero_policy == "floor" else 0))
+    offset = np.log(p_vals[unit_idx, group_idx])
 
     cols = [np.ones(unit_idx.size)]
     colnames = ["intercept"]
@@ -413,25 +404,33 @@ def mrr_summary(draws: PosteriorDraws) -> FitSummary:
 @dataclass
 class SmrEstimates:
     """Posterior-mean predicted counts and standardized ratios per cell;
-    cells outside the likelihood come back as NaN and are listed."""
+    cells outside the likelihood (``spec.excluded``) come back as NaN."""
 
     unit_ids: list[str]
     groups: tuple[str, ...]
     yhat: np.ndarray  # (n_units, n_groups)
     smr: np.ndarray   # (n_units, n_groups)
-    missing: list[tuple[str, str]]
+
+
+_PREDICT_CELLS = 1 << 15  # (stratum, draw) cells per chunk of predict_counts
 
 
 def predict_counts(draws: PosteriorDraws, spec: ModelSpec) -> SmrEstimates:
     """Predicted count = posterior mean of the Poisson mean per stratum;
-    the ratio divides by the offset scale (the expected count)."""
-    eta = spec.x @ draws.beta.T  # (S, K)
-    if spec.include_spatial:
-        eta += draws.theta.T[spec.unit_idx]
-    if spec.include_overdispersion:
-        eta += draws.phi.T
-    eta += spec.offset[:, None]
-    yhat_strata = np.exp(eta).mean(axis=1)
+    the ratio divides by the offset scale (the expected count). The strata
+    go in row chunks of about 2**15 (stratum, draw) cells, so memory stays
+    bounded however many strata and draws there are."""
+    yhat_strata = np.empty(spec.n_strata)
+    step = max(1, _PREDICT_CELLS // max(1, draws.n_stored))
+    for start in range(0, spec.n_strata, step):
+        rows = slice(start, start + step)
+        eta = spec.x[rows] @ draws.beta.T  # (rows, K)
+        if spec.include_spatial:
+            eta += draws.theta.T[spec.unit_idx[rows]]
+        if spec.include_overdispersion:
+            eta += draws.phi.T[rows]
+        eta += spec.offset[rows, None]
+        yhat_strata[rows] = np.exp(eta, out=eta).mean(axis=1)
     p_strata = np.exp(spec.offset)
 
     n, n_groups = len(spec.unit_ids), len(spec.groups)
@@ -439,7 +438,7 @@ def predict_counts(draws: PosteriorDraws, spec: ModelSpec) -> SmrEstimates:
     smr = np.full((n, n_groups), np.nan)
     yhat[spec.unit_idx, spec.group_idx] = yhat_strata
     smr[spec.unit_idx, spec.group_idx] = yhat_strata / p_strata
-    return SmrEstimates(list(spec.unit_ids), spec.groups, yhat, smr, list(spec.excluded))
+    return SmrEstimates(list(spec.unit_ids), spec.groups, yhat, smr)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +513,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
         stratum = f"({spec.unit_ids[spec.unit_idx[s]]}, {spec.groups[spec.group_idx[s]]})"
         raise ModelError(f"counts must be finite non-negative integers: {fmt(y[s])} in stratum {stratum}")
     if not np.all(np.isfinite(spec.offset)):
-        raise ModelError("offsets must be finite; exclude or floor zero expected counts")
+        raise ModelError("offsets must be finite; exclude zero expected counts")
     if spec.include_spatial and not spec.plan.connected:
         raise ModelError("adjacency must be connected for the spatial prior")
 
@@ -721,8 +720,5 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 def write_draws(draws: PosteriorDraws, path) -> None:
     """One row per stored iteration, named columns, 10 significant digits."""
     header = ["iteration"] + [f"beta:{c}" for c in draws.colnames] + ["tau2", "sigma2", "rho"]
-    rows = (
-        [k, *map(fmt, draws.beta[k]), *map(fmt, (draws.tau2[k], draws.sigma2[k], draws.rho[k]))]
-        for k in range(draws.n_stored)
-    )
+    rows = ([k, *draws.beta[k], draws.tau2[k], draws.sigma2[k], draws.rho[k]] for k in range(draws.n_stored))
     write_table(path, header, rows)

@@ -50,7 +50,7 @@ from .standardize import (
     write_totals,
     zero_count_percent,
 )
-from .tables import SECONDS, fmt, read_table, write_table
+from .tables import SECONDS, read_table, write_table
 from .tabulation import (
     DEFAULT_AGE_BANDS,
     AgeSchema,
@@ -493,17 +493,12 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         }
         st.write(f"fit/summary_{source}.json", lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True)))
         smr_rows = [
-            [uid, grp, fmt(smr.yhat[i, g]), fmt(smr.smr[i, g])]
+            [uid, grp, smr.yhat[i, g], smr.smr[i, g]]
             for i, uid in enumerate(smr.unit_ids)
             for g, grp in enumerate(smr.groups)
         ]
         st.write(f"fit/smr_{source}.csv", lambda p: write_table(p, ["unit_id", "group", "predicted", "smr"], smr_rows))
     return st.result(converged=summary.converged)
-
-
-def _write_table(path, header: list[str], rows) -> None:
-    """Rows of labels and numbers, reals at 10 significant digits."""
-    write_table(path, header, ([fmt(v) if isinstance(v, float) else v for v in row] for row in rows))
 
 
 DENOMINATORS_HEADER = [
@@ -560,7 +555,7 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         )
         tables = report.tables()
         for name in ("coef_bias", "smr_bias", "smr_mape", "fractions", "replicates"):
-            st.write(f"simulate/{name}.csv", lambda p, r=tables[name]: _write_table(p, list(r[0]), map(dict.values, r)))
+            st.write(f"simulate/{name}.csv", lambda p, r=tables[name]: write_table(p, list(r[0]), map(dict.values, r)))
         st.extra["convergence"] = {src: report.convergence[src] for src in report.sources}
     return st.result(report=report)
 
@@ -584,7 +579,7 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
             for group in ec.groups:
                 stats = [pe.summary[group].get(k, math.nan) for k in ("mean", "sd", "q25", "median", "q75")]
                 denom_rows.append([s, group, *stats, under[group], zp[group]])
-        st.write("report/denominators.csv", lambda p: _write_table(p, DENOMINATORS_HEADER, denom_rows))
+        st.write("report/denominators.csv", lambda p: write_table(p, DENOMINATORS_HEADER, denom_rows))
 
         lines = ["privmap study report", "====================", ""]
         lines.append("Denominator accuracy against the unprotected source")

@@ -66,7 +66,6 @@ class ReplicateData:
     lam: np.ndarray     # (n_units, n_groups) true Poisson means
     theta: np.ndarray   # (n_units,)
     phi: np.ndarray     # (n_units, n_groups)
-    zero_cells: list[tuple[str, str]]
 
 
 def generate_dataset(
@@ -80,8 +79,8 @@ def generate_dataset(
 
     The spatial field is an exact CAR draw, the unstructured effects are iid
     normal, and counts are Poisson around the expected-count offsets. Cells
-    with zero truth denominators keep a structural zero count and are
-    flagged. Deterministic for a given (master seed, k).
+    with zero truth denominators keep a structural zero count.
+    Deterministic for a given (master seed, k).
     """
     n, n_groups = truth_expected.values.shape
     if len(dgp.beta) != 1 + (n_groups - 1) + 1:
@@ -104,12 +103,7 @@ def generate_dataset(
         log_rate[:, g] += beta[g]
     lam = np.exp(log_rate) * truth_expected.values
     y = rng.poisson(lam).astype(np.int64)
-
-    zero_cells = [
-        (truth_expected.unit_ids[i], truth_expected.groups[g])
-        for i, g in np.argwhere(truth_expected.values == 0)
-    ]
-    return ReplicateData(k, y, lam, theta, phi, zero_cells)
+    return ReplicateData(k, y, lam, theta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +341,7 @@ def _replicate(
             "smr_hat": smr_hat,
             "converged": summary.converged,
         }
+        del draws  # the next source's fit replaces these draws rather than joining them
     return out
 
 
@@ -357,11 +352,10 @@ def run_study(
     adjacency: Adjacency,
     mcmc: McmcConfig,
     *,
-    truth_tag: str = "truth",
     jobs: int = 1,
     spec_options: dict | None = None,
 ) -> StudyReport:
-    """Generate ``dgp.n_reps`` datasets from the truth source and fit the
+    """Generate ``dgp.n_reps`` datasets from the ``truth`` source and fit the
     model once per replicate per denominator source.
 
     Every source's metrics are judged against the same truth: the true
@@ -375,9 +369,9 @@ def run_study(
     tags = [s.source for s in sources]
     if len(set(tags)) != len(tags):
         raise SimulationError(f"duplicate source tags {tags}")
-    if truth_tag not in tags:
-        raise SimulationError(f"no source tagged {truth_tag!r} among {tags}")
-    truth = sources[tags.index(truth_tag)]
+    if "truth" not in tags:
+        raise SimulationError(f"no source tagged 'truth' among {tags}")
+    truth = sources[tags.index("truth")]
     for s in sources:
         if not s.aligned_with(truth):
             raise SimulationError(f"source {s.source!r} is not aligned with the truth source")
@@ -385,7 +379,7 @@ def run_study(
     opts = dict(spec_options or {})
     plan = CarPlan(adjacency) if opts.get("include_spatial", True) else None
     specs = {s.source: build_spec(s, covariate, plan, **opts) for s in sources}
-    p = specs[truth_tag].x.shape[1]
+    p = specs["truth"].x.shape[1]
     if len(dgp.beta) != p:
         raise SimulationError(f"dgp beta has {len(dgp.beta)} entries, model has {p} columns")
 
@@ -444,7 +438,7 @@ def run_study(
         unit_ids=list(truth.unit_ids),
         groups=truth.groups,
         sources=tags,
-        coef_names=list(specs[truth_tag].colnames),
+        coef_names=list(specs["truth"].colnames),
         beta_true=beta_true,
         n_reps=dgp.n_reps,
         master_seed=dgp.master_seed,

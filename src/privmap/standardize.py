@@ -121,7 +121,6 @@ def expected_counts(cube: TabulationCube, rates: ReferenceRates, source: str = "
 @dataclass
 class PercentErrorResult:
     errors: np.ndarray  # (n_units, n_groups), NaN where the truth is zero
-    zero_truth: list[tuple[str, str]]
     summary: dict[str, dict[str, float]]  # per group and "all"
 
 
@@ -145,17 +144,13 @@ def percent_error(test: ExpectedCounts, truth: ExpectedCounts) -> PercentErrorRe
     """Cell-level 100*(test-truth)/truth with zero-truth cells diverted."""
     if not test.aligned_with(truth):
         raise StandardizationError("expected-count sources are not aligned")
-    zero_mask = truth.values == 0
-    zero_truth = [
-        (truth.unit_ids[i], truth.groups[g]) for i, g in np.argwhere(zero_mask)
-    ]
     errors = np.full_like(truth.values, np.nan)
-    ok = ~zero_mask
+    ok = truth.values != 0
     errors[ok] = 100.0 * (test.values[ok] - truth.values[ok]) / truth.values[ok]
     summary = {"all": _summary_stats(errors)}
     for g, group in enumerate(truth.groups):
         summary[group] = _summary_stats(errors[:, g])
-    return PercentErrorResult(errors, zero_truth, summary)
+    return PercentErrorResult(errors, summary)
 
 
 def underestimation_fraction(test: ExpectedCounts, truth: ExpectedCounts) -> dict[str, float]:

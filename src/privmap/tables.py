@@ -64,11 +64,12 @@ def fmt(x) -> str:
 
 @_timed("write")
 def write_table(path, header, rows) -> None:
-    """A header line, then one line per row."""
+    """A header line, then one line per row; a real cell (a ``float``, numpy's
+    float64 included) is rendered by :func:`fmt`, any other by ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # renders one record as write_table would, "\r\n" included, and returns it

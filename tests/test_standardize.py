@@ -117,7 +117,6 @@ def test_percent_error_identity_is_zero():
     truth = ec([[1.0], [2.0], [3.0]])
     pe = percent_error(truth, truth)
     assert np.allclose(pe.errors, 0.0)
-    assert pe.zero_truth == []
 
 
 def test_percent_error_minus_ten():
@@ -128,7 +127,6 @@ def test_percent_error_minus_ten():
 def test_percent_error_zero_truth_diverted():
     pe = percent_error(ec([[5.0], [1.0]]), ec([[0.0], [2.0]]))
     assert np.isnan(pe.errors[0, 0])
-    assert pe.zero_truth == [("u0", "x")]
     assert pe.errors[1, 0] == pytest.approx(-50.0)
 
 

@@ -10,7 +10,6 @@ from privmap.tabulation import (
     aggregate,
     ingest,
     leveled_cubes,
-    marginals,
     unit_totals,
     write_tabulation,
 )
@@ -35,7 +34,7 @@ def test_ingest_totals(tiny_geo, tmp_path):
     write_rows(f, [(uid, "all", "pop", c) for uid, c in counts.items()])
     cube = ingest(f, ages, groups, h)
     assert cube.total == 185
-    assert cube.cell(h.leaf_ids[0], "all", "pop") == 100
+    assert cube.values[0, 0, 0] == 100
 
 
 def test_ingest_negative_count_fails(tiny_geo, tmp_path):
@@ -112,33 +111,6 @@ def test_aggregate_total_preserved_exactly():
     )
     for rank in (1, 0):
         assert aggregate(cube, rank).total == cube.total
-
-
-def test_marginals_both_axes():
-    h, _ = build_synthetic_geography(4, [2, 2], "grid", seed=1)
-    ages, groups = AgeSchema(("a", "b")), GroupSchema(("x", "y"))
-    vals = np.array([[[1.0, 2.0], [3.0, 4.0]]] + [[[0.0, 0.0], [0.0, 0.0]]] * 3)
-    cube = TabulationCube(h, 2, ages, groups, vals, integer_valued=True)
-    both = marginals(cube, "both")
-    assert both.values[0, 0, 0] == 10
-    assert both.ages.n == 1 and both.groups.n == 1
-
-
-def test_marginal_over_age_matches_direct_sum():
-    h, _ = build_synthetic_geography(9, [3, 3], "grid", seed=3)
-    ages, groups = AgeSchema(("a", "b", "c", "d")), GroupSchema(("x", "y"))
-    rng = np.random.default_rng(5)
-    vals = rng.integers(0, 20, (9, 4, 2)).astype(float)
-    cube = TabulationCube(h, 2, ages, groups, vals, integer_valued=True)
-    marg = marginals(cube, "age")
-    assert np.array_equal(marg.values[:, 0, :], vals.sum(axis=1))
-
-
-def test_marginals_none_is_identity():
-    h, _ = build_synthetic_geography(4, [2, 2], "grid", seed=1)
-    ages, groups = AgeSchema(("a",)), GroupSchema(("x",))
-    cube = TabulationCube(h, 2, ages, groups, np.ones((4, 1, 1)), integer_valued=True)
-    assert marginals(cube, None) is cube
 
 
 def test_roundtrip_bit_exact(tiny_geo, tmp_path):
