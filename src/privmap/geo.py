@@ -17,6 +17,7 @@ MAX_DEPTH = 6
 LAYOUTS = ("grid", "random-planar")
 DEFAULT_LEVEL_NAMES = ["root", "region", "county", "tract", "blockgroup", "block"]
 HIERARCHY_HEADER = ["unit_id", "level", "parent_id"]
+_ROOT, _MISSING = -1, -2  # the parent position of the root, and of a unit whose parent is unknown
 
 
 def _level_names(depth: int) -> list[str]:
@@ -41,43 +42,69 @@ class Hierarchy:
 
     def __init__(self, records):
         records = list(records)
-        parent_of = {uid: parent for uid, _, parent in records}
-        if len(parent_of) != len(records):
+        n = len(records)
+        position = {uid: i for i, (uid, _, _) in enumerate(records)}
+        if len(position) != n:
             seen: set[str] = set()
             repeat = next(uid for uid, _, _ in records if uid in seen or seen.add(uid))
             raise GeographyError(f"unit id {repeat} is not unique")
-        roots = sum(not parent for parent in parent_of.values())
+        # each record's parent position, _ROOT for an empty parent id and _MISSING for an unknown one
+        parent = np.fromiter(
+            (position.get(p, _MISSING) if p else _ROOT for _, _, p in records), dtype=np.intp, count=n
+        )
+        roots = int(np.count_nonzero(parent == _ROOT))
         if roots != 1:
             raise GeographyError(f"hierarchy must have exactly one root, found {roots}")
-        ranks, level_rank = [], {}
-        for uid, level, parent in records:
-            rank, u = 0, uid
-            while parent:
-                if parent not in parent_of:
-                    raise GeographyError(f"unit {u}: missing parent {parent}")
-                rank += 1
-                if rank == MAX_DEPTH:
-                    raise GeographyError(f"unit {uid}: parent chain loops or is deeper than {MAX_DEPTH} levels")
-                u, parent = parent, parent_of[parent]
-            if level_rank.setdefault(level, rank) != rank:
-                raise GeographyError(f"level {level!r} used at ranks {level_rank[level]} and {rank} (unit {uid})")
-            ranks.append(rank)
-        names: dict[int, str] = {}
-        ids: list[list[str]] = [[] for _ in range(MAX_DEPTH)]
-        position: dict[str, int] = {}
-        for (uid, level, _), rank in zip(records, ranks):
-            if names.setdefault(rank, level) != level:
-                raise GeographyError(f"rank {rank} has two level names, {names[rank]!r} and {level!r} (unit {uid})")
-            position[uid] = len(ids[rank])
-            ids[rank].append(uid)
+        # rank by stepping every chain up at once: after k steps, `at` is each
+        # unit's k-th ancestor; a chain ends at the root, at a missing parent
+        # (the unit `at` names it) or, still going after MAX_DEPTH steps, loops
+        rank = np.full(n, -1)
+        fault_at = np.full(n, -1)  # the ancestor whose parent is missing
+        at = np.arange(n)
+        for k in range(MAX_DEPTH):
+            up = parent[at]
+            pending = (rank < 0) & (fault_at < 0)
+            rank[pending & (up == _ROOT)] = k
+            missing = pending & (up == _MISSING)
+            fault_at[missing] = at[missing]
+            at = np.where(up >= 0, up, at)
+        # the first record at fault, and before it the first record whose
+        # level name is used at another rank by an earlier record
+        faulty = np.flatnonzero(rank < 0)
+        first = faulty[0] if faulty.size else n
+        levels: dict[str, int] = {}
+        code = np.fromiter((levels.setdefault(level, len(levels)) for _, level, _ in records), dtype=np.intp, count=n)
+        level_rank = rank[np.unique(code, return_index=True)[1]]
+        clash = np.flatnonzero(rank[:first] != level_rank[code[:first]])
+        if clash.size:
+            i = clash[0]
+            uid, level, _ = records[i]
+            raise GeographyError(f"level {level!r} used at ranks {level_rank[code[i]]} and {rank[i]} (unit {uid})")
+        if first < n:
+            if fault_at[first] < 0:
+                raise GeographyError(
+                    f"unit {records[first][0]}: parent chain loops or is deeper than {MAX_DEPTH} levels"
+                )
+            u, _, p = records[fault_at[first]]
+            raise GeographyError(f"unit {u}: missing parent {p}")
         # every rank up to the deepest is on some unit's chain
-        if len(names) < 2:
-            raise GeographyError(f"hierarchy depth must be between 2 and {MAX_DEPTH}, got {len(names)}")
-        self.level_names = [names[r] for r in range(len(names))]
-        self._ids = ids[: self.depth]
-        self._parents = [
-            np.array([position[parent_of[uid]] for uid in self._ids[r]], dtype=np.intp) for r in range(1, self.depth)
-        ]
+        depth = int(rank.max()) + 1
+        first_at_rank = np.unique(rank, return_index=True)[1]
+        clash = np.flatnonzero(code != code[first_at_rank[rank]])
+        if clash.size:
+            i = clash[0]
+            uid, level, _ = records[i]
+            name = records[first_at_rank[rank[i]]][1]
+            raise GeographyError(f"rank {rank[i]} has two level names, {name!r} and {level!r} (unit {uid})")
+        if depth < 2:
+            raise GeographyError(f"hierarchy depth must be between 2 and {MAX_DEPTH}, got {depth}")
+        self.level_names = [records[i][1] for i in first_at_rank]
+        members = [np.flatnonzero(rank == r) for r in range(depth)]
+        in_rank = np.empty(n, dtype=np.intp)  # each unit's position among the units of its rank
+        for m in members:
+            in_rank[m] = np.arange(m.size)
+        self._ids = [[records[i][0] for i in m.tolist()] for m in members]
+        self._parents = [in_rank[parent[m]] for m in members[1:]]
         for r, parents in enumerate(self._parents):
             childless = np.flatnonzero(np.bincount(parents, minlength=len(self._ids[r])) == 0)
             if childless.size:

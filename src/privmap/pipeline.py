@@ -9,7 +9,6 @@ reproduced byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -50,7 +49,7 @@ from .standardize import (
     write_totals,
     zero_count_percent,
 )
-from .tables import SECONDS, read_table, write_table
+from .tables import SECONDS, number, read_table, sha256_file, sidecar_path, write_table
 from .tabulation import (
     DEFAULT_AGE_BANDS,
     AgeSchema,
@@ -227,20 +226,20 @@ def _validate_config(cfg: dict) -> None:
 # stage harness: inputs, atomic writes, timings and the manifest
 
 
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_atomic(path: Path, writer) -> None:
-    """Run a file-writing callable against a temp path beside ``path``, then rename."""
+def _write_atomic(path: Path, writer) -> list[Path]:
+    """Run a file-writing callable against a temp path beside ``path``, then
+    rename it to ``path``, and the sidecar the writer may have left beside
+    the temp path to ``path``'s sidecar; the paths committed. A crash
+    between the two renames leaves a sidecar whose digest no longer
+    matches, which readers ignore."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
     os.replace(tmp, path)
+    if not sidecar_path(tmp).exists():
+        return [path]
+    os.replace(sidecar_path(tmp), sidecar_path(path))
+    return [path, sidecar_path(path)]
 
 
 def append_manifest(
@@ -295,10 +294,16 @@ class _Stage:
         self.read_paths.update(dict.fromkeys(paths))
         return paths
 
+    def keyed_inputs(self, *rels: str) -> list[Path]:
+        """The paths of keyed tables, as :meth:`inputs` gives them; the
+        sidecar of each that has one is recorded too, as ``read_keyed``
+        reads it."""
+        paths = self.inputs(*rels)
+        self.read_paths.update(dict.fromkeys(p for p in map(sidecar_path, paths) if p.exists()))
+        return paths
+
     def write(self, rel: str, writer) -> None:
-        path = self.out_dir / rel
-        _write_atomic(path, writer)
-        self.outputs.append(path)
+        self.outputs += _write_atomic(self.out_dir / rel, writer)
 
     def result(self, **fields) -> dict:
         return {"outputs": [str(p) for p in self.outputs], **fields}
@@ -416,7 +421,7 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"protect:{variant}", {"variant": variant}) as st:
         h = _load_hierarchy(st)
-        pop = ingest(*st.inputs("geo/population.csv"), ages, groups, h)
+        pop = ingest(*st.keyed_inputs("geo/population.csv"), ages, groups, h)
         config = _das_config(cfg, variant)
         eps, passes = config.budget.epsilon_total, config.budget.pass_shares
         st.extra.update(epsilon_total=eps if math.isfinite(eps) else "inf", pass_shares=passes)
@@ -432,11 +437,11 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"expect:{source}", {"source": source}) as st:
         h = _load_hierarchy(st)
-        totals_path, = st.inputs("geo/totals.csv")
+        totals_path, = st.keyed_inputs("geo/totals.csv")
         # rates always come from the unprotected statewide totals
         population, deaths = read_totals(totals_path, h, ages, groups)
         rates = rates_from_cubes(deaths, population, cfg["std"]["race_specific_rates"])
-        cube_path, = st.inputs("geo/population.csv" if source == "truth" else f"protect/protected_{source}.csv")
+        cube_path, = st.keyed_inputs("geo/population.csv" if source == "truth" else f"protect/protected_{source}.csv")
         cube = ingest(cube_path, ages, groups, h)
         check_totals(cube, cube_path, population, totals_path, per_stratum=source == "truth")
         ec = expected_counts(cube, rates, source)
@@ -445,7 +450,7 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
 
 
 def _load_expected(st: _Stage, sources: list[str], h, groups) -> list[ExpectedCounts]:
-    paths = st.inputs(*(f"expect/expected_{s}.csv" for s in sources))
+    paths = st.keyed_inputs(*(f"expect/expected_{s}.csv" for s in sources))
     return [read_expected(path, h.leaf_ids, groups.groups, s) for path, s in zip(paths, sources)]
 
 
@@ -456,9 +461,8 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"fit:{source}", {"source": source}) as st:
         h, adj = _load_geo(st)
-        deaths_path, covariates_path = st.inputs("geo/deaths.csv", "geo/covariates.csv")
-        deaths = ingest(deaths_path, ages, groups, h, value_column="deaths")
-        poverty = read_covariates(covariates_path, h.leaf_ids, "poverty")
+        deaths = ingest(*st.keyed_inputs("geo/deaths.csv"), ages, groups, h, value_column="deaths")
+        poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
         ec, = _load_expected(st, [source], h, groups)
         priors = cfg["model"]["priors"]
         start = time.perf_counter()
@@ -517,10 +521,15 @@ def _read_study_table(path: Path, header: list[str]) -> list[list]:
     rows = read_table(path, header, SimulationError)
     if len({(a, b) for a, b, *_ in rows}) != len(rows):
         raise SimulationError(f"{path}: more than one row for the same {header[0]} and {header[1]}")
-    try:
-        return [[a, b, *map(float, rest)] for a, b, *rest in rows]
-    except ValueError as exc:
-        raise SimulationError(f"{path}: {exc}") from None
+    table = []
+    for a, b, *rest in rows:
+        table.append([a, b])
+        for column, text in zip(header[2:], rest):
+            try:
+                table[-1].append(number(text))
+            except ValueError:
+                raise SimulationError(f"{path}: value {text!r} of cell ({a}, {b}, {column}) is not a number") from None
+    return table
 
 
 def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:

@@ -6,30 +6,39 @@ line ends), one header line, and reals at 10 significant digits. Readers
 check the header and the field count of every record, then the cells of
 keyed tables, and raise the caller's error class naming the file and the
 1-based line or the cell, so a malformed input fails as a stage-contract
-error rather than a crash.
+error rather than a crash. A number must be plain ASCII, with no ``_``
+and no surrounding whitespace, although ``float`` accepts all three.
 
-A cube or an expected-count table is read in the writer's order first: a
-file exactly as ``write_cells`` writes it is split once into lines, each
-line is checked to start with its cell's key, and the rest is parsed as
-one number, with no label lookup. Every other file, and every other table
-(covariates among them), is read one record at a time by ``csv.reader``;
-keyed cells are then filled one record at a time through one label
-dictionary per axis, and the first record at fault is named. One helper
-renders the keys for both the writer and the in-order reader.
+The CSV is the only contract. Beside a one-block keyed table (a cube, the
+statewide totals, the covariates, an expected-count table) ``write_cells``
+also writes a binary sidecar, ``<table>.sidecar``: the sha256 of the
+table's bytes, a digest of its header and axes labels, and the float64
+values the record path would parse from the text. A keyed table has two
+read paths.
+:func:`read_keyed` returns the sidecar's values only when the table hashes
+to the recorded digest, the caller's header and axes hash to the recorded
+layout, the size matches and every value is finite; in every other case,
+a missing, stale, truncated or foreign sidecar included, the table is read
+one record at a time by ``csv.reader`` and its cells are filled through
+one label dictionary per axis, and the first record at fault is named.
 
 The keyed writer renders the cells of each block by one ``%`` format call
 per chunk of about 2**15 lines: a template holds every line's key, with
 each ``%`` doubled, and one value spec, ``%d`` for an integer array and
-``%.10g`` (:data:`REAL`, the spec of :func:`fmt`) for a real one.
+``%s`` for a real one, whose values are each rendered once by
+:data:`REAL`, the spec of :func:`fmt`.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
+import json
 import math
 import time
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,30 +98,82 @@ def _key_fields(axes) -> list[list[str]]:
     return fields
 
 
+_MAGIC = b"privmap1"  # a sidecar's first bytes: the format and its version
+_HEAD = len(_MAGIC) + 64  # the magic, the table's sha256 and the layout digest
+
+
+def sidecar_path(path) -> Path:
+    """Where the sidecar of the table at ``path`` is written and read."""
+    path = Path(path)
+    return path.with_name(path.name + ".sidecar")
+
+
+def sha256_file(path) -> str:
+    """The hex sha256 of a file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _layout(header, axes) -> bytes:
+    """The digest of a keyed table's header and axes labels."""
+    return hashlib.sha256(json.dumps([list(header), [list(axis) for axis in axes]]).encode()).digest()
+
+
 @_timed("write")
 def write_cells(path, header, blocks) -> None:
     """The dual of :func:`read_keyed`: a header line, then for each block
-    ``(axes, values)`` one line per cell of the product of ``axes`` in C
-    order, the cell's key followed by its entry of the array ``values``,
-    ``%d`` for an integer dtype and :data:`REAL` otherwise, one format call
-    per chunk of labels of the first axis. Each distinct label is quoted
-    once, as ``write_table`` would.
+    ``(axes, values)`` of the list ``blocks`` one line per cell of the
+    product of ``axes`` in C order, the cell's key followed by its entry of
+    the array ``values``, ``%d`` for an integer dtype and :data:`REAL`
+    otherwise, one format call per chunk of labels of the first axis. Each
+    distinct label is quoted once, as ``write_table`` would.
+
+    A one-block table whose header has one field per axis and the value,
+    and whose axes repeat no label, also gets its sidecar (see the module
+    docstring), written after the table.
     """
+    keyed = len(blocks) == 1 and len(header) == len(blocks[0][0]) + 1
+    keyed = keyed and all(len(set(axis)) == len(axis) for axis in blocks[0][0])
+    digest = hashlib.sha256()
     with open(path, "w", newline="") as fh:
-        fh.write(_render(header))
+
+        def emit(text):
+            fh.write(text)
+            if keyed:
+                digest.update(text.encode(fh.encoding))
+
+        emit(_render(header))
         for axes, values in blocks:
-            values = np.asarray(values)
-            spec = "%d" if values.dtype.kind in "iu" else "%" + REAL
+            values = np.asarray(values).reshape(math.prod(map(len, axes)))
+            if values.dtype.kind in "iu":
+                spec, cells = "%d", values.tolist()
+            else:  # each real rendered once, by one format call, and read back as the record path reads it
+                spec, cells = "%s", (("%" + REAL + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
+                values = np.fromiter(map(float, cells), float, len(cells))
             outer, *rest = [[field.replace("%", "%%") for field in fields] for fields in _key_fields(axes)]
             inner = ["".join(key) + spec for key in product(*rest)]
             n = len(inner)
             if not n:  # an empty axis: no cells
                 continue
-            values = values.reshape(len(outer) * n).tolist()
             step = max(1, (1 << 15) // n)  # bounded memory
             for start in range(0, len(outer), step):
                 template = "".join(u + ("\r\n" + u).join(inner) + "\r\n" for u in outer[start : start + step])
-                fh.write(template % tuple(values[start * n : (start + step) * n]))
+                emit(template % tuple(cells[start * n : (start + step) * n]))
+    if keyed:
+        with open(sidecar_path(path), "wb") as fh:
+            fh.write(_MAGIC + digest.digest() + _layout(header, axes) + values.astype("<f8").tobytes())
+
+
+def number(text: str) -> float:
+    """``float(text)`` for plain ASCII text with no ``_`` and no surrounding
+    whitespace; ``float`` would take ``1_000``, `` 5`` and ``５`` too, so
+    any other text raises ValueError."""
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise ValueError(f"{text!r} is not a plain number")
+    return float(text)
 
 
 @_timed("read")
@@ -159,7 +220,7 @@ def read_cells(path, records, axes, error) -> np.ndarray:
         if not math.isnan(values[cell]):
             raise error(f"{path}: duplicate cell {_cell(record[: len(axes)])}")
         try:
-            value = float(record[-1])
+            value = number(record[-1])
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
@@ -173,55 +234,35 @@ def read_cells(path, records, axes, error) -> np.ndarray:
 
 
 @_timed("read")
-def read_in_order(path, header, axes) -> np.ndarray | None:
-    """The fast path of :func:`read_keyed`, for a file exactly as
-    :func:`write_cells` writes it: the values when ``path`` holds the header
-    line and then one line per cell of the product of ``axes`` in C order,
-    each the cell's key and a finite number, and every line ends in
-    ``\\r\\n``; None for any other file.
-
-    The text is split once into lines; each line loses its cell's key and
-    the remainder is parsed by ``float``. A quote, a line end other than
-    ``\\r\\n``, a missing final line end, another row count, another key or
-    a remainder that is not one finite number leaves the file to the
-    general path, which locates the fault.
-    """
-    with open(path, newline="") as fh:
-        text = fh.read()
-    n = text.count("\n") - 1  # records, if the header and every line end in "\r\n"
-    if n < 1 or n != math.prod(map(len, axes)) or text.count("\r") != n + 1 or '"' in text:
+def read_sidecar(path, header, axes) -> np.ndarray | None:
+    """The values of the keyed table at ``path`` from its sidecar, shaped
+    by ``axes``, when the sidecar records the sha256 of the table's bytes
+    and the digest of ``header`` and ``axes``, holds one value per cell and
+    every value is finite; None otherwise, a missing sidecar included."""
+    values = np.empty(tuple(map(len, axes)), "<f8")
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            head = fh.read(_HEAD)
+            if len(head) != _HEAD or not head.startswith(_MAGIC) or head[-32:] != _layout(header, axes):
+                return None
+            if fh.readinto(values.reshape(-1).view("u1")) != values.nbytes or fh.read(1):
+                return None
+        if sha256_file(path) != head[len(_MAGIC) : -32].hex():
+            return None
+    except OSError:
         return None
-    lines, first = text.split("\r\n"), _render(header)[:-2]
-    # as many "\r\n" as "\r" and "\n" (no line end but the writer's), and the last one ends the text
-    if len(lines) != n + 2 or lines[0] != first or lines[-1]:
-        return None
-    del lines[0], lines[-1]
-    record_chars = len(text) - len(first) - 2 * (n + 1)  # the n lines, without their line ends
-    del text
-    fields = _key_fields(axes)
-    remainders = list(map(str.removeprefix, lines, map("".join, product(*fields))))
-    del lines
-    # a line whose key does not match keeps it whole, so the remainders are
-    # this much shorter than the lines only if every key matched
-    key_chars = sum(n // len(axis) * sum(map(len, axis)) for axis in fields)
-    if sum(map(len, remainders)) != record_chars - key_chars:
-        return None
-    try:  # a remainder with a comma (an extra field) or no number fails
-        values = np.fromiter(map(float, remainders), float, count=n)
-    except ValueError:
-        return None
-    return values.reshape(tuple(map(len, fields))) if np.isfinite(values).all() else None
+    return values.astype(float, copy=False) if np.isfinite(values).all() else None
 
 
 def read_keyed(path, header, axes, error) -> np.ndarray:
     """Dense array of the last column of a keyed table whose first line is
     exactly ``header``, keyed by the columns before it over ``axes``.
 
-    A file as :func:`write_cells` writes it takes :func:`read_in_order`;
-    any other goes through :func:`read_table` and :func:`read_cells`, which
-    raise ``error`` naming the file and the line or the first cell at fault.
+    :func:`read_sidecar`'s values when it has them; otherwise
+    :func:`read_table` and :func:`read_cells`, which raise ``error`` naming
+    the file and the line or the first cell at fault.
     """
-    found = read_in_order(path, header, axes)
+    found = read_sidecar(path, header, axes)
     return found if found is not None else read_cells(path, read_table(path, header, error), axes, error)
 
 

@@ -393,10 +393,10 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
 
 def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
-    # every cube and expected-count file the stages write is read back in
-    # the writer's order; only the covariate file takes the record readers
+    # every cube and expected-count file the stages write is read back from
+    # its sidecar; only the covariate file takes the record readers
     reads = []
-    for module, name in ((tables, "read_in_order"), (tables, "read_cells"), (tabulation, "read_cells")):
+    for module, name in ((tables, "read_sidecar"), (tables, "read_cells"), (tabulation, "read_cells")):
         def spy(path, *args, _read=getattr(module, name), _name=name):
             found = _read(path, *args)
             reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
@@ -408,9 +408,9 @@ def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
     for cmd in PIPE_CMDS:
         result = CliRunner().invoke(cli_main, ["--config", str(cfg_path), "--out", str(tmp_path)] + cmd)
         assert result.exit_code == 0, result.output
-    in_order = {path for name, path, found in reads if name == "read_in_order" and found}
+    from_sidecar = {path for name, path, found in reads if name == "read_sidecar" and found}
     assert all(found for _, _, found in reads), [read for read in reads if not read[2]]
-    assert in_order == {"geo/population.csv", "geo/deaths.csv", "geo/totals.csv"} | {
+    assert from_sidecar == {"geo/population.csv", "geo/deaths.csv", "geo/totals.csv"} | {
         f"protect/protected_{v}.csv" for v in ("v19", "v20", "v22")
     } | {f"expect/expected_{s}.csv" for s in ("truth", "v19", "v20", "v22")}
     assert {path for name, path, _ in reads if name == "read_cells"} == {"geo/covariates.csv"}

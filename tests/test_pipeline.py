@@ -200,18 +200,24 @@ def load_config_from_dict(d):
 
 def test_stage_geo_outputs(pipeline_run):
     _, out = pipeline_run
-    for rel in (
+    outputs = (
         "geo/hierarchy.csv",
         "geo/adjacency.csv",
         "geo/population.csv",
         "geo/deaths.csv",
         "geo/totals.csv",
         "geo/covariates.csv",
-        "manifest.json",
-    ):
+        "geo/population.csv.sidecar",
+        "geo/deaths.csv.sidecar",
+        "geo/totals.csv.sidecar",
+        "geo/covariates.csv.sidecar",
+    )
+    for rel in outputs + ("manifest.json",):
         assert (out / rel).exists()
+    assert not list(out.rglob("*.tmp*"))  # each sidecar is committed under its table's final name
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stages"][0]["stage"] == "geo"
+    assert set(manifest["stages"][0]["outputs"]) == set(outputs)
     assert manifest["config"]["seed"] == 3
     assert all(len(h) == 64 for h in manifest["stages"][0]["outputs"].values())
 
@@ -227,7 +233,12 @@ def test_stage_expect_reads_the_hierarchy_the_totals_and_one_cube(pipeline_run):
     _, out = pipeline_run
     stages = {st["stage"]: st for st in json.loads((out / "manifest.json").read_text())["stages"]}
     for source, cube in (("v19", "protect/protected_v19.csv"), ("truth", "geo/population.csv")):
-        assert set(stages[f"expect:{source}"]["inputs"]) == {"geo/hierarchy.csv", "geo/totals.csv", cube}
+        assert set(stages[f"expect:{source}"]["inputs"]) == {
+            "geo/hierarchy.csv", "geo/totals.csv", "geo/totals.csv.sidecar", cube, cube + ".sidecar"
+        }
+        assert set(stages[f"expect:{source}"]["outputs"]) == {
+            f"expect/expected_{source}.csv", f"expect/expected_{source}.csv.sidecar"
+        }
 
 
 def test_stage_expect_files(pipeline_run):
@@ -437,6 +448,23 @@ def test_cli_expect_fails_on_a_tampered_totals_file(tmp_path, count, message):
             assert cube in result.output
 
 
+def test_cli_expect_names_a_protected_cell_edited_after_protect(tmp_path):
+    # the edit leaves the cube's sidecar stale, so expect reads the text and
+    # fails with 4 naming the edited cell, not the sidecar's value
+    cfg_path = write_config(tmp_path)
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for cmd in (["geo"], ["protect", "--variant", "v19"]):
+        assert run_cli(base + cmd).exit_code == 0
+    cube = tmp_path / "run" / "protect" / "protected_v19.csv"
+    header, first, *rest = cube.read_bytes().split(b"\r\n")
+    key, _ = first.rsplit(b",", 1)
+    cube.write_bytes(b"\r\n".join([header, key + b",-3", *rest]))
+    result = run_cli(base + ["expect", "--source", "v19"])
+    assert result.exit_code == 4, result.output
+    cell = "(" + key.decode().replace(",", ", ") + ")"
+    assert f"protected_v19.csv: negative count -3 in cell {cell}" in result.output
+
+
 def test_cli_expect_without_the_totals_file_is_a_missing_input(tmp_path):
     cfg_path = write_config(tmp_path)
     base = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
@@ -506,6 +534,18 @@ QUOTED_LABEL_OUTPUTS = {
     "protect/protected_v22.csv": "b1d468dac64e9328f046b25334b7d3b5c2e97ce46e88a3d62dc1533704e79826",
     "report/denominators.csv": "c72032fdb1f97fd475260ff3f0ba77fe82feb351d8882c199bdacd9e81cf5f1c",
     "report/report.txt": "7a2da3a646cd77b8e4e64f3f064c6aa5ec07e63d66b6001116628e62d2de5e1e",
+    # pinned when every one-block keyed table began carrying a sidecar
+    "expect/expected_truth.csv.sidecar": "21f46ae9db0461e531859e2f453d17e8df89881c8e7e9bf149da08dba87e990d",
+    "expect/expected_v19.csv.sidecar": "bd48f8a2e2d8c1fb051dff89b6663729b704930708c5f66e0ed55171c5ca4884",
+    "expect/expected_v20.csv.sidecar": "08ed581c8b9bc7818b32828a9abf8e18e77d138052ab3a099e1f9d5d05932678",
+    "expect/expected_v22.csv.sidecar": "1246b07a86d14e1f6eab59ffef5de6a91202c1d964f12f9722130826301da9b0",
+    "geo/covariates.csv.sidecar": "3350e0798d3cc3eb1ba614cd9991c0d6e24f0fa14aeb4de3c0079382aad1f5a2",
+    "geo/deaths.csv.sidecar": "94fe8cd5161f5fd0889e287ef470eb837624b60604b7b4e027fbedacd3b6dfdb",
+    "geo/population.csv.sidecar": "86bee8a054a31d052262221076209908f29a874e008e6c0008a4baf79730efea",
+    "geo/totals.csv.sidecar": "1ac5326c6ca8cb35a5819fc7c520925ce7b47b1d4424592c0a5eba7d6220a394",
+    "protect/protected_v19.csv.sidecar": "6cb23b23b0aca52eb24282e38444bc52849ea4a7a5675c7b2bbf15f9923051b6",
+    "protect/protected_v20.csv.sidecar": "646035c60cea2cfd75d53a1b463b3e41052c1362b126a27fc62918aa41a1fba2",
+    "protect/protected_v22.csv.sidecar": "3eb661627bd8237183a43c76b5cfff4707c5f877f06d6b9c2a74e7652f1bc9e0",
 }
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 import privmap
 from privmap.carmodel import McmcConfig, PosteriorDraws, write_draws
 from privmap.das import AuditRecord, write_audit
-from privmap.errors import GeographyError, StandardizationError, TabulationError
+from privmap.errors import GeographyError, SimulationError, StandardizationError, TabulationError
 from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
-from privmap.pipeline import load_config, stage_report
+from privmap.pipeline import COEF_BIAS_HEADER, _read_study_table, load_config, stage_report
 from privmap.simulate import synth_population
 from privmap.standardize import ExpectedCounts, read_expected, write_expected
-from privmap.tables import fmt, read_cells, read_in_order, read_keyed, read_table, write_cells
+from privmap.tables import fmt, read_cells, read_keyed, read_sidecar, read_table, sidecar_path, write_cells
 from privmap.tabulation import (
     AgeSchema,
     GroupSchema,
@@ -317,13 +318,13 @@ def test_malformed_input_fails_naming_file(geo, tmp_path, reader, case):
 
 
 def test_ingest_names_a_non_integral_count(geo, tmp_path):
-    # the writer's layout, so the count is read in order: it is checked
-    # exactly, not within a tolerance, and named with its cell
+    # as the writer wrote it, so the count is read from the sidecar: it is
+    # checked exactly, not within a tolerance, and named with its cell
     h, _ = geo
     path = tmp_path / "population.csv"
     axes = [h.leaf_ids, AGES.bands, GROUPS.groups]
     write_cells(path, ["unit_id", "age_band", "group", "count"], [(axes, np.array([100000.5] + [1.0] * 15))])
-    assert read_in_order(path, ["unit_id", "age_band", "group", "count"], axes) is not None
+    assert read_sidecar(path, ["unit_id", "age_band", "group", "count"], axes) is not None
     message = r"population\.csv: non-integral count 100000\.5 in cell \(U2-0, 0-4, NHW\)"
     with pytest.raises(TabulationError, match=message):
         ingest(path, AGES, GROUPS, h)
@@ -341,9 +342,9 @@ def test_read_covariates_skips_other_covariates(geo, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the record readers and the in-order reader against the row-at-a-time
-# reference; the test names still say "columnar", after the bulk reader the
-# record readers replaced, so that their ids stay stable
+# the record readers and the sidecar against the row-at-a-time reference;
+# the test names still say "columnar", after the bulk reader the record
+# readers replaced, so that their ids stay stable
 
 
 def reference_read_table(path, header, error) -> list[list[str]]:
@@ -501,58 +502,131 @@ def test_columnar_reader_matches_row_reference(tmp_path, table):
     path = tmp_path / "table.csv"
     path.write_text(text, newline="")
     _assert_readers_agree(path, header, axes)
-    if exact is not None:  # the writer's bytes, read in order unless a label is quoted
-        write_cells(tmp_path / "written.csv", header, [(axes, exact)])
-        assert (tmp_path / "written.csv").read_bytes() == path.read_bytes()
-        assert (read_in_order(path, header, axes) is None) == ('"' in text)
+    if exact is not None:  # the writer's bytes: its sidecar holds the record path's array
+        written = tmp_path / "written.csv"
+        write_cells(written, header, [(axes, exact)])
+        assert written.read_bytes() == path.read_bytes()
+        from_sidecar = read_sidecar(written, header, axes)
+        assert from_sidecar is not None
+        _assert_same(from_sidecar, read_keyed(path, header, axes, TabulationError))
+        _assert_same(read_keyed(written, header, axes, TabulationError), from_sidecar)
 
 
-_QUOTED = [["a", "a\r\n"]]  # a label the writer quotes: never read in order
+_QUOTED = [["a", "a\r\n"]]  # a label the writer quotes
 _PLAIN = [["a", "b"]]
-_EDGES = [(text, _QUOTED, False) for text in (
+_EDGES = [(text, _QUOTED) for text in (
     "", "\n", "\r\n", "k,value", "k,value\r\n", "k,value\n\n", "k,value\r\n\r\n", "k,value\ra,1", "k,value\na,1\n\n",
     "k,value\r\na,1\r\nb", "k,v\na,1", '"k",value\na,1', 'k,value\n"a",1\n"a\r\n",2')] + [
-    ("k,value\r\na,1\n\r\nb,2\r\n", _PLAIN, False),  # float() strips a lone "\n" or "\r" ...
-    ("k,value\r\na,1\r\r\nb,2\r\n", _PLAIN, False),
-    ("k,value\r\na,1\r\r\nb,2\n\r\n", _PLAIN, False),  # ... and one of each makes the counts even
-    ("k,value\n\ra,1\n\rb,2\n\r", _PLAIN, False),  # as many "\r" as "\n", and no "\r\n"
-    ("k,value\r\na,1\r\n2\r\n", _PLAIN, False),  # a record that is only a number
-    ("k,value\r\na,1\r\nb,2,3\r\n", _PLAIN, False),
-    ("k,value\r\na,1\r\nb,2", _PLAIN, False),
-    ("k,value\r\na,1\r\nb,2\r\nb,3", _PLAIN, False),  # as many line ends as cells, and one more record ...
-    ("k,value\r\na,1\r\n2\r\nxy", _PLAIN, False),  # ... as long as the key a keyless record lacks
-    ("k,VALUE\r\na,1\r\nb,2\r\n", _PLAIN, False),
-    ('k,value\r\n"a",1\r\nb,2\r\n', _PLAIN, False),
-    ("k,value\r\na,nan\r\nb,2\r\n", _PLAIN, False),
-    ("k,value\r\nb,2\r\na,1\r\n", _PLAIN, False),
-    ("k,value\r\na,-1\r\nb,2\r\n", _PLAIN, True),  # in order; a negative count is the caller's check
-    ("k,value\r\na,1\r\nb,2\r\n", _PLAIN, True),  # the writer's bytes
+    ("k,value\r\na,1\n\r\nb,2\r\n", _PLAIN),
+    ("k,value\r\na,1\r\r\nb,2\r\n", _PLAIN),
+    ("k,value\r\na,1\r\r\nb,2\n\r\n", _PLAIN),
+    ("k,value\n\ra,1\n\rb,2\n\r", _PLAIN),  # as many "\r" as "\n", and no "\r\n"
+    ("k,value\r\na,1\r\n2\r\n", _PLAIN),  # a record that is only a number
+    ("k,value\r\na,1\r\nb,2,3\r\n", _PLAIN),
+    ("k,value\r\na,1\r\nb,2", _PLAIN),
+    ("k,value\r\na,1\r\nb,2\r\nb,3", _PLAIN),
+    ("k,value\r\na,1\r\n2\r\nxy", _PLAIN),
+    ("k,VALUE\r\na,1\r\nb,2\r\n", _PLAIN),
+    ('k,value\r\n"a",1\r\nb,2\r\n', _PLAIN),
+    ("k,value\r\na,nan\r\nb,2\r\n", _PLAIN),
+    ("k,value\r\nb,2\r\na,1\r\n", _PLAIN),
+    ("k,value\r\na,-1\r\nb,2\r\n", _PLAIN),  # a negative count is the caller's check
+    ("k,value\r\na,1\r\nb,2\r\n", _PLAIN),
 ]
 
 
-@pytest.mark.parametrize(("text", "axes", "in_order"), [pytest.param(*edge, id=edge[0]) for edge in _EDGES])
-def test_columnar_reader_matches_row_reference_at_edges(tmp_path, text, axes, in_order):
+@pytest.mark.parametrize(("text", "axes"), [pytest.param(*edge, id=edge[0]) for edge in _EDGES])
+def test_columnar_reader_matches_row_reference_at_edges(tmp_path, text, axes):
     path = tmp_path / "table.csv"
     path.write_text(text, newline="")
     _assert_readers_agree(path, ["k", "value"], axes)
-    assert (read_in_order(path, ["k", "value"], axes) is not None) == in_order
 
 
-def test_ingest_reads_the_writers_leaf_cube_in_order(geo, tmp_path):
+def test_ingest_reads_the_writers_leaf_cube_from_its_sidecar(geo, tmp_path):
     h, _ = geo
     header = ["unit_id", "age_band", "group", "count"]
     rank = h.depth - 1
     cube = cube_at(h, rank, np.arange(len(h.leaf_ids) * AGES.n * GROUPS.n))
     path = tmp_path / "leaves.csv"
     write_tabulation(cube, path)
-    assert read_in_order(path, header, [h.leaf_ids, AGES.bands, GROUPS.groups]) is not None
+    assert read_sidecar(path, header, [h.leaf_ids, AGES.bands, GROUPS.groups]) is not None
     read = ingest(path, AGES, GROUPS, h)
     assert read.rank == rank and read.values.tobytes() == cube.values.tobytes()
 
 
+def _edit_a_byte(path, sidecar, other):
+    text = path.read_bytes()
+    path.write_bytes(text[:-3] + b"x" + text[-2:])  # the last value's last digit
+
+
+def _truncate(path, sidecar, other):
+    sidecar.write_bytes(sidecar.read_bytes()[:-1])
+
+
+def _foreign(path, sidecar, other):
+    sidecar.write_bytes(sidecar_path(other).read_bytes())
+
+
+SIDECAR_FAULTS = {
+    "edited-byte": _edit_a_byte,
+    "truncated": _truncate,
+    "foreign": _foreign,
+    "renamed-leaf": None,  # the reader's axes change, not the files
+    "written-nan": None,
+    "repeated-label": None,  # with the next, a table the writer gives no sidecar
+    "extra-header-field": None,
+}
+
+
+@pytest.mark.parametrize("fault", SIDECAR_FAULTS)
+def test_a_faulty_sidecar_leaves_the_table_to_the_record_path(geo, tmp_path, fault):
+    # every case reads exactly as the table read without any sidecar: its
+    # values, or the record path's error word for word
+    h, _ = geo
+    header = ["unit_id", "age_band", "group", "count"]
+    axes = [h.leaf_ids, AGES.bands, GROUPS.groups]
+    values = np.arange(16.0) + 0.5
+    if fault == "written-nan":
+        values[5] = math.nan
+    path, other = tmp_path / "population.csv", tmp_path / "other.csv"
+    write_cells(other, header, [(axes, values[::-1].copy())])
+    if fault == "repeated-label":
+        axes = [[h.leaf_ids[0]] * 4, AGES.bands, GROUPS.groups]
+    if fault == "extra-header-field":
+        header = header + ["note"]
+    write_cells(path, header, [(axes, values)])
+    sidecar = sidecar_path(path)
+    assert sidecar.exists() == (fault not in ("repeated-label", "extra-header-field"))
+    if SIDECAR_FAULTS[fault]:
+        SIDECAR_FAULTS[fault](path, sidecar, other)
+    if fault == "renamed-leaf":
+        axes = [["renamed"] + h.leaf_ids[1:], AGES.bands, GROUPS.groups]
+    read = _outcome(lambda p: read_keyed(p, header, axes, TabulationError), path)
+    assert read_sidecar(path, header, axes) is None
+    sidecar.unlink(missing_ok=True)
+    _assert_same(read, _outcome(lambda p: read_keyed(p, header, axes, TabulationError), path))
+    assert isinstance(read, tuple) == (fault not in ("truncated", "foreign"))
+
+
+@pytest.mark.parametrize("text", ["1_000", " 5", "5\t", "５", "1e\u0665"])
+def test_a_number_takes_the_writers_syntax_only(tmp_path, text):
+    # float() takes each of these; a table cell and a study table cell
+    # holding one fail naming the file and the cell
+    path = tmp_path / "table.csv"
+    path.write_text(f'k,value\r\na,1\r\nb,"{text}"\r\n', newline="")
+    message = f"table\\.csv: value {re.escape(repr(text))} of cell \\(b\\) is not a finite number"
+    with pytest.raises(TabulationError, match=message):
+        read_keyed(path, ["k", "value"], _PLAIN, TabulationError)
+    study = tmp_path / "coef_bias.csv"
+    study.write_text(f'source,coefficient,true_value,mean_bias,sd_bias\r\ntruth,beta,0,"{text}",1\r\n', newline="")
+    message = f"coef_bias\\.csv: value {re.escape(repr(text))} of cell \\(truth, beta, mean_bias\\) is not a number"
+    with pytest.raises(SimulationError, match=message):
+        _read_study_table(study, COEF_BIAS_HEADER)
+
+
 def test_ingest_memory_at_10k_leaves(tmp_path):
-    # 140,000 cells: reading in order holds one string per line and peaked
-    # at 16 MB; the record reader, one list of strings per line, at 42.7 MB
+    # 140,000 cells: read from the sidecar the cube peaked at 2.4 MB; the
+    # record reader, one list of strings per line, peaks at 41.5 MB
     h, _ = build_synthetic_geography(10_000, [4, 5, 5, 10, 10], "grid", seed=5)
     ages, groups = default_age_schema(), default_group_schema()
     pop = synth_population(h, ages, groups, seed=5)
