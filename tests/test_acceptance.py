@@ -392,6 +392,29 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     criterion(10, "byte-identical reports across reruns", ok, f"{len(REPORT_FILES)} files compared")
 
 
+# sha256 of each REPORT_FILES file after PIPE_CMDS; criterion 10 compares two
+# runs of one version, so only these pins catch a change to the tables' bytes
+REPORT_DIGESTS = {
+    "simulate/coef_bias.csv": "de006d1b3995dc5a10fdcf652b9a1f60b7c375ab557c2ed5eee7d13a67ba0b44",
+    "simulate/smr_bias.csv": "7e4beba184d52e3bf07ce13fd73d11f7b7d0dfddc7cb1d4128ea6ede79f90483",
+    "simulate/smr_mape.csv": "e30a426a21851b7e04fc5a345d19a9cec9d2074f2ebc73bd46e5e2b93867b49b",
+    "simulate/fractions.csv": "5cbcb9a54de3365c0261f04010d1fb688a80ff88675964a18ad65783963e4ce0",
+    "simulate/replicates.csv": "18aec6dcefc3bb2e6eeba6c5d27c59d66444355da4fe37db8a42c8a8dd3f7a2a",
+    "report/denominators.csv": "fb0d6667204a026773d82e311566f827c79e6623a507f2c08409985908c4051f",
+    "report/report.txt": "14b424ca5ae3d467cc51bf370e4f22dbda7c52c230dcaee000b550f5de76f941",
+}
+
+
+def test_study_tables_match_their_pinned_digests(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(PIPE_CONFIG))
+    out = tmp_path / "out"
+    for cmd in PIPE_CMDS:
+        result = CliRunner().invoke(cli_main, ["--config", str(cfg_path), "--out", str(out)] + cmd)
+        assert result.exit_code == 0, result.output
+    assert {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in REPORT_FILES} == REPORT_DIGESTS
+
+
 def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
     # every cube and expected-count file the stages write is read back from
     # its sidecar; only the covariate file takes the record readers
