@@ -208,11 +208,11 @@ def _rng_for(seed: int, rank: int, pass_name: str) -> np.random.Generator:
 def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> NoisyMeasurements:
     """Add independent per-cell noise at every geolevel, root included.
 
-    Requires a cube for every rank of the hierarchy. With an infinite budget
-    the measurements equal the truth. For multi-pass configs the per-level
-    budget splits between a unit-totals query and the detail histogram; the
-    root total itself is an exact invariant, so no totals query is taken
-    there and only its detail share is spent.
+    Requires a cube for every rank of the hierarchy and a finite budget (an
+    infinite one raises ProtectionError). For multi-pass configs the
+    per-level budget splits between a unit-totals query and the detail
+    histogram; the root total itself is an exact invariant, so no totals
+    query is taken there and only its detail share is spent.
     """
     h = next(iter(cubes.values())).hierarchy
     ranks = list(range(h.depth))
@@ -230,13 +230,6 @@ def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> NoisyMe
     if budget.multi_pass:
         totals = {0: unit_totals(cubes[0]).copy()}
         totals_noise = {}
-
-    if budget.infinite:
-        for rank in ranks:
-            detail[rank] = cubes[rank].values.copy()
-            if totals is not None and rank > 0:
-                totals[rank] = unit_totals(cubes[rank]).copy()
-        return NoisyMeasurements(detail, totals, epsilons, detail_noise, totals_noise)
 
     eps_levels = budget.level_epsilons(len(ranks))
     for rank in ranks:
@@ -426,11 +419,10 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
         raise ProtectionError("true cube must sit at the leaf level")
 
     cubes = leveled_cubes(true_cube)
-    measurements = inject_noise(cubes, config)
-
     if config.budget.infinite:
         audit = AuditRecord(config.variant, config.seed, {}, {}, None, dict(cubes))
         return true_cube, audit
+    measurements = inject_noise(cubes, config)
 
     # the root grand total is the mechanism's one exact invariant: the noisy
     # root histogram is fit subject to it as one sibling group, and

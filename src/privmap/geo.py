@@ -20,13 +20,6 @@ HIERARCHY_HEADER = ["unit_id", "level", "parent_id"]
 _ROOT, _MISSING = -1, -2  # the parent position of the root, and of a unit whose parent is unknown
 
 
-def _level_names(depth: int) -> list[str]:
-    if depth <= len(DEFAULT_LEVEL_NAMES):
-        # keep "root" first and the finest default name last
-        return [DEFAULT_LEVEL_NAMES[0]] + DEFAULT_LEVEL_NAMES[len(DEFAULT_LEVEL_NAMES) - depth + 1 :]
-    return ["root"] + [f"level{r}" for r in range(1, depth)]
-
-
 class Hierarchy:
     """A rooted tree of geographic units, built from ``(unit_id, level,
     parent_id)`` records in any order, the root's parent id being empty.
@@ -238,6 +231,26 @@ def _random_planar_adjacency(n: int, rng: np.random.Generator) -> tuple[np.ndarr
     return pairs[:, 0], pairs[:, 1]
 
 
+def check_geography(n_leaves, branching, layout) -> None:
+    """Raise GeographyError at the first rule :func:`build_synthetic_geography`
+    needs its arguments to keep: at least 4 leaves; 1 to ``MAX_DEPTH - 1``
+    branching factors, each a positive integer, whose product covers the
+    leaves; and a known layout."""
+    if not isinstance(n_leaves, int) or n_leaves < 4:
+        raise GeographyError(f"need an integer number of leaves, at least 4, got {n_leaves!r}")
+    if not (
+        isinstance(branching, list)
+        and 1 <= len(branching) < MAX_DEPTH
+        and all(isinstance(b, int) and b >= 1 for b in branching)
+    ):
+        raise GeographyError(f"branching must be a list of 1 to {MAX_DEPTH - 1} positive integers, got {branching!r}")
+    cap = int(np.prod(branching))
+    if cap < n_leaves:
+        raise GeographyError(f"branching {branching} supports at most {cap} leaves, requested {n_leaves}")
+    if layout not in LAYOUTS:
+        raise GeographyError(f"layout must be {' or '.join(LAYOUTS)}, got {layout!r}")
+
+
 def build_synthetic_geography(
     n_leaves: int,
     branching: list[int],
@@ -250,22 +263,13 @@ def build_synthetic_geography(
     its product must cover ``n_leaves`` (the last parent may be ragged).
     ``layout`` controls the leaf graph: ``grid`` is a rook-adjacency
     rectangle, ``random-planar`` a seeded Delaunay triangulation.
+    Arguments :func:`check_geography` rejects raise its GeographyError.
     """
-    if n_leaves < 4:
-        raise GeographyError(f"need at least 4 leaves, got {n_leaves}")
     branching = list(branching)
-    if not branching or any(b < 1 for b in branching):
-        raise GeographyError(f"branching factors must be positive integers, got {branching}")
-    cap = int(np.prod(branching))
-    if cap < n_leaves:
-        raise GeographyError(
-            f"branching {branching} supports at most {cap} leaves, requested {n_leaves}"
-        )
-    if layout not in LAYOUTS:
-        raise GeographyError(f"unknown layout {layout!r}")
-
+    check_geography(n_leaves, branching, layout)
     depth = len(branching) + 1
-    names = _level_names(depth)
+    # "root" first and the finest default names last
+    names = DEFAULT_LEVEL_NAMES[:1] + DEFAULT_LEVEL_NAMES[len(DEFAULT_LEVEL_NAMES) - depth + 1 :]
 
     # counts per level: how many units actually exist once leaves are capped
     counts = [n_leaves]

@@ -24,12 +24,15 @@ from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, 
 from .das import (
     VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
 )
-from .errors import ConfigError, MissingInputError, ModelError, ProtectionError, SimulationError, TabulationError
+from .errors import (
+    ConfigError, GeographyError, MissingInputError, ModelError, ProtectionError, SimulationError, TabulationError
+)
 from .geo import (
-    LAYOUTS, build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
+    build_synthetic_geography, check_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 )
 from .simulate import (
     DEFAULT_HAZARDS as DEFAULT_HAZARD_SCHEDULE,
+    TABLES,
     DgpConfig,
     run_study,
     synth_deaths,
@@ -158,14 +161,10 @@ def _validate_config(cfg: dict) -> None:
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     geo = cfg["geo"]
-    if not isinstance(geo["leaves"], int) or geo["leaves"] < 4:
-        raise ConfigError("geo.leaves must be an integer >= 4")
-    if not isinstance(geo["branching"], list) or not all(
-        isinstance(b, int) and b >= 1 for b in geo["branching"]
-    ):
-        raise ConfigError("geo.branching must be a list of positive integers")
-    if geo["layout"] not in LAYOUTS:
-        raise ConfigError(f"geo.layout must be {' or '.join(LAYOUTS)}, got {geo['layout']!r}")
+    try:
+        check_geography(geo["leaves"], geo["branching"], geo["layout"])
+    except GeographyError as exc:
+        raise ConfigError(f"geo: {exc}") from None
     das = cfg["das"]
     if das["variant"] not in VARIANTS:
         raise ConfigError(f"das.variant must be one of {'/'.join(VARIANTS)}, got {das['variant']!r}")
@@ -188,7 +187,7 @@ def _validate_config(cfg: dict) -> None:
         if not isinstance(mcmc[key], int) or isinstance(mcmc[key], bool):
             raise ConfigError(f"model.mcmc.{key} must be an integer, got {mcmc[key]!r}")
     try:
-        McmcConfig(mcmc["iterations"], mcmc["burnin"], mcmc["thin"])
+        _mcmc_config(cfg, seed=0)
     except ModelError as exc:
         raise ConfigError(f"model.mcmc: {exc}") from None
     sim = cfg["sim"]
@@ -206,7 +205,7 @@ def _validate_config(cfg: dict) -> None:
         if sim[key] < 0:
             raise ConfigError(f"sim.{key} must be non-negative, got {sim[key]!r}")
     try:
-        DgpConfig(tuple(sim["beta"]), sim["rho"], phi_var=sim["phi_var"], n_reps=sim["n_reps"])
+        _dgp_config(cfg)
     except SimulationError as exc:
         raise ConfigError(f"sim: {exc}") from None
     if not isinstance(sim["sources"], list) or "truth" not in sim["sources"]:
@@ -286,19 +285,14 @@ class _Stage:
         self.outputs: list[Path] = []
 
     def inputs(self, *rels: str) -> list[Path]:
-        """The paths of input files, recorded for the manifest; all must exist."""
+        """The paths of input files, recorded for the manifest with the
+        sidecar of each that has one, as ``read_keyed`` reads it; all must
+        exist."""
         paths = [self.out_dir / rel for rel in rels]
         missing = [str(p) for p in paths if not p.exists()]
         if missing:
             raise MissingInputError(f"missing stage inputs: {missing}")
         self.read_paths.update(dict.fromkeys(paths))
-        return paths
-
-    def keyed_inputs(self, *rels: str) -> list[Path]:
-        """The paths of keyed tables, as :meth:`inputs` gives them; the
-        sidecar of each that has one is recorded too, as ``read_keyed``
-        reads it."""
-        paths = self.inputs(*rels)
         self.read_paths.update(dict.fromkeys(p for p in map(sidecar_path, paths) if p.exists()))
         return paths
 
@@ -378,6 +372,28 @@ def _das_config(cfg, variant: str) -> DasConfig:
         raise ConfigError(f"das: {exc}") from None
 
 
+def _mcmc_config(cfg, seed: int) -> McmcConfig:
+    m = cfg["model"]["mcmc"]
+    return McmcConfig(m["iterations"], m["burnin"], m["thin"], seed)
+
+
+def _dgp_config(cfg) -> DgpConfig:
+    sim = cfg["sim"]
+    return DgpConfig(
+        tuple(sim["beta"]), sim["rho"], phi_var=sim["phi_var"], n_reps=sim["n_reps"], master_seed=cfg["seed"]
+    )
+
+
+def _prior_options(cfg) -> dict:
+    """``build_spec``'s prior keywords, from ``model.priors``."""
+    priors = cfg["model"]["priors"]
+    return {
+        "prior_beta_var": priors["beta_var"],
+        "prior_ig_shape": priors["ig_shape"],
+        "prior_ig_scale": priors["ig_scale"],
+    }
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -421,7 +437,7 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"protect:{variant}", {"variant": variant}) as st:
         h = _load_hierarchy(st)
-        pop = ingest(*st.keyed_inputs("geo/population.csv"), ages, groups, h)
+        pop = ingest(*st.inputs("geo/population.csv"), ages, groups, h)
         config = _das_config(cfg, variant)
         eps, passes = config.budget.epsilon_total, config.budget.pass_shares
         st.extra.update(epsilon_total=eps if math.isfinite(eps) else "inf", pass_shares=passes)
@@ -437,11 +453,11 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"expect:{source}", {"source": source}) as st:
         h = _load_hierarchy(st)
-        totals_path, = st.keyed_inputs("geo/totals.csv")
+        totals_path, = st.inputs("geo/totals.csv")
         # rates always come from the unprotected statewide totals
         population, deaths = read_totals(totals_path, h, ages, groups)
         rates = rates_from_cubes(deaths, population, cfg["std"]["race_specific_rates"])
-        cube_path, = st.keyed_inputs("geo/population.csv" if source == "truth" else f"protect/protected_{source}.csv")
+        cube_path, = st.inputs("geo/population.csv" if source == "truth" else f"protect/protected_{source}.csv")
         cube = ingest(cube_path, ages, groups, h)
         check_totals(cube, cube_path, population, totals_path, per_stratum=source == "truth")
         ec = expected_counts(cube, rates, source)
@@ -450,7 +466,7 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
 
 
 def _load_expected(st: _Stage, sources: list[str], h, groups) -> list[ExpectedCounts]:
-    paths = st.keyed_inputs(*(f"expect/expected_{s}.csv" for s in sources))
+    paths = st.inputs(*(f"expect/expected_{s}.csv" for s in sources))
     return [read_expected(path, h.leaf_ids, groups.groups, s) for path, s in zip(paths, sources)]
 
 
@@ -461,26 +477,17 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
     ages, groups = _schemas(cfg)
     with _Stage(cfg, out_dir, f"fit:{source}", {"source": source}) as st:
         h, adj = _load_geo(st)
-        deaths = ingest(*st.keyed_inputs("geo/deaths.csv"), ages, groups, h, value_column="deaths")
+        deaths = ingest(*st.inputs("geo/deaths.csv"), ages, groups, h, value_column="deaths")
         poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
         ec, = _load_expected(st, [source], h, groups)
-        priors = cfg["model"]["priors"]
         start = time.perf_counter()
-        spec = build_spec(
-            ec,
-            poverty,
-            adj,
-            prior_beta_var=priors["beta_var"],
-            prior_ig_shape=priors["ig_shape"],
-            prior_ig_scale=priors["ig_scale"],
-        )
+        spec = build_spec(ec, poverty, adj, **_prior_options(cfg))
         plan_s = time.perf_counter() - start  # build_spec builds the CAR plan
         y = spec.flatten(deaths.values.sum(axis=1))  # events per (unit, group)
-        m = cfg["model"]["mcmc"]
-        seed = int(np.random.SeedSequence([cfg["seed"], 8800]).generate_state(1)[0])
+        mcmc = _mcmc_config(cfg, int(np.random.SeedSequence([cfg["seed"], 8800]).generate_state(1)[0]))
         start = time.perf_counter()
-        draws = fit(y, spec, McmcConfig(m["iterations"], m["burnin"], m["thin"], seed))
-        sweep_us = (time.perf_counter() - start) / m["iterations"] * 1e6
+        draws = fit(y, spec, mcmc)
+        sweep_us = (time.perf_counter() - start) / mcmc.iterations * 1e6
         # the manifest is never byte-compared, so timings may go in it
         st.extra.update(plan_s=round(plan_s, 3), sweep_us=round(sweep_us, 1))
         summary = mrr_summary(draws)
@@ -508,12 +515,6 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
 DENOMINATORS_HEADER = [
     "source", "group", "mean_pct_error", "sd_pct_error", "q25", "median", "q75", "under_pct", "zero_pct"
 ]
-# the simulate tables the report reads back, as StudyReport.tables writes them
-FRACTIONS_HEADER = [
-    "source", "group", "mean_smr_bias", "mean_smr_mape", "upward_bias_pct",
-    "underestimated_expected_pct", "zero_expected_pct",
-]
-COEF_BIAS_HEADER = ["source", "coefficient", "true_value", "mean_bias", "sd_bias"]
 
 
 def _read_study_table(path: Path, header: list[str]) -> list[list]:
@@ -540,31 +541,10 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         h, adj = _load_geo(st)
         poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
         sources = _load_expected(st, sim["sources"], h, groups)
-        dgp = DgpConfig(
-            beta=tuple(sim["beta"]),
-            rho=sim["rho"],
-            phi_var=sim["phi_var"],
-            n_reps=sim["n_reps"],
-            master_seed=cfg["seed"],
-        )
-        m = cfg["model"]["mcmc"]
-        priors = cfg["model"]["priors"]
-        report = run_study(
-            dgp,
-            sources,
-            poverty,
-            adj,
-            McmcConfig(m["iterations"], m["burnin"], m["thin"], 0),
-            jobs=jobs,
-            spec_options={
-                "prior_beta_var": priors["beta_var"],
-                "prior_ig_shape": priors["ig_shape"],
-                "prior_ig_scale": priors["ig_scale"],
-            },
-        )
-        tables = report.tables()
-        for name in ("coef_bias", "smr_bias", "smr_mape", "fractions", "replicates"):
-            st.write(f"simulate/{name}.csv", lambda p, r=tables[name]: write_table(p, list(r[0]), map(dict.values, r)))
+        mcmc = _mcmc_config(cfg, seed=0)
+        report = run_study(_dgp_config(cfg), sources, poverty, adj, mcmc, jobs=jobs, spec_options=_prior_options(cfg))
+        for name, rows in report.tables().items():
+            st.write(f"simulate/{name}.csv", lambda p, header=TABLES[name], r=rows: write_table(p, header, map(dict.values, r)))
         st.extra["convergence"] = {src: report.convergence[src] for src in report.sources}
     return st.result(report=report)
 
@@ -600,14 +580,15 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
         # the study digest is optional: only a simulated run has these tables
         if (st.out_dir / "simulate" / "fractions.csv").exists():
             lines += ["", "Simulation study (per source and group)"]
-            fractions = _read_study_table(*st.inputs("simulate/fractions.csv"), FRACTIONS_HEADER)
+            fractions = _read_study_table(*st.inputs("simulate/fractions.csv"), TABLES["fractions"])
             for src, group, bias, mape, upward, _, _ in fractions:
                 lines.append(
                     f"  {src:>6} {group:>8}: SMR bias {bias:+.4f}, MAPE {mape:.4f}, upward {upward:.2f}%"
                 )
             if (st.out_dir / "simulate" / "coef_bias.csv").exists():
                 lines += ["", "Coefficient bias (mean over replicates)"]
-                for src, coef, _, mean_bias, _ in _read_study_table(*st.inputs("simulate/coef_bias.csv"), COEF_BIAS_HEADER):
+                coef_bias = _read_study_table(*st.inputs("simulate/coef_bias.csv"), TABLES["coef_bias"])
+                for src, coef, _, mean_bias, _ in coef_bias:
                     lines.append(f"  {src:>6} {coef:>12}: {mean_bias:+.5f}")
         lines.append("")
         st.write("report/report.txt", lambda p: p.write_text("\n".join(lines)))

@@ -164,14 +164,13 @@ def synth_population(
     minority_ratio: float = 12.0,
     pop_scale: float = 174.0,
     minority_sigma: float = 0.7,
-    age_weights: tuple[float, ...] | None = None,
     seed: int = 0,
 ) -> TabulationCube:
     """Leaf population cube: the reference group centers on ``pop_scale``
     people per unit; every other group averages ``pop_scale / minority_ratio``
     but is spatially concentrated (lognormal spread ``minority_sigma``), the
     segregation-like pattern that makes small sparse cells the norm."""
-    weights = np.asarray(age_weights if age_weights is not None else DEFAULT_AGE_WEIGHTS)
+    weights = np.asarray(DEFAULT_AGE_WEIGHTS)
     if weights.size != ages.n:
         weights = np.full(ages.n, 1.0 / ages.n)
     weights = weights / weights.sum()
@@ -218,9 +217,23 @@ def synth_poverty(n_units: int, seed: int = 0) -> np.ndarray:
 # the study
 
 
+# the study tables: each one's name and header, in the order they are written
+TABLES = {
+    "coef_bias": ["source", "coefficient", "true_value", "mean_bias", "sd_bias"],
+    "smr_bias": ["unit_id", "group", "source", "bias"],
+    "smr_mape": ["unit_id", "group", "source", "mape"],
+    "fractions": [
+        "source", "group", "mean_smr_bias", "mean_smr_mape", "upward_bias_pct",
+        "underestimated_expected_pct", "zero_expected_pct",
+    ],
+    "replicates": ["replicate", "source", "coefficient", "estimate", "converged"],
+}
+
+
 @dataclass
 class StudyReport:
-    """Per-source aggregates over replicates plus the per-unit metric tables."""
+    """Per-source results over replicates; the aggregates are derived from
+    them on access."""
 
     unit_ids: list[str]
     groups: tuple[str, ...]
@@ -228,88 +241,78 @@ class StudyReport:
     coef_names: list[str]
     beta_true: np.ndarray
     n_reps: int
-    master_seed: int
     coef_estimates: dict[str, np.ndarray]      # source -> (n_reps, p)
-    coef_bias_mean: dict[str, np.ndarray]      # source -> (p,)
-    coef_bias_sd: dict[str, np.ndarray]
     smr_bias: dict[str, np.ndarray]            # source -> (n, G)
     smr_mape: dict[str, np.ndarray]
-    group_bias: dict[str, dict[str, float]]    # source -> group -> mean bias
-    group_mape: dict[str, dict[str, float]]
-    upward_pct: dict[str, dict[str, float]]
-    under_pct: dict[str, dict[str, float]]     # expected counts vs truth
+    under_pct: dict[str, dict[str, float]]     # source -> group -> percent, expected counts vs truth
     zero_pct: dict[str, dict[str, float]]
-    excluded: dict[str, list[tuple[str, str]]]
     convergence: dict[str, list[bool]]         # source -> per-replicate flag
 
-    def tables(self) -> dict[str, list[dict]]:
-        """Flatten into the delimited study tables."""
-        coef_rows = []
-        for src in self.sources:
-            for j, name in enumerate(self.coef_names):
-                coef_rows.append(
-                    {
-                        "source": src,
-                        "coefficient": name,
-                        "true_value": float(self.beta_true[j]),
-                        "mean_bias": float(self.coef_bias_mean[src][j]),
-                        "sd_bias": float(self.coef_bias_sd[src][j]),
-                    }
-                )
-        bias_rows, mape_rows = [], []
-        for src in self.sources:
-            for i, uid in enumerate(self.unit_ids):
-                for g, group in enumerate(self.groups):
-                    bias_rows.append(
-                        {
-                            "unit_id": uid,
-                            "group": group,
-                            "source": src,
-                            "bias": float(self.smr_bias[src][i, g]),
-                        }
-                    )
-                    mape_rows.append(
-                        {
-                            "unit_id": uid,
-                            "group": group,
-                            "source": src,
-                            "mape": float(self.smr_mape[src][i, g]),
-                        }
-                    )
-        frac_rows = []
-        for src in self.sources:
-            for group in self.groups:
-                frac_rows.append(
-                    {
-                        "source": src,
-                        "group": group,
-                        "mean_smr_bias": self.group_bias[src][group],
-                        "mean_smr_mape": self.group_mape[src][group],
-                        "upward_bias_pct": self.upward_pct[src][group],
-                        "underestimated_expected_pct": self.under_pct[src][group],
-                        "zero_expected_pct": self.zero_pct[src][group],
-                    }
-                )
-        rep_rows = []
-        for src in self.sources:
-            for k in range(self.n_reps):
-                for j, name in enumerate(self.coef_names):
-                    rep_rows.append(
-                        {
-                            "replicate": k,
-                            "source": src,
-                            "coefficient": name,
-                            "estimate": float(self.coef_estimates[src][k, j]),
-                            "converged": bool(self.convergence[src][k]),
-                        }
-                    )
+    @property
+    def coef_bias_mean(self) -> dict[str, np.ndarray]:
+        """Source -> mean over replicates of each coefficient's error."""
+        return {src: (est - self.beta_true).mean(axis=0) for src, est in self.coef_estimates.items()}
+
+    @property
+    def coef_bias_sd(self) -> dict[str, np.ndarray]:
+        """Source -> sample SD over replicates of each coefficient's error,
+        zero for one replicate."""
         return {
-            "coef_bias": coef_rows,
-            "smr_bias": bias_rows,
-            "smr_mape": mape_rows,
-            "fractions": frac_rows,
-            "replicates": rep_rows,
+            src: (est - self.beta_true).std(axis=0, ddof=1) if len(est) > 1 else np.zeros(est.shape[1])
+            for src, est in self.coef_estimates.items()
         }
+
+    def _group_means(self, per_cell: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:
+        return {src: {g: float(np.nanmean(v[:, j])) for j, g in enumerate(self.groups)} for src, v in per_cell.items()}
+
+    @property
+    def group_bias(self) -> dict[str, dict[str, float]]:
+        """Source -> group -> mean SMR bias over the group's cells."""
+        return self._group_means(self.smr_bias)
+
+    @property
+    def group_mape(self) -> dict[str, dict[str, float]]:
+        """Source -> group -> mean SMR MAPE over the group's cells."""
+        return self._group_means(self.smr_mape)
+
+    @property
+    def upward_pct(self) -> dict[str, dict[str, float]]:
+        """Source -> group -> percent of cells with upward SMR bias."""
+        return {src: upward_fraction(b, self.groups) for src, b in self.smr_bias.items()}
+
+    def tables(self) -> dict[str, list[dict]]:
+        """The study tables, each a list of rows keyed by its :data:`TABLES`
+        header."""
+        bias_mean, bias_sd = self.coef_bias_mean, self.coef_bias_sd
+        group_bias, group_mape, upward = self.group_bias, self.group_mape, self.upward_pct
+        coefs = list(enumerate(self.coef_names))
+        cells = [(uid, group) for uid in self.unit_ids for group in self.groups]
+
+        def per_cell(values):
+            return ((*cell, src, v) for src in self.sources for cell, v in zip(cells, values[src].ravel().tolist()))
+
+        rows = {  # generators, so that only the keyed rows are held
+            "coef_bias": (
+                (src, name, float(self.beta_true[j]), float(bias_mean[src][j]), float(bias_sd[src][j]))
+                for src in self.sources
+                for j, name in coefs
+            ),
+            "smr_bias": per_cell(self.smr_bias),
+            "smr_mape": per_cell(self.smr_mape),
+            "fractions": (
+                (src, g, group_bias[src][g], group_mape[src][g], upward[src][g],
+                 self.under_pct[src][g], self.zero_pct[src][g])
+                for src in self.sources
+                for g in self.groups
+            ),
+            "replicates": (
+                (k, src, name, float(self.coef_estimates[src][k, j]), bool(self.convergence[src][k]))
+                for src in self.sources
+                for k in range(self.n_reps)
+                for j, name in coefs
+            ),
+        }
+        return {name: [dict(zip(TABLES[name], row)) for row in rows[name]] for name in TABLES}
 
 
 def _replicate(
@@ -400,58 +403,22 @@ def run_study(
     else:
         results = list(map(replicate, ks))
 
-    n, n_groups = truth.values.shape
-    smr_true_stack = np.stack([r["smr_true"] for r in results])  # (K, n, G)
-    beta_true = np.asarray(dgp.beta, dtype=float)
-
-    coef_estimates, coef_bias_mean, coef_bias_sd = {}, {}, {}
-    smr_bias_d, smr_mape_d = {}, {}
-    group_bias, group_mape, upward_pct = {}, {}, {}
-    under_pct, zero_pct, excluded, convergence = {}, {}, {}, {}
-
+    smr_true = np.stack([r["smr_true"] for r in results])  # (K, n, G)
+    smr_bias, smr_mape = {}, {}
     for src in tags:
-        est = np.stack([r["per_source"][src]["coef"] for r in results])
-        coef_estimates[src] = est
-        diffs = est - beta_true[None, :]
-        coef_bias_mean[src] = diffs.mean(axis=0)
-        coef_bias_sd[src] = diffs.std(axis=0, ddof=1) if est.shape[0] > 1 else np.zeros(p)
-
-        smr_hat_stack = np.stack([r["per_source"][src]["smr_hat"] for r in results])
-        b = bias(smr_hat_stack, smr_true_stack)
-        m = mape(smr_hat_stack, smr_true_stack)
-        smr_bias_d[src] = b
-        smr_mape_d[src] = m
-        group_bias[src] = {
-            g: float(np.nanmean(b[:, j])) for j, g in enumerate(truth.groups)
-        }
-        group_mape[src] = {
-            g: float(np.nanmean(m[:, j])) for j, g in enumerate(truth.groups)
-        }
-        upward_pct[src] = upward_fraction(b, truth.groups)
-        src_obj = sources[tags.index(src)]
-        under_pct[src] = underestimation_fraction(src_obj, truth)
-        zero_pct[src] = zero_count_percent(src_obj)
-        excluded[src] = list(specs[src].excluded)
-        convergence[src] = [bool(r["per_source"][src]["converged"]) for r in results]
-
+        smr_hat = np.stack([r["per_source"][src]["smr_hat"] for r in results])
+        smr_bias[src], smr_mape[src] = bias(smr_hat, smr_true), mape(smr_hat, smr_true)
     return StudyReport(
         unit_ids=list(truth.unit_ids),
         groups=truth.groups,
         sources=tags,
         coef_names=list(specs["truth"].colnames),
-        beta_true=beta_true,
+        beta_true=np.asarray(dgp.beta, dtype=float),
         n_reps=dgp.n_reps,
-        master_seed=dgp.master_seed,
-        coef_estimates=coef_estimates,
-        coef_bias_mean=coef_bias_mean,
-        coef_bias_sd=coef_bias_sd,
-        smr_bias=smr_bias_d,
-        smr_mape=smr_mape_d,
-        group_bias=group_bias,
-        group_mape=group_mape,
-        upward_pct=upward_pct,
-        under_pct=under_pct,
-        zero_pct=zero_pct,
-        excluded=excluded,
-        convergence=convergence,
+        coef_estimates={src: np.stack([r["per_source"][src]["coef"] for r in results]) for src in tags},
+        smr_bias=smr_bias,
+        smr_mape=smr_mape,
+        under_pct={s.source: underestimation_fraction(s, truth) for s in sources},
+        zero_pct={s.source: zero_count_percent(s) for s in sources},
+        convergence={src: [bool(r["per_source"][src]["converged"]) for r in results] for src in tags},
     )

@@ -121,22 +121,20 @@ def expected_counts(cube: TabulationCube, rates: ReferenceRates, source: str = "
 @dataclass
 class PercentErrorResult:
     errors: np.ndarray  # (n_units, n_groups), NaN where the truth is zero
-    summary: dict[str, dict[str, float]]  # per group and "all"
+    summary: dict[str, dict[str, float]]  # per group; empty for a group without a nonzero truth
 
 
 def _summary_stats(err: np.ndarray) -> dict[str, float]:
     err = err[~np.isnan(err)]
     if err.size == 0:
-        return {"n": 0.0}
+        return {}
     q25, q50, q75 = np.percentile(err, [25, 50, 75])
     return {
-        "n": float(err.size),
         "mean": float(err.mean()),
         "sd": float(err.std(ddof=1)) if err.size > 1 else 0.0,
         "q25": float(q25),
         "median": float(q50),
         "q75": float(q75),
-        "under_pct": float(100.0 * np.mean(err < 0)),
     }
 
 
@@ -147,9 +145,7 @@ def percent_error(test: ExpectedCounts, truth: ExpectedCounts) -> PercentErrorRe
     errors = np.full_like(truth.values, np.nan)
     ok = truth.values != 0
     errors[ok] = 100.0 * (test.values[ok] - truth.values[ok]) / truth.values[ok]
-    summary = {"all": _summary_stats(errors)}
-    for g, group in enumerate(truth.groups):
-        summary[group] = _summary_stats(errors[:, g])
+    summary = {group: _summary_stats(errors[:, g]) for g, group in enumerate(truth.groups)}
     return PercentErrorResult(errors, summary)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import TabulationError
 from .geo import Hierarchy
-from .tables import check_cells, read_cells, read_keyed, read_table, write_cells
+from .tables import check_cells, read_keyed, write_cells
 
 DEFAULT_AGE_BANDS = ["0-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64"]
 DEFAULT_GROUPS = ["NHW", "Black"]
@@ -157,6 +157,6 @@ def write_covariates(path, unit_ids: list[str], name: str, values: np.ndarray) -
 
 
 def read_covariates(path, unit_ids: list[str], name: str) -> np.ndarray:
-    """One covariate's value per unit; rows of other covariates are skipped."""
-    records = read_table(path, ["unit_id", "name", "value"], TabulationError)
-    return read_cells(path, [record for record in records if record[1] == name], [unit_ids], TabulationError)
+    """The value of covariate ``name`` per unit, from a table of that one
+    covariate as :func:`write_covariates` writes it."""
+    return read_keyed(path, ["unit_id", "name", "value"], [unit_ids, [name]], TabulationError)[:, 0]

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import privmap as pm
-from privmap import tables, tabulation
+from privmap import tables
 from privmap.carmodel import McmcConfig, build_spec, fit
 from privmap.cli import main as cli_main
 from privmap.das import (
@@ -416,10 +416,10 @@ def test_study_tables_match_their_pinned_digests(tmp_path):
 
 
 def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
-    # every cube and expected-count file the stages write is read back from
-    # its sidecar; only the covariate file takes the record readers
+    # every keyed table the stages write is read back from its sidecar, and
+    # none takes the record readers
     reads = []
-    for module, name in ((tables, "read_sidecar"), (tables, "read_cells"), (tabulation, "read_cells")):
+    for module, name in ((tables, "read_sidecar"), (tables, "read_cells")):
         def spy(path, *args, _read=getattr(module, name), _name=name):
             found = _read(path, *args)
             reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
@@ -433,7 +433,7 @@ def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
         assert result.exit_code == 0, result.output
     from_sidecar = {path for name, path, found in reads if name == "read_sidecar" and found}
     assert all(found for _, _, found in reads), [read for read in reads if not read[2]]
-    assert from_sidecar == {"geo/population.csv", "geo/deaths.csv", "geo/totals.csv"} | {
+    assert from_sidecar == {"geo/population.csv", "geo/deaths.csv", "geo/totals.csv", "geo/covariates.csv"} | {
         f"protect/protected_{v}.csv" for v in ("v19", "v20", "v22")
     } | {f"expect/expected_{s}.csv" for s in ("truth", "v19", "v20", "v22")}
-    assert {path for name, path, _ in reads if name == "read_cells"} == {"geo/covariates.csv"}
+    assert not [read for read in reads if read[0] == "read_cells"]

@@ -385,14 +385,6 @@ def small_cube():
     return TabulationCube(h, 2, ages, groups, vals, integer_valued=True)
 
 
-def test_inject_noise_infinite_budget_identity(small_cube):
-    cubes = leveled_cubes(small_cube)
-    cfg = DasConfig("custom", PrivacyBudget(math.inf), seed=1)
-    m = inject_noise(cubes, cfg)
-    for rank, cube in cubes.items():
-        assert np.array_equal(m.detail[rank], cube.values)
-
-
 def test_inject_noise_requires_all_levels(small_cube):
     cfg = DasConfig("custom", PrivacyBudget(4.0), seed=1)
     with pytest.raises(ProtectionError, match="missing cube"):

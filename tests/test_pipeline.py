@@ -427,6 +427,23 @@ def test_cli_exit_codes(tmp_path):
     assert "hierarchy.csv" in result.output and f"level {leaf_level!r} used at ranks" in result.output
 
 
+@pytest.mark.parametrize(
+    ("geo", "message"),
+    [
+        ({"leaves": 1000, "branching": [2, 2]}, "branching [2, 2] supports at most 4 leaves, requested 1000"),
+        ({"leaves": 64, "branching": [2] * 6}, "branching must be a list of 1 to 5 positive integers"),
+    ],
+    ids=["leaves-beyond-branching", "seven-levels"],
+)
+def test_cli_rejects_a_geography_it_cannot_build(tmp_path, geo, message):
+    # a config/schema violation: exit 2 before any stage runs or writes
+    cfg_path = write_config(tmp_path, {"geo": geo})
+    result = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "run"), "geo"])
+    assert result.exit_code == 2, result.output
+    assert f"config error: geo: {message}" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(("count", "message"), [("+1", "does not match"), ("1.5", "non-integral count 1.5")])
 def test_cli_expect_fails_on_a_tampered_totals_file(tmp_path, count, message):
     # the statewide totals must describe the population geo wrote: a changed

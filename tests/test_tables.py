@@ -20,8 +20,8 @@ from privmap.carmodel import McmcConfig, PosteriorDraws, write_draws
 from privmap.das import AuditRecord, write_audit
 from privmap.errors import GeographyError, SimulationError, StandardizationError, TabulationError
 from privmap.geo import build_synthetic_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
-from privmap.pipeline import COEF_BIAS_HEADER, _read_study_table, load_config, stage_report
-from privmap.simulate import synth_population
+from privmap.pipeline import _read_study_table, load_config, stage_report
+from privmap.simulate import TABLES, synth_population
 from privmap.standardize import ExpectedCounts, read_expected, write_expected
 from privmap.tables import fmt, read_cells, read_keyed, read_sidecar, read_table, sidecar_path, write_cells
 from privmap.tabulation import (
@@ -330,15 +330,17 @@ def test_ingest_names_a_non_integral_count(geo, tmp_path):
         ingest(path, AGES, GROUPS, h)
 
 
-def test_read_covariates_skips_other_covariates(geo, tmp_path):
+def test_read_covariates_names_a_row_of_another_covariate(geo, tmp_path):
+    # a covariate file holds the one covariate write_covariates wrote; a row
+    # of any other fails naming its label and cell
     h, _ = geo
     path = tmp_path / "covariates.csv"
     rows = [[uid, name, str(v)] for i, uid in enumerate(h.leaf_ids) for name, v in (("income", -i), ("poverty", i))]
     path.write_text("".join(",".join(row) + "\r\n" for row in [["unit_id", "name", "value"], *rows]), newline="")
-    assert read_covariates(path, h.leaf_ids, "poverty").tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert read_covariates(path, h.leaf_ids, "income").tolist() == [0.0, -1.0, -2.0, -3.0]
-    with pytest.raises(TabulationError, match=r"covariates\.csv: missing cell \(U2-0\) and 3 more"):
-        read_covariates(path, h.leaf_ids, "smoking")
+    for name, other in (("poverty", "income"), ("income", "poverty"), ("smoking", "income")):
+        message = rf"covariates\.csv: unknown label '{other}' in cell \(U2-0, {other}\)"
+        with pytest.raises(TabulationError, match=message):
+            read_covariates(path, h.leaf_ids, name)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +623,7 @@ def test_a_number_takes_the_writers_syntax_only(tmp_path, text):
     study.write_text(f'source,coefficient,true_value,mean_bias,sd_bias\r\ntruth,beta,0,"{text}",1\r\n', newline="")
     message = f"coef_bias\\.csv: value {re.escape(repr(text))} of cell \\(truth, beta, mean_bias\\) is not a number"
     with pytest.raises(SimulationError, match=message):
-        _read_study_table(study, COEF_BIAS_HEADER)
+        _read_study_table(study, TABLES["coef_bias"])
 
 
 def test_ingest_memory_at_10k_leaves(tmp_path):
