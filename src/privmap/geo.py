@@ -7,10 +7,12 @@ leaf adjacency as an undirected graph with binary weights.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import GeographyError
-from .tables import read_table, write_table
+from .tables import read_table, sidecar_payload, write_sidecar, write_table
 
 
 MAX_DEPTH = 6
@@ -102,6 +104,28 @@ class Hierarchy:
             childless = np.flatnonzero(np.bincount(parents, minlength=len(self._ids[r])) == 0)
             if childless.size:
                 raise GeographyError(f"unit {self._ids[r][childless[0]]}: no children at {self.level_names[r]} level")
+
+    @classmethod
+    def _from_ranks(cls, level_names, ids, parents) -> Hierarchy | None:
+        """The hierarchy kept as ``level_names``, the unit ids at each rank
+        and the parent positions at each rank below the root, as
+        ``write_hierarchy`` writes them to the sidecar; None unless they have
+        a hierarchy's shape: 2 to MAX_DEPTH levels, one root, one parent
+        position per unit below the root, each naming a unit one rank up,
+        and no childless unit above the leaves."""
+        depth = len(level_names)
+        if not (2 <= depth <= MAX_DEPTH and len(ids) == depth and len(parents) == depth - 1 and len(ids[0]) == 1):
+            return None
+        parents = [np.asarray(p, dtype=np.intp) for p in parents]
+        for r, p in enumerate(parents):
+            if p.shape != (len(ids[r + 1]),):
+                return None
+            children = np.bincount(p, minlength=len(ids[r]))
+            if children.size != len(ids[r]) or not children.all():
+                return None
+        h = cls.__new__(cls)
+        h.level_names, h._ids, h._parents = level_names, ids, parents
+        return h
 
     @property
     def depth(self) -> int:
@@ -300,16 +324,33 @@ def build_synthetic_geography(
 
 
 def write_hierarchy(h: Hierarchy, path) -> None:
-    """One unit_id,level,parent_id row per unit, rank by rank."""
+    """One unit_id,level,parent_id row per unit, rank by rank, then the
+    table's sidecar (see ``privmap.tables``), whose payload is the JSON of
+    the level names, the unit ids of each rank and the parent positions of
+    each rank below the root: the hierarchy the rows load as."""
+    parents = [h.parent_index(rank).tolist() for rank in range(1, h.depth)]
     rows = [[h.units_at(0)[0], h.level_names[0], ""]]
     for rank in range(1, h.depth):
         up, name = h.units_at(rank - 1), h.level_names[rank]
-        rows += ([uid, name, up[p]] for uid, p in zip(h.units_at(rank), h.parent_index(rank).tolist()))
+        rows += ([uid, name, up[p]] for uid, p in zip(h.units_at(rank), parents[rank - 1]))
     write_table(path, HIERARCHY_HEADER, rows)
+    ids = [h.units_at(rank) for rank in range(h.depth)]
+    write_sidecar(path, HIERARCHY_HEADER, (), json.dumps([h.level_names, ids, parents]).encode())
+
+
+def _payload_hierarchy(fh) -> Hierarchy | None:
+    try:
+        return Hierarchy._from_ranks(*json.loads(fh.read()))
+    except (LookupError, TypeError, ValueError):  # not JSON, or not three lists as written
+        return None
 
 
 def read_hierarchy(path) -> Hierarchy:
-    """Load a hierarchy from its records, which may come in any order."""
+    """Load a hierarchy from its sidecar when that matches the table's
+    bytes, and otherwise from its records, which may come in any order."""
+    h = sidecar_payload(path, HIERARCHY_HEADER, (), _payload_hierarchy)
+    if h is not None:
+        return h
     records = read_table(path, HIERARCHY_HEADER, GeographyError)
     try:
         return Hierarchy(records)

@@ -4,7 +4,9 @@ Every stage runs inside one harness (``_Stage``): it gets each input path
 from the harness, which records the file it hands out, writes its outputs
 atomically (temp file + rename), and appends a manifest entry with the
 content hashes of every file read and written, so a run can be audited and
-reproduced byte-for-byte.
+reproduced byte-for-byte. A hash is the one ``privmap.tables`` took of the
+bytes the stage read or wrote, or, for a file no table reader or writer
+passed over, one taken for the manifest.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .standardize import (
     write_totals,
     zero_count_percent,
 )
-from .tables import SECONDS, number, read_table, sha256_file, sidecar_path, write_table
+from .tables import DIGESTS, SECONDS, number, read_table, sha256_file, sidecar_path, write_table
 from .tabulation import (
     DEFAULT_AGE_BANDS,
     AgeSchema,
@@ -228,24 +230,32 @@ def _validate_config(cfg: dict) -> None:
 def _write_atomic(path: Path, writer) -> list[Path]:
     """Run a file-writing callable against a temp path beside ``path``, then
     rename it to ``path``, and the sidecar the writer may have left beside
-    the temp path to ``path``'s sidecar; the paths committed. A crash
+    the temp path to ``path``'s sidecar, carrying the digest recorded for
+    each temp file over to its final name; the paths committed. A crash
     between the two renames leaves a sidecar whose digest no longer
     matches, which readers ignore."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
-    os.replace(tmp, path)
-    if not sidecar_path(tmp).exists():
-        return [path]
-    os.replace(sidecar_path(tmp), sidecar_path(path))
-    return [path, sidecar_path(path)]
+    moves = [(tmp, path)]
+    if sidecar_path(tmp).exists():
+        moves.append((sidecar_path(tmp), sidecar_path(path)))
+    for src, dst in moves:
+        os.replace(src, dst)
+        if src in DIGESTS:
+            DIGESTS[dst] = DIGESTS.pop(src)
+        else:
+            DIGESTS.pop(dst, None)
+    return [dst for _, dst in moves]
 
 
 def append_manifest(
     out_dir: Path, cfg: dict, stage: str, timings: dict, inputs: list[Path], outputs: list[Path], extra: dict
 ) -> None:
     """Append one stage entry to ``manifest.json``: its ``timings``, the
-    sha256 of its inputs and outputs, and any stage-specific ``extra``."""
+    sha256 of its inputs and outputs, each as a table reader or writer
+    recorded it in ``DIGESTS`` or else hashed here, and any stage-specific
+    ``extra``."""
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
@@ -254,8 +264,8 @@ def append_manifest(
     entry = {
         "stage": stage,
         **timings,
-        "inputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): sha256_file(p) for p in outputs},
+        "inputs": {str(p.relative_to(out_dir)): DIGESTS.get(p) or sha256_file(p) for p in inputs},
+        "outputs": {str(p.relative_to(out_dir)): DIGESTS.get(p) or sha256_file(p) for p in outputs},
     }
     if extra:
         entry["extra"] = extra
@@ -266,7 +276,9 @@ def append_manifest(
 
 class _Stage:
     """One stage run: hands out input paths and records each, writes outputs
-    atomically, and on a normal exit appends the manifest entry.
+    atomically, and on a normal exit appends the manifest entry. It clears
+    ``DIGESTS`` as it starts, so a file read or written in an earlier stage,
+    and perhaps edited since, is hashed afresh.
 
     ``cpu_s`` is this process's CPU time during the stage (forked
     ``--jobs`` workers not included); ``read_s`` and ``write_s`` are the
@@ -286,8 +298,8 @@ class _Stage:
 
     def inputs(self, *rels: str) -> list[Path]:
         """The paths of input files, recorded for the manifest with the
-        sidecar of each that has one, as ``read_keyed`` reads it; all must
-        exist."""
+        sidecar of each that has one, as the table's reader reads it; all
+        must exist."""
         paths = [self.out_dir / rel for rel in rels]
         missing = [str(p) for p in paths if not p.exists()]
         if missing:
@@ -306,6 +318,7 @@ class _Stage:
         self.start = time.perf_counter()
         self.cpu_start = time.process_time()
         self.io_start = dict(SECONDS)
+        DIGESTS.clear()
         return self
 
     def __exit__(self, exc_type, *exc):

@@ -9,35 +9,49 @@ keyed tables, and raise the caller's error class naming the file and the
 error rather than a crash. A number must be plain ASCII, with no ``_``
 and no surrounding whitespace, although ``float`` accepts all three.
 
-The CSV is the only contract. Beside a one-block keyed table (a cube, the
-statewide totals, the covariates, an expected-count table) ``write_cells``
-also writes a binary sidecar, ``<table>.sidecar``: the sha256 of the
-table's bytes, a digest of its header and axes labels, and the float64
-values the record path would parse from the text. A keyed table has two
-read paths.
-:func:`read_keyed` returns the sidecar's values only when the table hashes
-to the recorded digest, the caller's header and axes hash to the recorded
-layout, the size matches and every value is finite; in every other case,
-a missing, stale, truncated or foreign sidecar included, the table is read
-one record at a time by ``csv.reader`` and its cells are filled through
-one label dictionary per axis, and the first record at fault is named.
+The CSV is the only contract. Two kinds of table also carry a binary
+sidecar, ``<table>.sidecar``, written after the table: a one-block keyed
+table (a cube, the statewide totals, the covariates, an expected-count
+table), whose sidecar ``write_cells`` writes, and the geographic hierarchy,
+whose sidecar ``geo.write_hierarchy`` writes. This module decides a
+sidecar's envelope: a magic, the sha256 of the table's bytes and a digest
+of the table's header and the labels of the axes its reader keys by; the
+writer decides the payload that follows. :func:`sidecar_payload` hands a
+reader the payload only when the envelope matches the table's bytes, its
+header and its axes; in every other case, a missing, stale, truncated or
+foreign sidecar included, the reader reads the table's records.
+A keyed table's payload is the float64 values the record path would parse
+from the text. :func:`read_keyed` returns them when they fill the table's
+cells and every value is finite; otherwise the table is read one record at
+a time by ``csv.reader`` and its cells are filled through one label
+dictionary per axis, and the first record at fault is named.
+
+Every reader and writer here hashes a file's bytes as they stream and
+records the sha256 in :data:`DIGESTS` under the file's path. A pipeline
+stage clears that record when it starts and takes its manifest's digests
+from it, so each file is hashed once a stage; ``sha256_file`` hashes only a
+file no reader or writer of this module passed over, a text report say.
 
 The keyed writer renders the cells of each block by one ``%`` format call
 per chunk of about 2**15 lines: a template holds every line's key, with
 each ``%`` doubled, and one value spec, ``%d`` for an integer array and
 ``%s`` for a real one, whose values are each rendered once by
-:data:`REAL`, the spec of :func:`fmt`.
+:data:`REAL`, the spec of :func:`fmt`. It encodes each chunk once, and
+writes and hashes the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
+import locale
 import math
 import time
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,6 +60,59 @@ import numpy as np
 # wall seconds this process has spent in table reads and writes; a caller
 # times a span by the difference of two readings
 SECONDS = {"read": 0.0, "write": 0.0}
+
+# the hex sha256 of each file a reader or writer of this module last passed
+# over, by path; a caller that clears it takes from it the digests of the
+# files read and written since
+DIGESTS: dict[Path, str] = {}
+_CHUNK = 1 << 16  # the bytes a buffered stream moves, and hashes, at a time
+
+
+class _HashedIO(io.RawIOBase):
+    """An unbuffered binary file whose bytes, as they are read or written,
+    also feed ``sha``."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sha = hashlib.sha256()
+
+    def readable(self):
+        return self._fh.readable()
+
+    def writable(self):
+        return self._fh.writable()
+
+    def readinto(self, b):
+        n = self._fh.readinto(b)
+        self.sha.update(memoryview(b).cast("B")[:n])
+        return n
+
+    def write(self, b):
+        n = self._fh.write(b)
+        self.sha.update(memoryview(b).cast("B")[:n])
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+@contextlib.contextmanager
+def _hashed(path, mode):
+    """``open(path, mode, newline="")`` for ``mode`` "r", "w", "rb" or "wb",
+    hashing the bytes read or written; on a normal exit it records the
+    sha256 of the file's bytes in :data:`DIGESTS`, a read hashing the bytes
+    it left unread first."""
+    key = Path(path)
+    DIGESTS.pop(key, None)
+    raw = _HashedIO(open(path, mode[0] + "b", buffering=0))
+    buffered = io.BufferedReader(raw, _CHUNK) if mode[0] == "r" else io.BufferedWriter(raw, _CHUNK)
+    with buffered if "b" in mode else io.TextIOWrapper(buffered, newline="") as fh:
+        yield fh
+        if mode[0] == "r":
+            while raw.read(_CHUNK):
+                pass
+    DIGESTS[key] = raw.sha.hexdigest()
 
 
 def _timed(kind):
@@ -73,12 +140,16 @@ def fmt(x) -> str:
 
 @_timed("write")
 def write_table(path, header, rows) -> None:
-    """A header line, then one line per row; a real cell (a ``float``, numpy's
+    """A header line, then one line per row of ``rows``, each a collection
+    of cells, which is iterated twice; a real cell (a ``float``, numpy's
     float64 included) is rendered by :func:`fmt`, any other by ``str``."""
-    with open(path, "w", newline="") as fh:
+    rows = list(rows)
+    if any(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(rows)))):  # one C pass
+        rows = ([fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    with _hashed(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 # renders one record as write_table would, "\r\n" included, and returns it
@@ -109,17 +180,48 @@ def sidecar_path(path) -> Path:
 
 
 def sha256_file(path) -> str:
-    """The hex sha256 of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """The hex sha256 of a file's bytes, recorded in :data:`DIGESTS` too."""
+    with _hashed(path, "rb"):
+        pass
+    return DIGESTS[Path(path)]
 
 
 def _layout(header, axes) -> bytes:
-    """The digest of a keyed table's header and axes labels."""
+    """The digest of a table's header and the labels of the axes its reader
+    keys by."""
     return hashlib.sha256(json.dumps([list(header), [list(axis) for axis in axes]]).encode()).digest()
+
+
+def _write_sidecar(path, header, axes, payload) -> None:
+    """Write the sidecar of the table at ``path``, which a writer of this
+    module has just written: the envelope (the magic, the table's sha256,
+    the digest of ``header`` and ``axes``), then the bytes of ``payload``."""
+    with _hashed(sidecar_path(path), "wb") as fh:
+        fh.write(_MAGIC + bytes.fromhex(DIGESTS[Path(path)]) + _layout(header, axes))
+        fh.write(payload)
+
+
+write_sidecar = _timed("write")(_write_sidecar)  # write_cells, itself timed, calls the untimed one
+
+
+@_timed("read")
+def sidecar_payload(path, header, axes, parse):
+    """What ``parse(fh)`` returns for the sidecar of the table at ``path``,
+    ``fh`` being the sidecar read up to its payload, when the envelope holds
+    the magic, the sha256 of the table's bytes and the digest of ``header``
+    and ``axes``, and ``parse`` returns a value other than None and reads
+    the sidecar to its end; None otherwise, a missing sidecar included."""
+    try:
+        with _hashed(sidecar_path(path), "rb") as fh:
+            head = fh.read(_HEAD)
+            if len(head) != _HEAD or not head.startswith(_MAGIC) or head[-32:] != _layout(header, axes):
+                return None
+            found = parse(fh)
+            if found is None or fh.read(1):
+                return None
+        return found if sha256_file(path) == head[len(_MAGIC) : -32].hex() else None
+    except OSError:
+        return None
 
 
 @_timed("write")
@@ -137,15 +239,9 @@ def write_cells(path, header, blocks) -> None:
     """
     keyed = len(blocks) == 1 and len(header) == len(blocks[0][0]) + 1
     keyed = keyed and all(len(set(axis)) == len(axis) for axis in blocks[0][0])
-    digest = hashlib.sha256()
-    with open(path, "w", newline="") as fh:
-
-        def emit(text):
-            fh.write(text)
-            if keyed:
-                digest.update(text.encode(fh.encoding))
-
-        emit(_render(header))
+    encoding = locale.getpreferredencoding(False)  # as write_table's text layer encodes
+    with _hashed(path, "wb") as fh:
+        fh.write(_render(header).encode(encoding))
         for axes, values in blocks:
             values = np.asarray(values).reshape(math.prod(map(len, axes)))
             if values.dtype.kind in "iu":
@@ -153,7 +249,10 @@ def write_cells(path, header, blocks) -> None:
             else:  # each real rendered once, by one format call, and read back as the record path reads it
                 spec, cells = "%s", (("%" + REAL + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
                 values = np.fromiter(map(float, cells), float, len(cells))
-            outer, *rest = [[field.replace("%", "%%") for field in fields] for fields in _key_fields(axes)]
+            outer, *rest = [
+                [field.replace("%", "%%") for field in fields] if "%" in "".join(fields) else fields
+                for fields in _key_fields(axes)
+            ]
             inner = ["".join(key) + spec for key in product(*rest)]
             n = len(inner)
             if not n:  # an empty axis: no cells
@@ -161,10 +260,9 @@ def write_cells(path, header, blocks) -> None:
             step = max(1, (1 << 15) // n)  # bounded memory
             for start in range(0, len(outer), step):
                 template = "".join(u + ("\r\n" + u).join(inner) + "\r\n" for u in outer[start : start + step])
-                emit(template % tuple(cells[start * n : (start + step) * n]))
+                fh.write((template % tuple(cells[start * n : (start + step) * n])).encode(encoding))
     if keyed:
-        with open(sidecar_path(path), "wb") as fh:
-            fh.write(_MAGIC + digest.digest() + _layout(header, axes) + values.astype("<f8").tobytes())
+        _write_sidecar(path, header, axes, values.astype("<f8"))
 
 
 def number(text: str) -> float:
@@ -184,7 +282,7 @@ def read_table(path, header, error) -> list[list[str]]:
     ``len(header)`` fields raises ``error`` naming the file and the line.
     """
     header = list(header)
-    with open(path, newline="") as fh:
+    with _hashed(path, "r") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
@@ -233,25 +331,17 @@ def read_cells(path, records, axes, error) -> np.ndarray:
     return values
 
 
-@_timed("read")
 def read_sidecar(path, header, axes) -> np.ndarray | None:
     """The values of the keyed table at ``path`` from its sidecar, shaped
-    by ``axes``, when the sidecar records the sha256 of the table's bytes
-    and the digest of ``header`` and ``axes``, holds one value per cell and
-    every value is finite; None otherwise, a missing sidecar included."""
+    by ``axes``, when :func:`sidecar_payload` takes the sidecar, it holds
+    one value per cell and every value is finite; None otherwise."""
     values = np.empty(tuple(map(len, axes)), "<f8")
-    try:
-        with open(sidecar_path(path), "rb") as fh:
-            head = fh.read(_HEAD)
-            if len(head) != _HEAD or not head.startswith(_MAGIC) or head[-32:] != _layout(header, axes):
-                return None
-            if fh.readinto(values.reshape(-1).view("u1")) != values.nbytes or fh.read(1):
-                return None
-        if sha256_file(path) != head[len(_MAGIC) : -32].hex():
-            return None
-    except OSError:
-        return None
-    return values.astype(float, copy=False) if np.isfinite(values).all() else None
+
+    def fill(fh):
+        return values if fh.readinto(values.reshape(-1).view("u1")) == values.nbytes else None
+
+    found = sidecar_payload(path, header, axes, fill)
+    return found.astype(float, copy=False) if found is not None and np.isfinite(found).all() else None
 
 
 def read_keyed(path, header, axes, error) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import privmap as pm
-from privmap import tables
+from privmap import geo, pipeline, tables
 from privmap.carmodel import McmcConfig, build_spec, fit
 from privmap.cli import main as cli_main
 from privmap.das import (
@@ -415,11 +415,47 @@ def test_study_tables_match_their_pinned_digests(tmp_path):
     assert {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in REPORT_FILES} == REPORT_DIGESTS
 
 
+def test_manifest_digests_are_the_bytes_each_stage_read_or_wrote(tmp_path, monkeypatch):
+    # every digest is the sha256 of the file as the stage read or wrote it;
+    # a cube edited after protect, to other bytes of the same counts, is
+    # recorded by expect as edited while protect's entry keeps what it wrote.
+    # The manifest hashes only the files no table reader or writer hashed.
+    hashed = []
+    monkeypatch.setattr(
+        pipeline, "sha256_file", lambda p, _hash=pipeline.sha256_file: hashed.append(p.name) or _hash(p)
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(PIPE_CONFIG))
+    out = tmp_path / "out"
+    cube = out / "protect" / "protected_v19.csv"
+    written = None
+    for cmd in PIPE_CMDS:
+        if cmd[0] == "expect" and written is None:
+            written = hashlib.sha256(cube.read_bytes()).hexdigest()
+            header, first, *rest = cube.read_bytes().split(b"\r\n")
+            key, value = first.rsplit(b",", 1)
+            cube.write_bytes(b"\r\n".join([header, key + b",0" + value, *rest]))
+        result = CliRunner().invoke(cli_main, ["--config", str(cfg_path), "--out", str(out)] + cmd)
+        assert result.exit_code == 0, result.output
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert len(stages) == len(PIPE_CMDS)
+    for st in stages:
+        for rel, digest in {**st["inputs"], **st["outputs"]}.items():
+            on_disk = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            edited = (st["stage"], rel) == ("protect:v19", "protect/protected_v19.csv")
+            assert digest == (written if edited else on_disk), (st["stage"], rel)
+    assert written != hashlib.sha256(cube.read_bytes()).hexdigest()
+    expect_v19 = next(st for st in stages if st["stage"] == "expect:v19")
+    assert expect_v19["inputs"]["protect/protected_v19.csv"] == hashlib.sha256(cube.read_bytes()).hexdigest()
+    assert hashed == ["summary_truth.json", "report.txt"]
+
+
 def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
-    # every keyed table the stages write is read back from its sidecar, and
-    # none takes the record readers
+    # every keyed table the stages write is read back from its sidecar, as
+    # is the hierarchy by every stage after geo, and none takes the record
+    # readers
     reads = []
-    for module, name in ((tables, "read_sidecar"), (tables, "read_cells")):
+    for module, name in ((tables, "read_sidecar"), (tables, "read_cells"), (geo, "sidecar_payload")):
         def spy(path, *args, _read=getattr(module, name), _name=name):
             found = _read(path, *args)
             reads.append((_name, path.relative_to(tmp_path).as_posix(), found is not None))
@@ -437,3 +473,5 @@ def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):
         f"protect/protected_{v}.csv" for v in ("v19", "v20", "v22")
     } | {f"expect/expected_{s}.csv" for s in ("truth", "v19", "v20", "v22")}
     assert not [read for read in reads if read[0] == "read_cells"]
+    hierarchy_reads = [read for read in reads if read[0] == "sidecar_payload"]
+    assert hierarchy_reads == [("sidecar_payload", "geo/hierarchy.csv", True)] * (len(PIPE_CMDS) - 1)

@@ -14,6 +14,7 @@ from privmap.geo import (
     write_adjacency,
     write_hierarchy,
 )
+from privmap.tables import sidecar_path
 
 
 def test_2x2_grid_corner_degree():
@@ -183,8 +184,11 @@ def test_hierarchy_file_roundtrip(tmp_path):
     write_adjacency(adj, ap)
     h2 = read_hierarchy(hp)
     a2 = read_adjacency(ap, h2.leaf_ids)
-    assert all(h2.units_at(r) == h.units_at(r) for r in range(h.depth))
-    assert h2.level_names == h.level_names
+    sidecar_path(hp).unlink()  # h2 came from the sidecar; the records load the same hierarchy
+    for h3 in (h2, read_hierarchy(hp)):
+        assert all(h3.units_at(r) == h.units_at(r) for r in range(h.depth))
+        assert all(np.array_equal(h3.parent_index(r), h.parent_index(r)) for r in range(1, h.depth))
+        assert h3.level_names == h.level_names
     assert np.array_equal(a2.weights.toarray(), adj.weights.toarray())
     # writing again gives identical bytes
     hp2 = tmp_path / "hierarchy2.csv"

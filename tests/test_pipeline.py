@@ -207,6 +207,7 @@ def test_stage_geo_outputs(pipeline_run):
         "geo/deaths.csv",
         "geo/totals.csv",
         "geo/covariates.csv",
+        "geo/hierarchy.csv.sidecar",
         "geo/population.csv.sidecar",
         "geo/deaths.csv.sidecar",
         "geo/totals.csv.sidecar",
@@ -234,7 +235,8 @@ def test_stage_expect_reads_the_hierarchy_the_totals_and_one_cube(pipeline_run):
     stages = {st["stage"]: st for st in json.loads((out / "manifest.json").read_text())["stages"]}
     for source, cube in (("v19", "protect/protected_v19.csv"), ("truth", "geo/population.csv")):
         assert set(stages[f"expect:{source}"]["inputs"]) == {
-            "geo/hierarchy.csv", "geo/totals.csv", "geo/totals.csv.sidecar", cube, cube + ".sidecar"
+            "geo/hierarchy.csv", "geo/hierarchy.csv.sidecar", "geo/totals.csv", "geo/totals.csv.sidecar", cube,
+            cube + ".sidecar",
         }
         assert set(stages[f"expect:{source}"]["outputs"]) == {
             f"expect/expected_{source}.csv", f"expect/expected_{source}.csv.sidecar"
@@ -563,6 +565,8 @@ QUOTED_LABEL_OUTPUTS = {
     "protect/protected_v19.csv.sidecar": "6cb23b23b0aca52eb24282e38444bc52849ea4a7a5675c7b2bbf15f9923051b6",
     "protect/protected_v20.csv.sidecar": "646035c60cea2cfd75d53a1b463b3e41052c1362b126a27fc62918aa41a1fba2",
     "protect/protected_v22.csv.sidecar": "3eb661627bd8237183a43c76b5cfff4707c5f877f06d6b9c2a74e7652f1bc9e0",
+    # pinned when the hierarchy began carrying a sidecar
+    "geo/hierarchy.csv.sidecar": "3f1d05a68b07d0e60e9343c16b00767015562eb67f0c3749c548d7b252774664",
 }
 
 

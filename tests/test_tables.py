@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import privmap
+from privmap import tables
 from privmap.carmodel import McmcConfig, PosteriorDraws, write_draws
 from privmap.das import AuditRecord, write_audit
 from privmap.errors import GeographyError, SimulationError, StandardizationError, TabulationError
@@ -569,10 +570,21 @@ def _foreign(path, sidecar, other):
     sidecar.write_bytes(sidecar_path(other).read_bytes())
 
 
+def _remove(path, sidecar, other):
+    sidecar.unlink()
+
+
+def _repeat_the_first_record(path, sidecar, other):
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[:2] + lines[1:]))
+
+
 SIDECAR_FAULTS = {
     "edited-byte": _edit_a_byte,
     "truncated": _truncate,
     "foreign": _foreign,
+    "missing": _remove,
+    "duplicate-key": _repeat_the_first_record,  # the sidecar left stale
     "renamed-leaf": None,  # the reader's axes change, not the files
     "written-nan": None,
     "repeated-label": None,  # with the next, a table the writer gives no sidecar
@@ -580,11 +592,49 @@ SIDECAR_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", SIDECAR_FAULTS)
-def test_a_faulty_sidecar_leaves_the_table_to_the_record_path(geo, tmp_path, fault):
+def _reparent(path, sidecar, other):
+    # the envelope kept, so it still matches the table; every unit of the
+    # last rank moved under the first unit one rank up, leaving the others
+    # there childless: a payload without a hierarchy's shape
+    data = sidecar.read_bytes()
+    level_names, ids, parents = json.loads(data[tables._HEAD :])
+    parents[-1] = [0] * len(parents[-1])
+    sidecar.write_bytes(data[: tables._HEAD] + json.dumps([level_names, ids, parents]).encode())
+
+
+HIERARCHY_FAULTS = {
+    **{fault: SIDECAR_FAULTS[fault] for fault in ("edited-byte", "truncated", "foreign", "missing", "duplicate-key")},
+    "reparented": _reparent,
+}
+
+
+def _ranks(h):
+    ids = [h.units_at(r) for r in range(h.depth)]
+    return [h.level_names, ids, [h.parent_index(r).tolist() for r in range(1, h.depth)]]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    list(SIDECAR_FAULTS) + [f"hierarchy-{fault}" for fault in HIERARCHY_FAULTS],
+)
+def test_a_faulty_sidecar_leaves_the_table_to_the_record_path(geo, tmp_path, fault, monkeypatch):
     # every case reads exactly as the table read without any sidecar: its
     # values, or the record path's error word for word
     h, _ = geo
+    if fault.startswith("hierarchy-"):  # the hierarchy's sidecar, faulted as a keyed table's
+        fault = fault.removeprefix("hierarchy-")
+        path, other = tmp_path / "hierarchy.csv", tmp_path / "other.csv"
+        write_hierarchy(build_synthetic_geography(6, [2, 3], "grid", seed=1)[0], other)
+        write_hierarchy(h, path)
+        HIERARCHY_FAULTS[fault](path, sidecar_path(path), other)
+        records = []
+        monkeypatch.setattr("privmap.geo.read_table", lambda *args: records.append(args) or read_table(*args))
+        read = _outcome(lambda p: _ranks(read_hierarchy(p)), path)
+        assert len(records) == 1  # the record path
+        sidecar_path(path).unlink(missing_ok=True)
+        assert read == _outcome(lambda p: _ranks(read_hierarchy(p)), path)
+        assert isinstance(read, tuple) == (fault in ("edited-byte", "duplicate-key"))
+        return
     header = ["unit_id", "age_band", "group", "count"]
     axes = [h.leaf_ids, AGES.bands, GROUPS.groups]
     values = np.arange(16.0) + 0.5
@@ -607,7 +657,7 @@ def test_a_faulty_sidecar_leaves_the_table_to_the_record_path(geo, tmp_path, fau
     assert read_sidecar(path, header, axes) is None
     sidecar.unlink(missing_ok=True)
     _assert_same(read, _outcome(lambda p: read_keyed(p, header, axes, TabulationError), path))
-    assert isinstance(read, tuple) == (fault not in ("truncated", "foreign"))
+    assert isinstance(read, tuple) == (fault not in ("truncated", "foreign", "missing"))
 
 
 @pytest.mark.parametrize("text", ["1_000", " 5", "5\t", "５", "1e\u0665"])
