@@ -1,19 +1,18 @@
 """End-to-end pipeline stages behind a single validated config document.
 
 Every stage runs inside one harness (``_Stage``): it gets each input path
-from the harness, which records the file it hands out, writes its outputs
-atomically (temp file + rename), and appends a manifest entry with the
-content hashes of every file read and written, so a run can be audited and
-reproduced byte-for-byte. A hash is the one ``privmap.tables`` took of the
-bytes the stage read or wrote, or, for a file no table reader or writer
-passed over, one taken for the manifest.
+from the harness, which checks that the file exists, and on a normal exit
+appends a manifest entry with the content hashes of every file the stage
+read and wrote, so a run can be audited and reproduced byte-for-byte. Each
+file is read and written through ``privmap.tables``, which commits a write
+whole and records each hash from the bytes as they stream; the manifest
+hashes nothing itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import resource
 import time
 from dataclasses import replace
@@ -54,7 +53,8 @@ from .standardize import (
     write_totals,
     zero_count_percent,
 )
-from .tables import DIGESTS, SECONDS, number, read_table, sha256_file, sidecar_path, write_table
+from .tables import RECORD, number, read_table, write_table, write_text
+from .tables import sha256_file  # unused here: bench/tracing.py patches it in this module
 from .tabulation import (
     DEFAULT_AGE_BANDS,
     AgeSchema,
@@ -224,38 +224,15 @@ def _validate_config(cfg: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stage harness: inputs, atomic writes, timings and the manifest
-
-
-def _write_atomic(path: Path, writer) -> list[Path]:
-    """Run a file-writing callable against a temp path beside ``path``, then
-    rename it to ``path``, and the sidecar the writer may have left beside
-    the temp path to ``path``'s sidecar, carrying the digest recorded for
-    each temp file over to its final name; the paths committed. A crash
-    between the two renames leaves a sidecar whose digest no longer
-    matches, which readers ignore."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    moves = [(tmp, path)]
-    if sidecar_path(tmp).exists():
-        moves.append((sidecar_path(tmp), sidecar_path(path)))
-    for src, dst in moves:
-        os.replace(src, dst)
-        if src in DIGESTS:
-            DIGESTS[dst] = DIGESTS.pop(src)
-        else:
-            DIGESTS.pop(dst, None)
-    return [dst for _, dst in moves]
+# stage harness: inputs, timings and the manifest
 
 
 def append_manifest(
-    out_dir: Path, cfg: dict, stage: str, timings: dict, inputs: list[Path], outputs: list[Path], extra: dict
+    out_dir: Path, cfg: dict, stage: str, timings: dict, inputs: dict, outputs: dict, extra: dict
 ) -> None:
     """Append one stage entry to ``manifest.json``: its ``timings``, the
-    sha256 of its inputs and outputs, each as a table reader or writer
-    recorded it in ``DIGESTS`` or else hashed here, and any stage-specific
-    ``extra``."""
+    sha256 of its ``inputs`` and ``outputs``, by path, and any
+    stage-specific ``extra``."""
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
@@ -264,28 +241,28 @@ def append_manifest(
     entry = {
         "stage": stage,
         **timings,
-        "inputs": {str(p.relative_to(out_dir)): DIGESTS.get(p) or sha256_file(p) for p in inputs},
-        "outputs": {str(p.relative_to(out_dir)): DIGESTS.get(p) or sha256_file(p) for p in outputs},
+        "inputs": {str(p.relative_to(out_dir)): digest for p, digest in inputs.items()},
+        "outputs": {str(p.relative_to(out_dir)): digest for p, digest in outputs.items()},
     }
     if extra:
         entry["extra"] = extra
     manifest["stages"].append(entry)
-    text = json.dumps(manifest, indent=2, sort_keys=True)
-    _write_atomic(manifest_path, lambda p: p.write_text(text))
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 class _Stage:
-    """One stage run: hands out input paths and records each, writes outputs
-    atomically, and on a normal exit appends the manifest entry. It clears
-    ``DIGESTS`` as it starts, so a file read or written in an earlier stage,
-    and perhaps edited since, is hashed afresh.
+    """One stage run: hands out input paths, each checked to exist, and on
+    a normal exit appends the manifest entry, taken from ``tables.RECORD``,
+    which it resets as it starts: the files the stage read and wrote, each
+    with the sha256 of the bytes as they streamed, and its timings.
 
     ``cpu_s`` is this process's CPU time during the stage (forked
     ``--jobs`` workers not included); ``read_s`` and ``write_s`` are the
-    wall time of the stage's table reads and writes (``privmap.tables``),
-    parts of ``wall_s``; ``peak_rss_mb`` is the peak resident set of this
-    process so far, read at the stage's end, so a stage run in the same
-    process as an earlier, larger one reports that one's peak.
+    wall time the stage had a file open for reading and for writing through
+    ``privmap.tables``, parts of ``wall_s``; ``peak_rss_mb`` is the peak
+    resident set of this process so far, read at the stage's end, so a
+    stage run in the same process as an earlier, larger one reports that
+    one's peak.
     """
 
     def __init__(self, cfg: dict, out_dir: Path, name: str, extra: dict | None = None):
@@ -293,46 +270,37 @@ class _Stage:
         self.out_dir = Path(out_dir)
         self.name = name
         self.extra = dict(extra or {})
-        self.read_paths: dict[Path, None] = {}  # insertion-ordered set
-        self.outputs: list[Path] = []
 
     def inputs(self, *rels: str) -> list[Path]:
-        """The paths of input files, recorded for the manifest with the
-        sidecar of each that has one, as the table's reader reads it; all
-        must exist."""
+        """The paths of input files, all of which must exist."""
         paths = [self.out_dir / rel for rel in rels]
         missing = [str(p) for p in paths if not p.exists()]
         if missing:
             raise MissingInputError(f"missing stage inputs: {missing}")
-        self.read_paths.update(dict.fromkeys(paths))
-        self.read_paths.update(dict.fromkeys(p for p in map(sidecar_path, paths) if p.exists()))
         return paths
 
-    def write(self, rel: str, writer) -> None:
-        self.outputs += _write_atomic(self.out_dir / rel, writer)
-
     def result(self, **fields) -> dict:
-        return {"outputs": [str(p) for p in self.outputs], **fields}
+        return {"outputs": self.outputs, **fields}
 
     def __enter__(self):
         self.start = time.perf_counter()
         self.cpu_start = time.process_time()
-        self.io_start = dict(SECONDS)
-        DIGESTS.clear()
+        RECORD.reset()
         return self
 
     def __exit__(self, exc_type, *exc):
         if exc_type is not None:
             return
-        read_s, write_s = (SECONDS[k] - self.io_start[k] for k in ("read", "write"))
         timings = {
             "wall_s": round(time.perf_counter() - self.start, 3),
             "cpu_s": round(time.process_time() - self.cpu_start, 3),
-            "read_s": round(read_s, 3),
-            "write_s": round(write_s, 3),
+            "read_s": round(RECORD.seconds["read"], 3),
+            "write_s": round(RECORD.seconds["write"], 3),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # KiB on Linux
         }
-        append_manifest(self.out_dir, self.cfg, self.name, timings, list(self.read_paths), self.outputs, self.extra)
+        read, written = RECORD.digests["read"], RECORD.digests["write"]
+        self.outputs = [str(p) for p in written]  # taken before the manifest's own write joins them
+        append_manifest(self.out_dir, self.cfg, self.name, timings, read, written, self.extra)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +403,12 @@ def stage_geo(cfg: dict, out_dir: Path) -> dict:
             hazards = tuple(np.interp(np.linspace(0, 1, ages.n), xs, DEFAULT_HAZARD_SCHEDULE))
         deaths = synth_deaths(pop, hazards, seed=cfg["seed"], hazard_scale=cfg["sim"]["hazard_scale"])
         poverty = synth_poverty(len(h.leaf_ids), seed=cfg["seed"])
-        st.write("geo/hierarchy.csv", lambda p: write_hierarchy(h, p))
-        st.write("geo/adjacency.csv", lambda p: write_adjacency(adj, p))
-        st.write("geo/population.csv", lambda p: write_tabulation(pop, p))
-        st.write("geo/deaths.csv", lambda p: write_tabulation(deaths, p, value_column="deaths"))
-        st.write("geo/totals.csv", lambda p: write_totals(pop, deaths, p))
-        st.write("geo/covariates.csv", lambda p: write_covariates(p, h.leaf_ids, "poverty", poverty))
+        write_hierarchy(h, st.out_dir / "geo/hierarchy.csv")
+        write_adjacency(adj, st.out_dir / "geo/adjacency.csv")
+        write_tabulation(pop, st.out_dir / "geo/population.csv")
+        write_tabulation(deaths, st.out_dir / "geo/deaths.csv", value_column="deaths")
+        write_totals(pop, deaths, st.out_dir / "geo/totals.csv")
+        write_covariates(st.out_dir / "geo/covariates.csv", h.leaf_ids, "poverty", poverty)
     return st.result()
 
 
@@ -455,8 +423,8 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
         eps, passes = config.budget.epsilon_total, config.budget.pass_shares
         st.extra.update(epsilon_total=eps if math.isfinite(eps) else "inf", pass_shares=passes)
         protected, audit = run_topdown(pop, config)
-        st.write(f"protect/protected_{variant}.csv", lambda p: write_tabulation(protected, p))
-        st.write(f"protect/audit_{variant}.csv", lambda p: write_audit(audit, p))
+        write_tabulation(protected, st.out_dir / f"protect/protected_{variant}.csv")
+        write_audit(audit, st.out_dir / f"protect/audit_{variant}.csv")
     return st.result()
 
 
@@ -474,7 +442,7 @@ def stage_expect(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         cube = ingest(cube_path, ages, groups, h)
         check_totals(cube, cube_path, population, totals_path, per_stratum=source == "truth")
         ec = expected_counts(cube, rates, source)
-        st.write(f"expect/expected_{source}.csv", lambda p: write_expected(ec, p))
+        write_expected(ec, st.out_dir / f"expect/expected_{source}.csv")
     return st.result()
 
 
@@ -505,7 +473,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         st.extra.update(plan_s=round(plan_s, 3), sweep_us=round(sweep_us, 1))
         summary = mrr_summary(draws)
         smr = predict_counts(draws, spec)
-        st.write(f"fit/draws_{source}.csv", lambda p: write_draws(draws, p))
+        write_draws(draws, st.out_dir / f"fit/draws_{source}.csv")
         payload = {
             "source": source,
             "params": summary.params,
@@ -515,13 +483,13 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
             "accept_rates": draws.accept_rates,
             "excluded_cells": [list(c) for c in spec.excluded],
         }
-        st.write(f"fit/summary_{source}.json", lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True)))
+        write_text(st.out_dir / f"fit/summary_{source}.json", json.dumps(payload, indent=2, sort_keys=True))
         smr_rows = [
             [uid, grp, smr.yhat[i, g], smr.smr[i, g]]
             for i, uid in enumerate(smr.unit_ids)
             for g, grp in enumerate(smr.groups)
         ]
-        st.write(f"fit/smr_{source}.csv", lambda p: write_table(p, ["unit_id", "group", "predicted", "smr"], smr_rows))
+        write_table(st.out_dir / f"fit/smr_{source}.csv", ["unit_id", "group", "predicted", "smr"], smr_rows)
     return st.result(converged=summary.converged)
 
 
@@ -557,7 +525,7 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         mcmc = _mcmc_config(cfg, seed=0)
         report = run_study(_dgp_config(cfg), sources, poverty, adj, mcmc, jobs=jobs, spec_options=_prior_options(cfg))
         for name, rows in report.tables().items():
-            st.write(f"simulate/{name}.csv", lambda p, header=TABLES[name], r=rows: write_table(p, header, map(dict.values, r)))
+            write_table(st.out_dir / f"simulate/{name}.csv", TABLES[name], map(dict.values, rows))
         st.extra["convergence"] = {src: report.convergence[src] for src in report.sources}
     return st.result(report=report)
 
@@ -581,7 +549,7 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
             for group in ec.groups:
                 stats = [pe.summary[group].get(k, math.nan) for k in ("mean", "sd", "q25", "median", "q75")]
                 denom_rows.append([s, group, *stats, under[group], zp[group]])
-        st.write("report/denominators.csv", lambda p: write_table(p, DENOMINATORS_HEADER, denom_rows))
+        write_table(st.out_dir / "report/denominators.csv", DENOMINATORS_HEADER, denom_rows)
 
         lines = ["privmap study report", "====================", ""]
         lines.append("Denominator accuracy against the unprotected source")
@@ -604,5 +572,5 @@ def stage_report(cfg: dict, out_dir: Path) -> dict:
                 for src, coef, _, mean_bias, _ in coef_bias:
                     lines.append(f"  {src:>6} {coef:>12}: {mean_bias:+.5f}")
         lines.append("")
-        st.write("report/report.txt", lambda p: p.write_text("\n".join(lines)))
+        write_text(st.out_dir / "report/report.txt", "\n".join(lines))
     return st.result()

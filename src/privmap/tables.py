@@ -1,6 +1,6 @@
 """Delimited-text tables: the one place the on-disk format is decided.
 
-Every file the pipeline reads or writes goes through this module: the
+Every table the pipeline reads or writes goes through this module: the
 ``csv`` module's default dialect (comma separated, minimal quoting, ``\\r\\n``
 line ends), one header line, and reals at 10 significant digits. Readers
 check the header and the field count of every record, then the cells of
@@ -26,11 +26,14 @@ cells and every value is finite; otherwise the table is read one record at
 a time by ``csv.reader`` and its cells are filled through one label
 dictionary per axis, and the first record at fault is named.
 
-Every reader and writer here hashes a file's bytes as they stream and
-records the sha256 in :data:`DIGESTS` under the file's path. A pipeline
-stage clears that record when it starts and takes its manifest's digests
-from it, so each file is hashed once a stage; ``sha256_file`` hashes only a
-file no reader or writer of this module passed over, a text report say.
+Every file a pipeline stage reads or writes, its JSON and its text report
+included, is opened through this module, which decides how a file is
+committed, hashed and timed. A write goes to ``<path>.tmp``, renamed to
+``<path>`` when the writer returns, so a file is only ever replaced whole.
+Every read and write records in :data:`RECORD` the sha256 of the bytes it
+streamed, under the file's final path, and the wall seconds the file was
+open. A pipeline stage resets the record as it starts and takes its
+manifest entry from it, so each file is hashed once a stage, as it streams.
 
 The keyed writer renders the cells of each block by one ``%`` format call
 per chunk of about 2**15 lines: a template holds every line's key, with
@@ -44,12 +47,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
 import locale
 import math
+import os
 import time
 from itertools import chain, product
 from pathlib import Path
@@ -57,14 +60,21 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# wall seconds this process has spent in table reads and writes; a caller
-# times a span by the difference of two readings
-SECONDS = {"read": 0.0, "write": 0.0}
 
-# the hex sha256 of each file a reader or writer of this module last passed
-# over, by path; a caller that clears it takes from it the digests of the
-# files read and written since
-DIGESTS: dict[Path, str] = {}
+class Record:
+    """What this module's readers and writers did since :meth:`reset`: by
+    kind, "read" or "write", the sha256 of each file's bytes under its final
+    path (``digests``) and the wall seconds a file was open (``seconds``)."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        self.digests: dict[str, dict[Path, str]] = {"read": {}, "write": {}}
+        self.seconds = {"read": 0.0, "write": 0.0}
+
+
+RECORD = Record()  # a pipeline stage resets it as it starts
 _CHUNK = 1 << 16  # the bytes a buffered stream moves, and hashes, at a time
 
 
@@ -100,34 +110,27 @@ class _HashedIO(io.RawIOBase):
 @contextlib.contextmanager
 def _hashed(path, mode):
     """``open(path, mode, newline="")`` for ``mode`` "r", "w", "rb" or "wb",
-    hashing the bytes read or written; on a normal exit it records the
-    sha256 of the file's bytes in :data:`DIGESTS`, a read hashing the bytes
-    it left unread first."""
-    key = Path(path)
-    DIGESTS.pop(key, None)
-    raw = _HashedIO(open(path, mode[0] + "b", buffering=0))
-    buffered = io.BufferedReader(raw, _CHUNK) if mode[0] == "r" else io.BufferedWriter(raw, _CHUNK)
-    with buffered if "b" in mode else io.TextIOWrapper(buffered, newline="") as fh:
-        yield fh
-        if mode[0] == "r":
-            while raw.read(_CHUNK):
+    hashing the bytes read or written. A write goes to ``<path>.tmp``, in
+    a directory made if missing, renamed to ``path`` on a normal exit. On a
+    normal exit the sha256 of the file's bytes is recorded in :data:`RECORD`
+    under ``path``, a read hashing the bytes it left unread first; the
+    seconds open are recorded always."""
+    start, key, kind = time.perf_counter(), Path(path), "read" if mode[0] == "r" else "write"
+    opened = key if kind == "read" else key.with_name(key.name + ".tmp")
+    if kind == "write":
+        key.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        raw = _HashedIO(open(opened, mode[0] + "b", buffering=0))
+        buffered = io.BufferedReader(raw, _CHUNK) if kind == "read" else io.BufferedWriter(raw, _CHUNK)
+        with buffered if "b" in mode else io.TextIOWrapper(buffered, newline="") as fh:
+            yield fh
+            while kind == "read" and raw.read(_CHUNK):
                 pass
-    DIGESTS[key] = raw.sha.hexdigest()
-
-
-def _timed(kind):
-    def wrap(fn):
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                SECONDS[kind] += time.perf_counter() - start
-
-        return timed
-
-    return wrap
+        if kind == "write":
+            os.replace(opened, key)
+        RECORD.digests[kind][key] = raw.sha.hexdigest()
+    finally:
+        RECORD.seconds[kind] += time.perf_counter() - start
 
 
 REAL = ".10g"  # the one rendering of a real number: 10 significant digits
@@ -138,7 +141,6 @@ def fmt(x) -> str:
     return format(x, REAL)
 
 
-@_timed("write")
 def write_table(path, header, rows) -> None:
     """A header line, then one line per row of ``rows``, each a collection
     of cells, which is iterated twice; a real cell (a ``float``, numpy's
@@ -150,6 +152,13 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    """``text`` written to ``path`` in the locale's encoding, its line ends
+    as given, committed and recorded as every table is."""
+    with _hashed(path, "w") as fh:
+        fh.write(text)
 
 
 # renders one record as write_table would, "\r\n" included, and returns it
@@ -180,10 +189,10 @@ def sidecar_path(path) -> Path:
 
 
 def sha256_file(path) -> str:
-    """The hex sha256 of a file's bytes, recorded in :data:`DIGESTS` too."""
+    """The hex sha256 of a file's bytes, recorded in :data:`RECORD` too."""
     with _hashed(path, "rb"):
         pass
-    return DIGESTS[Path(path)]
+    return RECORD.digests["read"][Path(path)]
 
 
 def _layout(header, axes) -> bytes:
@@ -192,19 +201,15 @@ def _layout(header, axes) -> bytes:
     return hashlib.sha256(json.dumps([list(header), [list(axis) for axis in axes]]).encode()).digest()
 
 
-def _write_sidecar(path, header, axes, payload) -> None:
+def write_sidecar(path, header, axes, payload) -> None:
     """Write the sidecar of the table at ``path``, which a writer of this
     module has just written: the envelope (the magic, the table's sha256,
     the digest of ``header`` and ``axes``), then the bytes of ``payload``."""
     with _hashed(sidecar_path(path), "wb") as fh:
-        fh.write(_MAGIC + bytes.fromhex(DIGESTS[Path(path)]) + _layout(header, axes))
+        fh.write(_MAGIC + bytes.fromhex(RECORD.digests["write"][Path(path)]) + _layout(header, axes))
         fh.write(payload)
 
 
-write_sidecar = _timed("write")(_write_sidecar)  # write_cells, itself timed, calls the untimed one
-
-
-@_timed("read")
 def sidecar_payload(path, header, axes, parse):
     """What ``parse(fh)`` returns for the sidecar of the table at ``path``,
     ``fh`` being the sidecar read up to its payload, when the envelope holds
@@ -224,7 +229,6 @@ def sidecar_payload(path, header, axes, parse):
         return None
 
 
-@_timed("write")
 def write_cells(path, header, blocks) -> None:
     """The dual of :func:`read_keyed`: a header line, then for each block
     ``(axes, values)`` of the list ``blocks`` one line per cell of the
@@ -262,7 +266,7 @@ def write_cells(path, header, blocks) -> None:
                 template = "".join(u + ("\r\n" + u).join(inner) + "\r\n" for u in outer[start : start + step])
                 fh.write((template % tuple(cells[start * n : (start + step) * n])).encode(encoding))
     if keyed:
-        _write_sidecar(path, header, axes, values.astype("<f8"))
+        write_sidecar(path, header, axes, values.astype("<f8"))
 
 
 def number(text: str) -> float:
@@ -274,7 +278,6 @@ def number(text: str) -> float:
     return float(text)
 
 
-@_timed("read")
 def read_table(path, header, error) -> list[list[str]]:
     """The records of a file whose first line is exactly ``header``.
 
@@ -297,7 +300,6 @@ def read_table(path, header, error) -> list[list[str]]:
     return records
 
 
-@_timed("read")
 def read_cells(path, records, axes, error) -> np.ndarray:
     """Dense array of the last field of ``records``, keyed by their leading
     fields, one per axis.

@@ -419,7 +419,7 @@ def test_manifest_digests_are_the_bytes_each_stage_read_or_wrote(tmp_path, monke
     # every digest is the sha256 of the file as the stage read or wrote it;
     # a cube edited after protect, to other bytes of the same counts, is
     # recorded by expect as edited while protect's entry keeps what it wrote.
-    # The manifest hashes only the files no table reader or writer hashed.
+    # The manifest hashes nothing itself: privmap.tables hashed every file.
     hashed = []
     monkeypatch.setattr(
         pipeline, "sha256_file", lambda p, _hash=pipeline.sha256_file: hashed.append(p.name) or _hash(p)
@@ -447,7 +447,7 @@ def test_manifest_digests_are_the_bytes_each_stage_read_or_wrote(tmp_path, monke
     assert written != hashlib.sha256(cube.read_bytes()).hexdigest()
     expect_v19 = next(st for st in stages if st["stage"] == "expect:v19")
     assert expect_v19["inputs"]["protect/protected_v19.csv"] == hashlib.sha256(cube.read_bytes()).hexdigest()
-    assert hashed == ["summary_truth.json", "report.txt"]
+    assert hashed == []
 
 
 def test_pipeline_reads_its_own_tables_in_order(tmp_path, monkeypatch):

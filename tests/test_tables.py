@@ -3,6 +3,7 @@ failures for malformed inputs, and one module owning the csv format."""
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
@@ -146,6 +147,19 @@ def test_write_cells_escapes_percent_signs_in_labels(tmp_path):
     assert (tmp_path / "pct.csv").read_bytes() == (
         b'k0,k1,n\r\n%d,%%s,0\r\n%d,"a,%",1\r\n100%,%%s,2\r\n100%,"a,%",3\r\n'
     )
+
+
+def test_a_write_that_fails_part_way_leaves_the_file_as_it_was(tmp_path):
+    # a write goes to <path>.tmp and replaces the table only when it returns,
+    # and only then is its digest recorded
+    path = tmp_path / "t.csv"
+    write_cells(path, ["k", "j", "v"], [([["a"], ["x"]], np.array([1]))])
+    before = path.read_bytes()
+    blocks = [([["a", "b"], ["x"]], np.array([3, 4])), ([["c"], ["y"]], np.array([1, 2, 3]))]
+    with pytest.raises(ValueError):  # the second block's three values do not fill its one cell
+        write_cells(path, ["k", "j", "v"], blocks)
+    assert path.read_bytes() == before
+    assert tables.RECORD.digests["write"][path] == hashlib.sha256(before).hexdigest()
 
 
 def test_report_stage_bytes(geo, tmp_path):
