@@ -172,15 +172,22 @@ def das_preset(
     noise_family: str = "discrete-laplace",
     level_shares=None,
     pass_shares=None,
+    epsilon_total=None,
 ) -> DasConfig:
-    """Build one of the pinned variant configurations; multi-pass presets
-    split each level's budget evenly between totals and detail by default."""
-    if variant not in PRESETS:
-        raise ProtectionError(f"no preset for variant {variant!r}")
-    eps, multi_pass = PRESETS[variant]
-    if multi_pass and pass_shares is None:
-        pass_shares = (0.5, 0.5)
-    return DasConfig(variant, PrivacyBudget(eps, level_shares, pass_shares), NoiseModel(noise_family), seed)
+    """The configuration of any variant. ``custom`` requires
+    ``epsilon_total``; a preset keeps its pinned budget unless given one,
+    which :class:`DasConfig` holds to the pin or to infinity, and a
+    multi-pass preset splits each level's budget evenly between totals and
+    detail unless given ``pass_shares``."""
+    if variant not in VARIANTS:
+        raise ProtectionError(f"unknown variant {variant!r}")
+    if variant == "custom" and epsilon_total is None:
+        raise ProtectionError("variant 'custom' requires epsilon_total")
+    if variant in PRESETS:
+        pinned, multi_pass = PRESETS[variant]
+        epsilon_total = pinned if epsilon_total is None else epsilon_total
+        pass_shares = (0.5, 0.5) if multi_pass and pass_shares is None else pass_shares
+    return DasConfig(variant, PrivacyBudget(epsilon_total, level_shares, pass_shares), NoiseModel(noise_family), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +195,18 @@ def das_preset(
 
 
 @dataclass
-class NoisyMeasurements:
-    """Real-valued noisy cubes per rank (and noisy unit totals for multi-pass)."""
+class AuditRecord:
+    """Reproducibility trail: the epsilon and raw integer noise of every
+    noisy query, as :func:`inject_noise` draws them, and the published
+    levels, as :func:`run_topdown` fills them in."""
 
-    detail: dict[int, np.ndarray]
-    totals: dict[int, np.ndarray] | None
+    variant: str
+    seed: int
     epsilons: dict[tuple[int, str], float]
     detail_noise: dict[int, np.ndarray]
     totals_noise: dict[int, np.ndarray] | None
+    published: dict[int, TabulationCube] = field(default_factory=dict)
+    published_totals: dict[int, np.ndarray] | None = None
 
 
 def _rng_for(seed: int, rank: int, pass_name: str) -> np.random.Generator:
@@ -205,8 +216,8 @@ def _rng_for(seed: int, rank: int, pass_name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rank, pass_id]))
 
 
-def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> NoisyMeasurements:
-    """Add independent per-cell noise at every geolevel, root included.
+def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> AuditRecord:
+    """Draw independent per-cell noise at every geolevel, root included.
 
     Requires a cube for every rank of the hierarchy and a finite budget (an
     infinite one raises ProtectionError). For multi-pass configs the
@@ -221,41 +232,23 @@ def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> NoisyMe
             raise ProtectionError(f"missing cube for rank {rank}")
 
     budget = config.budget
-    detail: dict[int, np.ndarray] = {}
-    totals: dict[int, np.ndarray] | None = None
-    detail_noise: dict[int, np.ndarray] = {}
-    totals_noise: dict[int, np.ndarray] | None = None
-    epsilons: dict[tuple[int, str], float] = {}
-
-    if budget.multi_pass:
-        totals = {0: unit_totals(cubes[0]).copy()}
-        totals_noise = {}
-
+    audit = AuditRecord(config.variant, config.seed, {}, {}, {} if budget.multi_pass else None)
     eps_levels = budget.level_epsilons(len(ranks))
     for rank in ranks:
         cube = cubes[rank]
         eps_l = float(eps_levels[rank])
-        if budget.multi_pass:
-            eps_tot = eps_l * budget.pass_shares[0]
-            eps_det = eps_l * budget.pass_shares[1]
-        else:
-            eps_tot, eps_det = None, eps_l
-
+        eps_det = eps_l * budget.pass_shares[1] if budget.multi_pass else eps_l
         rng = _rng_for(config.seed, rank, "detail")
-        noise = config.noise.sample(eps_det, cube.values.size, rng).reshape(cube.values.shape)
-        detail[rank] = cube.values + noise
-        detail_noise[rank] = noise
-        epsilons[(rank, "detail")] = eps_det
+        audit.detail_noise[rank] = config.noise.sample(eps_det, cube.values.size, rng).reshape(cube.values.shape)
+        audit.epsilons[(rank, "detail")] = eps_det
 
         if budget.multi_pass and rank > 0:
-            true_tot = unit_totals(cube)
+            eps_tot = eps_l * budget.pass_shares[0]
             rng = _rng_for(config.seed, rank, "totals")
-            tnoise = config.noise.sample(eps_tot, true_tot.size, rng)
-            totals[rank] = true_tot + tnoise
-            totals_noise[rank] = tnoise
-            epsilons[(rank, "totals")] = eps_tot
+            audit.totals_noise[rank] = config.noise.sample(eps_tot, len(cube.unit_ids), rng)
+            audit.epsilons[(rank, "totals")] = eps_tot
 
-    return NoisyMeasurements(detail, totals, epsilons, detail_noise, totals_noise)
+    return audit
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +334,6 @@ def controlled_round(values: np.ndarray, target_sum: int | np.ndarray) -> np.nda
 # top-down reconciliation
 
 
-@dataclass
-class AuditRecord:
-    """Reproducibility trail: budgets, raw noise, and the published levels."""
-
-    variant: str
-    seed: int
-    epsilons: dict[tuple[int, str], float]
-    detail_noise: dict[int, np.ndarray]
-    totals_noise: dict[int, np.ndarray] | None
-    published: dict[int, TabulationCube]
-    published_totals: dict[int, np.ndarray] | None = None
-
-
 def _reconcile(
     parent_pub: np.ndarray, noisy: np.ndarray, parent_idx: np.ndarray, totals: np.ndarray | None = None
 ) -> np.ndarray:
@@ -420,40 +400,30 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
 
     cubes = leveled_cubes(true_cube)
     if config.budget.infinite:
-        audit = AuditRecord(config.variant, config.seed, {}, {}, None, dict(cubes))
-        return true_cube, audit
-    measurements = inject_noise(cubes, config)
+        return true_cube, AuditRecord(config.variant, config.seed, {}, {}, None, dict(cubes))
+    audit = inject_noise(cubes, config)
 
     # the root grand total is the mechanism's one exact invariant: the noisy
     # root histogram is fit subject to it as one sibling group, and
     # everything below reconciles to the published root
-    root_cells = measurements.detail[0].reshape(-1)
+    root_cells = (cubes[0].values + audit.detail_noise[0]).reshape(-1)
     root_total = np.array([int(round(cubes[0].total))])
     root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
-    published = {0: cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)}
-    pub_totals: dict[int, np.ndarray] | None = None
+    published = audit.published
+    published[0] = cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)
     if config.budget.multi_pass:
         # pass 1: unit totals, reconciled top-down; the root total is truth
-        pub_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
+        pub_totals = audit.published_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
         for rank in range(1, h.depth):
-            y = _reconcile(pub_totals[rank - 1], measurements.totals[rank], h.parent_index(rank))
-            pub_totals[rank] = y[:, 0]
+            noisy = unit_totals(cubes[rank]) + audit.totals_noise[rank]
+            pub_totals[rank] = _reconcile(pub_totals[rank - 1], noisy, h.parent_index(rank))[:, 0]
     # the detail, constrained by the parent detail (and, in pass 2 of a
     # multi-pass variant, by each unit's own published total)
     for rank in range(1, h.depth):
-        totals = None if pub_totals is None else pub_totals[rank]
-        y = _reconcile(published[rank - 1].values, measurements.detail[rank], h.parent_index(rank), totals)
+        totals = None if audit.published_totals is None else audit.published_totals[rank]
+        noisy = cubes[rank].values + audit.detail_noise[rank]
+        y = _reconcile(published[rank - 1].values, noisy, h.parent_index(rank), totals)
         published[rank] = cubes[rank].with_values(y.reshape(cubes[rank].values.shape), integer_valued=True)
-
-    audit = AuditRecord(
-        config.variant,
-        config.seed,
-        measurements.epsilons,
-        measurements.detail_noise,
-        measurements.totals_noise,
-        published,
-        pub_totals,
-    )
     return published[h.depth - 1], audit
 
 

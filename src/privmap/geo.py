@@ -23,19 +23,43 @@ _ROOT, _MISSING = -1, -2  # the parent position of the root, and of a unit whose
 
 
 class Hierarchy:
-    """A rooted tree of geographic units, built from ``(unit_id, level,
-    parent_id)`` records in any order, the root's parent id being empty.
+    """A rooted tree of geographic units: the level names, the unit ids at
+    each rank and, for each rank below the root, the position of every
+    unit's parent among the units one rank up.
 
-    A unit's rank is the length of its parent chain. The first fault raises
-    GeographyError naming it: a repeated unit id, other than one root, a
-    missing parent, a chain that loops or passes six levels, a level name at
-    two ranks or a rank with two names, fewer than two levels, or an
-    internal unit without children. Kept are the unit ids at each rank in
-    record order, for each rank below the root the position of every unit's
-    parent among the units one rank up, and the level names.
+    The first fault of shape raises GeographyError naming it: other than 2
+    to MAX_DEPTH levels, other than one root, a parent position per unit
+    missing or naming no unit one rank up, or a unit above the leaves
+    without children. :meth:`from_records` builds one from records.
     """
 
-    def __init__(self, records):
+    def __init__(self, level_names, ids, parents):
+        depth = len(level_names)
+        if not 2 <= depth <= MAX_DEPTH:
+            raise GeographyError(f"hierarchy depth must be between 2 and {MAX_DEPTH}, got {depth}")
+        if len(ids) != depth or len(parents) != depth - 1:
+            raise GeographyError(f"{depth} levels need {depth} id lists and {depth - 1} parent lists")
+        if len(ids[0]) != 1:
+            raise GeographyError(f"hierarchy must have exactly one root, found {len(ids[0])}")
+        self.level_names, self._ids = level_names, ids
+        self._parents = [np.asarray(p, dtype=np.intp) for p in parents]
+        for r, p in enumerate(self._parents):
+            n = len(ids[r])
+            if p.shape != (len(ids[r + 1]),) or (p.size and (p.min() < 0 or p.max() >= n)):
+                raise GeographyError(f"rank {r + 1} needs one parent position per unit, each below {n}")
+            childless = np.flatnonzero(np.bincount(p, minlength=n) == 0)
+            if childless.size:
+                raise GeographyError(f"unit {ids[r][childless[0]]}: no children at {level_names[r]} level")
+
+    @classmethod
+    def from_records(cls, records) -> Hierarchy:
+        """The hierarchy of ``(unit_id, level, parent_id)`` records in any
+        order, the root's parent id being empty, each unit ranked by its
+        parent chain and the ids at each rank in record order. Before the
+        constructor's checks, the first fault raises GeographyError naming
+        it: a repeated unit id, other than one root, a missing parent, a
+        chain that loops or passes six levels, a level name at two ranks or
+        a rank with two names."""
         records = list(records)
         n = len(records)
         position = {uid: i for i, (uid, _, _) in enumerate(records)}
@@ -83,7 +107,6 @@ class Hierarchy:
             u, _, p = records[fault_at[first]]
             raise GeographyError(f"unit {u}: missing parent {p}")
         # every rank up to the deepest is on some unit's chain
-        depth = int(rank.max()) + 1
         first_at_rank = np.unique(rank, return_index=True)[1]
         clash = np.flatnonzero(code != code[first_at_rank[rank]])
         if clash.size:
@@ -91,41 +114,15 @@ class Hierarchy:
             uid, level, _ = records[i]
             name = records[first_at_rank[rank[i]]][1]
             raise GeographyError(f"rank {rank[i]} has two level names, {name!r} and {level!r} (unit {uid})")
-        if depth < 2:
-            raise GeographyError(f"hierarchy depth must be between 2 and {MAX_DEPTH}, got {depth}")
-        self.level_names = [records[i][1] for i in first_at_rank]
-        members = [np.flatnonzero(rank == r) for r in range(depth)]
+        members = [np.flatnonzero(rank == r) for r in range(first_at_rank.size)]
         in_rank = np.empty(n, dtype=np.intp)  # each unit's position among the units of its rank
         for m in members:
             in_rank[m] = np.arange(m.size)
-        self._ids = [[records[i][0] for i in m.tolist()] for m in members]
-        self._parents = [in_rank[parent[m]] for m in members[1:]]
-        for r, parents in enumerate(self._parents):
-            childless = np.flatnonzero(np.bincount(parents, minlength=len(self._ids[r])) == 0)
-            if childless.size:
-                raise GeographyError(f"unit {self._ids[r][childless[0]]}: no children at {self.level_names[r]} level")
-
-    @classmethod
-    def _from_ranks(cls, level_names, ids, parents) -> Hierarchy | None:
-        """The hierarchy kept as ``level_names``, the unit ids at each rank
-        and the parent positions at each rank below the root, as
-        ``write_hierarchy`` writes them to the sidecar; None unless they have
-        a hierarchy's shape: 2 to MAX_DEPTH levels, one root, one parent
-        position per unit below the root, each naming a unit one rank up,
-        and no childless unit above the leaves."""
-        depth = len(level_names)
-        if not (2 <= depth <= MAX_DEPTH and len(ids) == depth and len(parents) == depth - 1 and len(ids[0]) == 1):
-            return None
-        parents = [np.asarray(p, dtype=np.intp) for p in parents]
-        for r, p in enumerate(parents):
-            if p.shape != (len(ids[r + 1]),):
-                return None
-            children = np.bincount(p, minlength=len(ids[r]))
-            if children.size != len(ids[r]) or not children.all():
-                return None
-        h = cls.__new__(cls)
-        h.level_names, h._ids, h._parents = level_names, ids, parents
-        return h
+        return cls(
+            [records[i][1] for i in first_at_rank],
+            [[records[i][0] for i in m.tolist()] for m in members],
+            [in_rank[parent[m]] for m in members[1:]],
+        )
 
     @property
     def depth(self) -> int:
@@ -302,11 +299,8 @@ def build_synthetic_geography(
     counts.append(1)
     counts = counts[::-1]  # counts[rank]
 
-    records = [("U0-0", names[0], "")]
-    for rank in range(1, depth):
-        fan = branching[rank - 1]
-        records += [(f"U{rank}-{i}", names[rank], f"U{rank - 1}-{i // fan}") for i in range(counts[rank])]
-    h = Hierarchy(records)
+    ids = [[f"U{rank}-{i}" for i in range(count)] for rank, count in enumerate(counts)]
+    h = Hierarchy(names, ids, [np.arange(counts[rank]) // branching[rank - 1] for rank in range(1, depth)])
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, n_leaves]))
     if layout == "grid":
@@ -340,8 +334,8 @@ def write_hierarchy(h: Hierarchy, path) -> None:
 
 def _payload_hierarchy(fh) -> Hierarchy | None:
     try:
-        return Hierarchy._from_ranks(*json.loads(fh.read()))
-    except (LookupError, TypeError, ValueError):  # not JSON, or not three lists as written
+        return Hierarchy(*json.loads(fh.read()))
+    except (GeographyError, LookupError, TypeError, ValueError):  # not JSON, or not a hierarchy as written
         return None
 
 
@@ -353,7 +347,7 @@ def read_hierarchy(path) -> Hierarchy:
         return h
     records = read_table(path, HIERARCHY_HEADER, GeographyError)
     try:
-        return Hierarchy(records)
+        return Hierarchy.from_records(records)
     except GeographyError as exc:
         raise GeographyError(f"{path}: {exc}") from None
 

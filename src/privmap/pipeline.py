@@ -15,16 +15,13 @@ import json
 import math
 import resource
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
-from .das import (
-    VARIANTS, DasConfig, NoiseModel, PrivacyBudget, das_preset, run_topdown, write_audit
-)
+from .das import VARIANTS, DasConfig, das_preset, run_topdown, write_audit
 from .errors import (
     ConfigError, GeographyError, MissingInputError, ModelError, ProtectionError, SimulationError, TabulationError
 )
@@ -167,13 +164,10 @@ def _validate_config(cfg: dict) -> None:
         check_geography(geo["leaves"], geo["branching"], geo["layout"])
     except GeographyError as exc:
         raise ConfigError(f"geo: {exc}") from None
-    das = cfg["das"]
-    if das["variant"] not in VARIANTS:
-        raise ConfigError(f"das.variant must be one of {'/'.join(VARIANTS)}, got {das['variant']!r}")
-    _das_config(cfg, das["variant"])
-    n_levels = len(geo["branching"]) + 1
-    if das["level_shares"] is not None and len(das["level_shares"]) != n_levels:
-        raise ConfigError(f"das.level_shares has {len(das['level_shares'])} entries for {n_levels} geolevels")
+    if not isinstance(cfg["std"]["race_specific_rates"], bool):
+        raise ConfigError(f"std.race_specific_rates must be true or false, got {cfg['std']['race_specific_rates']!r}")
+    if not isinstance(cfg["io"]["out"], str):
+        raise ConfigError(f"io.out must be a directory path, got {cfg['io']['out']!r}")
     bands = cfg["std"]["age_bands"]
     if not isinstance(bands, list) or not all(isinstance(band, str) for band in bands):
         raise ConfigError(f"std.age_bands must be a list of string labels, got {bands!r}")
@@ -212,15 +206,18 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"sim: {exc}") from None
     if not isinstance(sim["sources"], list) or "truth" not in sim["sources"]:
         raise ConfigError("sim.sources must be a list containing 'truth'")
-    for src in sim["sources"]:
-        if src != "truth" and src not in VARIANTS:
-            raise ConfigError(f"unknown simulation source {src!r}")
-        # protect runs every source's variant with this same das section
-        if src not in ("truth", das["variant"]):
-            try:
-                _das_config(cfg, src)
-            except ConfigError as exc:
-                raise ConfigError(f"sim.sources {src}: {exc}") from None
+    das, sources = cfg["das"], [s for s in sim["sources"] if s != "truth"]
+    # protect runs das.variant and every source's variant with this same das section
+    for key, variant in [("das.variant", das["variant"])] + [("sim.sources", s) for s in sources]:
+        if variant not in VARIANTS:
+            raise ConfigError(f"{key} must be one of {'/'.join(VARIANTS)}, got {variant!r}")
+        try:
+            _das_config(cfg, variant)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} {variant}: {exc}") from None
+    n_levels = len(geo["branching"]) + 1
+    if das["level_shares"] is not None and len(das["level_shares"]) != n_levels:
+        raise ConfigError(f"das.level_shares has {len(das['level_shares'])} entries for {n_levels} geolevels")
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +337,12 @@ def _das_config(cfg, variant: str) -> DasConfig:
     for key, value in (("level_shares", shares), ("pass_shares", passes)):
         if value is not None and not (isinstance(value, list) and all(map(_is_num, value))):
             raise ConfigError(f"das.{key} must be a list of numbers, got {value!r}")
+    if variant not in (das["variant"], "custom") and eps != math.inf:
+        eps = None
     try:
-        if variant == "custom":
-            if eps is None:
-                raise ConfigError("das.variant 'custom' requires das.epsilon_total")
-            return DasConfig(variant, PrivacyBudget(eps, shares, passes), NoiseModel(das["noise_family"]), seed)
-        config = das_preset(variant, seed, das["noise_family"], shares, passes)
-        if eps is None or (variant != das["variant"] and not math.isinf(eps)):
-            return config
-        return DasConfig(variant, replace(config.budget, epsilon_total=eps), config.noise, seed)
+        return das_preset(variant, seed, das["noise_family"], shares, passes, eps)
     except ProtectionError as exc:
-        raise ConfigError(f"das: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def _mcmc_config(cfg, seed: int) -> McmcConfig:

@@ -31,7 +31,9 @@ from .geo import Adjacency, Hierarchy
 from .standardize import ExpectedCounts, underestimation_fraction, zero_count_percent
 from .tabulation import AgeSchema, GroupSchema, TabulationCube
 
-# rng stream tags so the same master seed never reuses a stream
+# rng stream tags. SeedSequence pads a key shorter than its pool with zeros, so
+# replicate k's stream [seed, k, _STREAM_DGP] is [seed, k]: when the master seed
+# is the synth seed, replicates 10-12 reuse the synth streams below (k = n_leaves geo's)
 _STREAM_DGP = 0
 _STREAM_FIT = 1000
 _STREAM_POP = 10

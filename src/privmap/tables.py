@@ -111,10 +111,10 @@ class _HashedIO(io.RawIOBase):
 def _hashed(path, mode):
     """``open(path, mode, newline="")`` for ``mode`` "r", "w", "rb" or "wb",
     hashing the bytes read or written. A write goes to ``<path>.tmp``, in
-    a directory made if missing, renamed to ``path`` on a normal exit. On a
-    normal exit the sha256 of the file's bytes is recorded in :data:`RECORD`
-    under ``path``, a read hashing the bytes it left unread first; the
-    seconds open are recorded always."""
+    a directory made if missing, renamed to ``path`` on a normal exit and
+    removed on any other. On a normal exit the sha256 of the file's bytes
+    is recorded in :data:`RECORD` under ``path``, a read hashing the bytes
+    it left unread first; the seconds open are recorded always."""
     start, key, kind = time.perf_counter(), Path(path), "read" if mode[0] == "r" else "write"
     opened = key if kind == "read" else key.with_name(key.name + ".tmp")
     if kind == "write":
@@ -130,6 +130,8 @@ def _hashed(path, mode):
             os.replace(opened, key)
         RECORD.digests[kind][key] = raw.sha.hexdigest()
     finally:
+        if kind == "write":
+            opened.unlink(missing_ok=True)  # renamed away unless the write failed
         RECORD.seconds[kind] += time.perf_counter() - start
 
 

@@ -117,6 +117,14 @@ def test_presets_pin_epsilon_and_passes():
         DasConfig("v19", PrivacyBudget(5.0))
     with pytest.raises(ProtectionError):
         das_preset("v19", pass_shares=(0.5, 0.5))
+    # one resolver for every variant: custom needs a budget, a preset's is
+    # its pin or infinity
+    assert das_preset("custom", epsilon_total=0.5).budget.epsilon_total == 0.5
+    with pytest.raises(ProtectionError, match="custom"):
+        das_preset("custom")
+    with pytest.raises(ProtectionError, match=r"4\.0 differs from the 20\.82 that variant v22 pins"):
+        das_preset("v22", epsilon_total=4.0)
+    assert das_preset("v20", epsilon_total=math.inf).budget.pass_shares == (0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +436,9 @@ def test_inject_noise_deterministic(small_cube):
     cfg = DasConfig("custom", PrivacyBudget(4.0), seed=9)
     m1 = inject_noise(cubes, cfg)
     m2 = inject_noise(cubes, cfg)
-    for rank in m1.detail:
-        assert np.array_equal(m1.detail[rank], m2.detail[rank])
+    # the noisy values are each cube plus this noise
+    for rank in m1.detail_noise:
+        assert np.array_equal(m1.detail_noise[rank], m2.detail_noise[rank])
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +592,7 @@ def ragged_hierarchy(r, depth, max_fan):
         kids = [(f"{p}.{c}", f"L{rank}", p) for p in frontier for c in range(int(r.integers(1, max_fan + 1)))]
         records += kids
         frontier = [uid for uid, _, _ in kids]
-    return Hierarchy([records[i] for i in r.permutation(len(records))])
+    return Hierarchy.from_records([records[i] for i in r.permutation(len(records))])
 
 
 def ragged_cube(seed, depth, max_fan):

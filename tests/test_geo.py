@@ -103,7 +103,7 @@ def test_per_rank_index_arrays_follow_insertion_order():
         ("a2", "mid", "r"),
         ("b3", "leaf", "a2"),
     ]
-    h = Hierarchy(records)
+    h = Hierarchy.from_records(records)
     assert h.level_names == ["root", "mid", "leaf"]
     assert h.units_at(1) == ["a1", "a2"]
     assert h.leaf_ids == ["b1", "b2", "b3"]
@@ -116,7 +116,7 @@ def test_per_rank_index_arrays_follow_insertion_order():
 def test_missing_parent_fails_at_construction():
     records = [("r", "root", ""), ("a", "leaf", "r"), ("b", "leaf", "ghost"), ("c", "leaf", "r")]
     with pytest.raises(GeographyError, match="unit b: missing parent ghost"):
-        Hierarchy(records)
+        Hierarchy.from_records(records)
 
 
 @pytest.mark.parametrize(
@@ -131,8 +131,21 @@ def test_missing_parent_fails_at_construction():
 )
 def test_malformed_records_fail_naming_the_fault(records, message):
     with pytest.raises(GeographyError) as err:
-        Hierarchy(records)
+        Hierarchy.from_records(records)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parents, message",
+    [
+        ([[0, 0], [0, 1, 2]], "rank 2 needs one parent position per unit, each below 2"),
+        ([[0, 0], [-1, 1, 1]], "rank 2 needs one parent position per unit, each below 2"),
+        ([[0, 0], [1, 1, 1]], "unit a: no children at mid level"),
+    ],
+)
+def test_array_constructor_rejects_a_parent_out_of_range_or_a_childless_unit(parents, message):
+    with pytest.raises(GeographyError, match=message):
+        Hierarchy(["root", "mid", "leaf"], [["r"], ["a", "b"], ["x", "y", "z"]], parents)
 
 
 def test_asymmetric_weight_fails_at_construction_naming_the_pair():
@@ -206,7 +219,7 @@ def test_adjacency_reader_rejects_unknown_leaf(tmp_path):
 
 def test_depth_bounds():
     with pytest.raises(GeographyError, match="hierarchy depth must be between 2 and 6, got 1"):
-        Hierarchy([("r", "root", "")])
+        Hierarchy.from_records([("r", "root", "")])
 
 
 def test_hierarchy_rows_in_any_order_load_same_ranks(tmp_path):

@@ -109,6 +109,8 @@ def test_load_config_validates_values(tmp_path):
         {"sim": {"minority_ratio": 0}},
         {"sim": {"minority_sigma": -0.5}},
         {"sim": {"hazard_scale": -1}},
+        {"io": {"out": 5}},  # not a path
+        {"std": {"race_specific_rates": "no"}},  # a JSON bool, not any truthy value
     ):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):

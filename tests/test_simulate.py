@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privmap import carmodel
+from privmap import carmodel, simulate
 from privmap.carmodel import McmcConfig
 from privmap.errors import SimulationError
 from privmap.geo import build_synthetic_geography
@@ -244,6 +244,22 @@ def test_run_study_parallel_matches_serial():
 
 # ---------------------------------------------------------------------------
 # synthetic inputs
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="SeedSequence pads a key shorter than its pool with zeros, so replicate k's data stream "
+    "[seed, k, _STREAM_DGP] is [seed, k]: replicates 10-12 reuse the synth streams. Mending it moves "
+    "every study pin, so it waits for a change that moves RNG streams anyway",
+)
+def test_replicate_streams_share_no_key_with_the_synth_streams():
+    def state(key):
+        return tuple(np.random.SeedSequence(key).generate_state(4))
+
+    seed = 7  # the CLI and the acceptance fixture use one seed for synthesis and the study
+    synth = {state([seed, tag]) for tag in (simulate._STREAM_POP, simulate._STREAM_DEATHS, simulate._STREAM_COV)}
+    replicates = {state([seed, k, simulate._STREAM_DGP]) for k in range(50)}
+    assert not synth & replicates
 
 
 def test_synth_population_scales():

@@ -159,6 +159,7 @@ def test_a_write_that_fails_part_way_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(ValueError):  # the second block's three values do not fill its one cell
         write_cells(path, ["k", "j", "v"], blocks)
     assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))  # the half-written temp file is gone
     assert tables.RECORD.digests["write"][path] == hashlib.sha256(before).hexdigest()
 
 
@@ -616,9 +617,22 @@ def _reparent(path, sidecar, other):
     sidecar.write_bytes(data[: tables._HEAD] + json.dumps([level_names, ids, parents]).encode())
 
 
+def _set_a_parent(position):
+    # the envelope kept, as above; the first leaf's parent position edited
+    def edit(path, sidecar, other):
+        data = sidecar.read_bytes()
+        level_names, ids, parents = json.loads(data[tables._HEAD :])
+        parents[-1][0] = position(len(ids[-2]))
+        sidecar.write_bytes(data[: tables._HEAD] + json.dumps([level_names, ids, parents]).encode())
+
+    return edit
+
+
 HIERARCHY_FAULTS = {
     **{fault: SIDECAR_FAULTS[fault] for fault in ("edited-byte", "truncated", "foreign", "missing", "duplicate-key")},
     "reparented": _reparent,
+    "negative-parent": _set_a_parent(lambda n_up: -1),
+    "parent-past-the-end": _set_a_parent(lambda n_up: n_up),
 }
 
 
