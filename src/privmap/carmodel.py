@@ -48,10 +48,11 @@ class ModelSpec:
     unit_idx: np.ndarray   # (S,) stratum -> leaf index
     group_idx: np.ndarray  # (S,) stratum -> group index
     plan: CarPlan | None = None  # spatial structure, absent when spatial effects are off
+    # the options: each prior is named as its model.priors config key
     include_overdispersion: bool = True
-    prior_beta_var: float = 1e5
-    prior_ig_shape: float = 1.0
-    prior_ig_scale: float = 0.01
+    beta_var: float = 1e5
+    ig_shape: float = 1.0
+    ig_scale: float = 0.01
     fix_tau2: float | None = None
     fix_sigma2: float | None = None
     excluded: list[tuple[str, str]] = field(default_factory=list)
@@ -78,32 +79,22 @@ def build_spec(
     expected: ExpectedCounts,
     covariate: np.ndarray | None,
     adjacency: Adjacency | CarPlan | None,
-    *,
-    include_spatial: bool = True,
-    include_overdispersion: bool = True,
-    prior_beta_var: float = 1e5,
-    prior_ig_shape: float = 1.0,
-    prior_ig_scale: float = 0.01,
-    fix_tau2: float | None = None,
-    fix_sigma2: float | None = None,
+    **options,
 ) -> ModelSpec:
     """Assemble the design from expected counts, an optional area covariate,
-    and the leaf adjacency.
+    and the leaf adjacency; ``options`` set :class:`ModelSpec`'s option
+    fields (``include_overdispersion``, the priors and the fixed variances).
 
     ``adjacency`` is either a prebuilt :class:`CarPlan`, which callers that
     fit many specs on one adjacency share, or an ``Adjacency``, for which
-    the spec builds its own plan.
+    the spec builds its own plan; ``None`` leaves the spatial term out.
 
     Cells with zero expected count cannot enter the likelihood (their log
     offset is undefined); they are excluded and reported.
     """
-    if include_spatial and adjacency is None:
-        raise ModelError("spatial effects need an adjacency")
-    if include_spatial and adjacency.leaf_ids != expected.unit_ids:
+    if adjacency is not None and adjacency.leaf_ids != expected.unit_ids:
         raise ModelError("adjacency leaves do not match expected-count units")
-    plan = None
-    if include_spatial:
-        plan = adjacency if isinstance(adjacency, CarPlan) else CarPlan(adjacency)
+    plan = adjacency if adjacency is None or isinstance(adjacency, CarPlan) else CarPlan(adjacency)
 
     n, n_groups = expected.values.shape
     p_vals = expected.values
@@ -139,14 +130,9 @@ def build_spec(
         unit_idx=unit_idx,
         group_idx=group_idx,
         plan=plan,
-        include_overdispersion=include_overdispersion,
-        prior_beta_var=prior_beta_var,
-        prior_ig_shape=prior_ig_shape,
-        prior_ig_scale=prior_ig_scale,
-        fix_tau2=fix_tau2,
-        fix_sigma2=fix_sigma2,
         excluded=excluded,
         covariate_scaling=scaling,
+        **options,
     )
 
 
@@ -366,13 +352,15 @@ class FitSummary:
 # the z-scores behave like t statistics with modest degrees of freedom on
 # short stored chains, so the flag threshold carries some slack
 GEWEKE_FLAG = 3.5
+# fewest stored draws whose 2.5% and 97.5% percentiles mrr_summary reports
+MIN_STORED_DRAWS = 100
 
 
 def mrr_summary(draws: PosteriorDraws) -> FitSummary:
     """Posterior summaries plus exponentiated-mean rate ratios with 95%
     percentile intervals per coefficient."""
-    if draws.n_stored < 100:
-        raise ModelError(f"need at least 100 stored draws, have {draws.n_stored}")
+    if draws.n_stored < MIN_STORED_DRAWS:
+        raise ModelError(f"need at least {MIN_STORED_DRAWS} stored draws, have {draws.n_stored}")
     params: dict[str, dict[str, float]] = {}
     mrr: dict[str, dict[str, float]] = {}
 
@@ -463,7 +451,7 @@ def _proposal_shapes(spec: ModelSpec, exp_eta: np.ndarray, tau2: float, sigma2: 
     block out).
     """
     p = spec.x.shape[1]
-    info = (spec.x.T * exp_eta) @ spec.x + np.diag(np.full(p, 1 / spec.prior_beta_var))
+    info = (spec.x.T * exp_eta) @ spec.x + np.diag(np.full(p, 1 / spec.beta_var))
     # info = L L', so R = L'^-1 gives R R' = info^-1
     beta_root = _RW_SCALE / math.sqrt(p) * np.linalg.inv(np.linalg.cholesky(info)).T
     theta_sd = phi_sd = None
@@ -545,7 +533,7 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
     y_by_unit = np.bincount(spec.unit_idx, weights=y, minlength=n_units)
 
-    v_beta = spec.prior_beta_var
+    v_beta = spec.beta_var
     if spec.include_spatial:
         plan = spec.plan
         w_sparse, deg = plan.weights, plan.degrees
@@ -568,13 +556,17 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
     proposed = dict.fromkeys(accepted, 0)
 
     n_stored = mcmc.n_stored
-    store_beta = np.empty((n_stored, p))
-    store_theta = np.empty((n_stored, n_units if spec.include_spatial else 0))
-    store_phi = np.empty((n_stored, s_count if spec.include_overdispersion else 0))
-    store_tau2 = np.empty(n_stored)
-    store_sigma2 = np.empty(n_stored)
-    store_rho = np.empty(n_stored)
-
+    draws = PosteriorDraws(
+        colnames=list(spec.colnames),
+        beta=np.empty((n_stored, p)),
+        theta=np.empty((n_stored, n_units if spec.include_spatial else 0)),
+        phi=np.empty((n_stored, s_count if spec.include_overdispersion else 0)),
+        tau2=np.empty(n_stored),
+        sigma2=np.empty(n_stored),
+        rho=np.empty(n_stored),
+        mcmc=mcmc,
+        accept_rates={},
+    )
     stored = 0
 
     for sweep in range(1, mcmc.iterations + 1):
@@ -658,12 +650,12 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             quad_w = float(theta @ (w_sparse @ theta))
             quad_d = float(deg @ theta**2)
             if spec.fix_tau2 is None:
-                shape = spec.prior_ig_shape + n_units / 2
-                rate = spec.prior_ig_scale + (quad_d - rho * quad_w) / 2
+                shape = spec.ig_shape + n_units / 2
+                rate = spec.ig_scale + (quad_d - rho * quad_w) / 2
                 tau2 = rate / rng.gamma(shape)
         if spec.include_overdispersion and spec.fix_sigma2 is None:
-            shape = spec.prior_ig_shape + s_count / 2
-            rate = spec.prior_ig_scale + float(phi @ phi) / 2
+            shape = spec.ig_shape + s_count / 2
+            rate = spec.ig_scale + float(phi @ phi) / 2
             sigma2 = rate / rng.gamma(shape)
 
         # --- spatial dependence, bounded random walk on [0, 1)
@@ -689,28 +681,16 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             beta_root, theta_sd, phi_sd = _proposal_shapes(spec, exp_eta, tau2, sigma2)
 
         if not in_burnin and (sweep - mcmc.burnin) % mcmc.thin == 0 and stored < n_stored:
-            store_beta[stored] = beta
+            draws.beta[stored] = beta
             if spec.include_spatial:
-                store_theta[stored] = theta
+                draws.theta[stored] = theta
             if spec.include_overdispersion:
-                store_phi[stored] = phi
-            store_tau2[stored] = tau2
-            store_sigma2[stored] = sigma2
-            store_rho[stored] = rho
+                draws.phi[stored] = phi
+            draws.tau2[stored], draws.sigma2[stored], draws.rho[stored] = tau2, sigma2, rho
             stored += 1
 
-    rates = {b: accepted[b] / proposed[b] if proposed[b] else float("nan") for b in accepted}
-    return PosteriorDraws(
-        colnames=list(spec.colnames),
-        beta=store_beta,
-        theta=store_theta,
-        phi=store_phi,
-        tau2=store_tau2,
-        sigma2=store_sigma2,
-        rho=store_rho,
-        mcmc=mcmc,
-        accept_rates=rates,
-    )
+    draws.accept_rates = {b: accepted[b] / proposed[b] if proposed[b] else float("nan") for b in accepted}
+    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -393,8 +393,6 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
     histogram sums to its published total.
     """
     h = true_cube.hierarchy
-    if not true_cube.integer_valued:
-        raise ProtectionError("true cube must be integer valued")
     if true_cube.rank != h.depth - 1:
         raise ProtectionError("true cube must sit at the leaf level")
 
@@ -410,7 +408,7 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
     root_total = np.array([int(round(cubes[0].total))])
     root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
     published = audit.published
-    published[0] = cubes[0].with_values(root_vals.reshape(cubes[0].values.shape), integer_valued=True)
+    published[0] = cubes[0].with_values(root_vals.reshape(cubes[0].values.shape))
     if config.budget.multi_pass:
         # pass 1: unit totals, reconciled top-down; the root total is truth
         pub_totals = audit.published_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
@@ -423,7 +421,7 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
         totals = None if audit.published_totals is None else audit.published_totals[rank]
         noisy = cubes[rank].values + audit.detail_noise[rank]
         y = _reconcile(published[rank - 1].values, noisy, h.parent_index(rank), totals)
-        published[rank] = cubes[rank].with_values(y.reshape(cubes[rank].values.shape), integer_valued=True)
+        published[rank] = cubes[rank].with_values(y.reshape(cubes[rank].values.shape))
     return published[h.depth - 1], audit
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .carmodel import McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
+from .carmodel import MIN_STORED_DRAWS, McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
 from .das import VARIANTS, DasConfig, das_preset, run_topdown, write_audit
 from .errors import (
     ConfigError, GeographyError, MissingInputError, ModelError, ProtectionError, SimulationError, TabulationError
@@ -183,14 +183,19 @@ def _validate_config(cfg: dict) -> None:
         if not isinstance(mcmc[key], int) or isinstance(mcmc[key], bool):
             raise ConfigError(f"model.mcmc.{key} must be an integer, got {mcmc[key]!r}")
     try:
-        _mcmc_config(cfg, seed=0)
+        n_stored = _mcmc_config(cfg, seed=0).n_stored
     except ModelError as exc:
         raise ConfigError(f"model.mcmc: {exc}") from None
+    if n_stored < MIN_STORED_DRAWS:  # the fit summary's minimum, checked before any sweep runs
+        raise ConfigError(f"model.mcmc keeps {n_stored} draws, need at least {MIN_STORED_DRAWS}")
     sim = cfg["sim"]
     if not isinstance(sim["n_reps"], int) or isinstance(sim["n_reps"], bool):
         raise ConfigError(f"sim.n_reps must be an integer, got {sim['n_reps']!r}")
     if not isinstance(sim["beta"], list) or not all(_is_num(b) for b in sim["beta"]):
         raise ConfigError("sim.beta must be a list of numbers")
+    n_coef = len(default_group_schema().groups) + 1  # intercept, group contrasts, covariate
+    if len(sim["beta"]) != n_coef:
+        raise ConfigError(f"sim.beta has {len(sim['beta'])} entries, the model has {n_coef} coefficients")
     for key in ("rho", "phi_var", "minority_ratio", "pop_scale", "minority_sigma", "hazard_scale"):
         if not (_is_num(sim[key]) and -math.inf < sim[key] < math.inf):
             raise ConfigError(f"sim.{key} must be a finite number, got {sim[key]!r}")
@@ -215,6 +220,8 @@ def _validate_config(cfg: dict) -> None:
             _das_config(cfg, variant)
         except ConfigError as exc:
             raise ConfigError(f"{key} {variant}: {exc}") from None
+    if len(set(sim["sources"])) != len(sim["sources"]):
+        raise ConfigError(f"sim.sources names a source more than once: {sim['sources']!r}")
     n_levels = len(geo["branching"]) + 1
     if das["level_shares"] is not None and len(das["level_shares"]) != n_levels:
         raise ConfigError(f"das.level_shares has {len(das['level_shares'])} entries for {n_levels} geolevels")
@@ -357,16 +364,6 @@ def _dgp_config(cfg) -> DgpConfig:
     )
 
 
-def _prior_options(cfg) -> dict:
-    """``build_spec``'s prior keywords, from ``model.priors``."""
-    priors = cfg["model"]["priors"]
-    return {
-        "prior_beta_var": priors["beta_var"],
-        "prior_ig_shape": priors["ig_shape"],
-        "prior_ig_scale": priors["ig_scale"],
-    }
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -454,7 +451,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
         ec, = _load_expected(st, [source], h, groups)
         start = time.perf_counter()
-        spec = build_spec(ec, poverty, adj, **_prior_options(cfg))
+        spec = build_spec(ec, poverty, adj, **cfg["model"]["priors"])
         plan_s = time.perf_counter() - start  # build_spec builds the CAR plan
         y = spec.flatten(deaths.values.sum(axis=1))  # events per (unit, group)
         mcmc = _mcmc_config(cfg, int(np.random.SeedSequence([cfg["seed"], 8800]).generate_state(1)[0]))
@@ -515,7 +512,7 @@ def stage_simulate(cfg: dict, out_dir: Path, jobs: int = 1) -> dict:
         poverty = read_covariates(*st.inputs("geo/covariates.csv"), h.leaf_ids, "poverty")
         sources = _load_expected(st, sim["sources"], h, groups)
         mcmc = _mcmc_config(cfg, seed=0)
-        report = run_study(_dgp_config(cfg), sources, poverty, adj, mcmc, jobs=jobs, spec_options=_prior_options(cfg))
+        report = run_study(_dgp_config(cfg), sources, poverty, adj, mcmc, jobs=jobs, spec_options=cfg["model"]["priors"])
         for name, rows in report.tables().items():
             write_table(st.out_dir / f"simulate/{name}.csv", TABLES[name], map(dict.values, rows))
         st.extra["convergence"] = {src: report.convergence[src] for src in report.sources}

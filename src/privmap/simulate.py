@@ -10,6 +10,7 @@ variance 0.25.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .carmodel import (
 )
 from .errors import SimulationError
 from .geo import Adjacency, Hierarchy
-from .standardize import ExpectedCounts, underestimation_fraction, zero_count_percent
+from .standardize import ExpectedCounts, group_percent, underestimation_fraction, zero_count_percent
 from .tabulation import AgeSchema, GroupSchema, TabulationCube
 
 # rng stream tags. SeedSequence pads a key shorter than its pool with zeros, so
@@ -140,12 +141,7 @@ def upward_fraction(bias_per_cell: np.ndarray, groups: tuple[str, ...]) -> dict[
     """Percent of cells with strictly positive bias, per group; NaN cells
     (excluded from the metric base) are skipped."""
     b = np.asarray(bias_per_cell, dtype=float)
-    out = {}
-    for g, group in enumerate(groups):
-        col = b[:, g]
-        col = col[~np.isnan(col)]
-        out[group] = float(100.0 * np.mean(col > 0)) if col.size else float("nan")
-    return out
+    return group_percent(b > 0, ~np.isnan(b), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def synth_population(
             mean = pop_scale / minority_ratio
             totals = rng.lognormal(np.log(mean) - minority_sigma**2 / 2, minority_sigma, size=n)
         values[:, :, g] = rng.multinomial(np.round(totals).astype(np.int64), weights)
-    return TabulationCube(h, h.depth - 1, ages, groups, values, integer_valued=True)
+    return TabulationCube(h, h.depth - 1, ages, groups, values)
 
 
 def synth_deaths(
@@ -206,7 +202,7 @@ def synth_deaths(
     hz = np.minimum(hz * hazard_scale, 0.5)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DEATHS]))
     counts = rng.binomial(population.values.astype(np.int64), hz[None, :, None])
-    return population.with_values(counts.astype(float), integer_valued=True)
+    return population.with_values(counts.astype(float))
 
 
 def synth_poverty(n_units: int, seed: int = 0) -> np.ndarray:
@@ -242,13 +238,16 @@ class StudyReport:
     sources: list[str]
     coef_names: list[str]
     beta_true: np.ndarray
-    n_reps: int
     coef_estimates: dict[str, np.ndarray]      # source -> (n_reps, p)
     smr_bias: dict[str, np.ndarray]            # source -> (n, G)
     smr_mape: dict[str, np.ndarray]
     under_pct: dict[str, dict[str, float]]     # source -> group -> percent, expected counts vs truth
     zero_pct: dict[str, dict[str, float]]
     convergence: dict[str, list[bool]]         # source -> per-replicate flag
+
+    @property
+    def n_reps(self) -> int:
+        return len(self.coef_estimates[self.sources[0]])
 
     @property
     def coef_bias_mean(self) -> dict[str, np.ndarray]:
@@ -323,31 +322,25 @@ def _replicate(
     truth: ExpectedCounts,
     covariate: np.ndarray,
     adjacency: Adjacency,
-    specs: dict[str, ModelSpec],
-    sources: list[str],
+    specs: list[ModelSpec],
     mcmc: McmcConfig,
-) -> dict:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replicate ``k``'s true SMRs (n, G) and, per spec in order, the
+    posterior-mean coefficients (S, p), the SMR estimates (S, n, G) and the
+    convergence flags (S,)."""
     data = generate_dataset(dgp, truth, covariate, adjacency, k)
-    truth_vals = np.where(truth.values > 0, truth.values, np.nan)
-    smr_true = data.lam / truth_vals
-    out = {"smr_true": smr_true, "per_source": {}}
-    for s_idx, src in enumerate(sources):
-        spec = specs[src]
-        y_vec = spec.flatten(data.y)
+    smr_true = data.lam / np.where(truth.values > 0, truth.values, np.nan)
+    coefs, smr_hats, converged = [], [], []
+    for s_idx, spec in enumerate(specs):
         seed = int(
             np.random.SeedSequence([dgp.master_seed, k, _STREAM_FIT + s_idx]).generate_state(1)[0]
         )
-        cfg = McmcConfig(mcmc.iterations, mcmc.burnin, mcmc.thin, seed)
-        draws = fit(y_vec, spec, cfg)
-        summary = mrr_summary(draws)
-        smr_hat = predict_counts(draws, spec).smr
-        out["per_source"][src] = {
-            "coef": draws.beta.mean(axis=0),
-            "smr_hat": smr_hat,
-            "converged": summary.converged,
-        }
+        draws = fit(spec.flatten(data.y), spec, dataclasses.replace(mcmc, seed=seed))
+        converged.append(mrr_summary(draws).converged)
+        coefs.append(draws.beta.mean(axis=0))
+        smr_hats.append(predict_counts(draws, spec).smr)
         del draws  # the next source's fit replaces these draws rather than joining them
-    return out
+    return smr_true, np.stack(coefs), np.stack(smr_hats), np.array(converged)
 
 
 def run_study(
@@ -381,12 +374,8 @@ def run_study(
         if not s.aligned_with(truth):
             raise SimulationError(f"source {s.source!r} is not aligned with the truth source")
 
-    opts = dict(spec_options or {})
-    plan = CarPlan(adjacency) if opts.get("include_spatial", True) else None
-    specs = {s.source: build_spec(s, covariate, plan, **opts) for s in sources}
-    p = specs["truth"].x.shape[1]
-    if len(dgp.beta) != p:
-        raise SimulationError(f"dgp beta has {len(dgp.beta)} entries, model has {p} columns")
+    plan = CarPlan(adjacency)
+    specs = [build_spec(s, covariate, plan, **(spec_options or {})) for s in sources]
 
     replicate = functools.partial(
         _replicate,
@@ -395,7 +384,6 @@ def run_study(
         covariate=np.asarray(covariate, dtype=float),
         adjacency=adjacency,
         specs=specs,
-        sources=tags,
         mcmc=mcmc,
     )
     ks = range(dgp.n_reps)
@@ -405,22 +393,18 @@ def run_study(
     else:
         results = list(map(replicate, ks))
 
-    smr_true = np.stack([r["smr_true"] for r in results])  # (K, n, G)
-    smr_bias, smr_mape = {}, {}
-    for src in tags:
-        smr_hat = np.stack([r["per_source"][src]["smr_hat"] for r in results])
-        smr_bias[src], smr_mape[src] = bias(smr_hat, smr_true), mape(smr_hat, smr_true)
+    # (K, n, G), (K, S, p), (K, S, n, G) and (K, S), sources in tags order
+    smr_true, coefs, smr_hats, converged = map(np.stack, zip(*results))
     return StudyReport(
         unit_ids=list(truth.unit_ids),
         groups=truth.groups,
         sources=tags,
-        coef_names=list(specs["truth"].colnames),
+        coef_names=list(specs[0].colnames),
         beta_true=np.asarray(dgp.beta, dtype=float),
-        n_reps=dgp.n_reps,
-        coef_estimates={src: np.stack([r["per_source"][src]["coef"] for r in results]) for src in tags},
-        smr_bias=smr_bias,
-        smr_mape=smr_mape,
+        coef_estimates={src: coefs[:, s] for s, src in enumerate(tags)},
+        smr_bias={src: bias(smr_hats[:, s], smr_true) for s, src in enumerate(tags)},
+        smr_mape={src: mape(smr_hats[:, s], smr_true) for s, src in enumerate(tags)},
         under_pct={s.source: underestimation_fraction(s, truth) for s in sources},
         zero_pct={s.source: zero_count_percent(s) for s in sources},
-        convergence={src: [bool(r["per_source"][src]["converged"]) for r in results] for src in tags},
+        convergence={src: converged[:, s].tolist() for s, src in enumerate(tags)},
     )

@@ -149,28 +149,27 @@ def percent_error(test: ExpectedCounts, truth: ExpectedCounts) -> PercentErrorRe
     return PercentErrorResult(errors, summary)
 
 
+def group_percent(hit: np.ndarray, base: np.ndarray | bool, groups: tuple[str, ...]) -> dict[str, float]:
+    """For each group (a column of the (cells, groups) mask ``hit``), the
+    percent of its ``base`` cells where ``hit`` holds, or NaN when the group
+    has no base cell; ``base`` broadcasts against ``hit``."""
+    hit = np.asarray(hit, dtype=bool)
+    base = np.broadcast_to(base, hit.shape)
+    k, n = (hit & base).sum(axis=0).tolist(), base.sum(axis=0).tolist()
+    return {group: 100.0 * (k[g] / n[g]) if n[g] else float("nan") for g, group in enumerate(groups)}
+
+
 def underestimation_fraction(test: ExpectedCounts, truth: ExpectedCounts) -> dict[str, float]:
     """Percent of cells with test strictly below truth, per group, over cells
     with positive truth."""
     if not test.aligned_with(truth):
         raise StandardizationError("expected-count sources are not aligned")
-    out = {}
-    for g, group in enumerate(truth.groups):
-        mask = truth.values[:, g] > 0
-        if not mask.any():
-            out[group] = float("nan")
-            continue
-        under = test.values[mask, g] < truth.values[mask, g]
-        out[group] = float(100.0 * under.mean())
-    return out
+    return group_percent(test.values < truth.values, truth.values > 0, truth.groups)
 
 
 def zero_count_percent(source: ExpectedCounts) -> dict[str, float]:
     """Percent of zero expected counts per group (a published-data pathology)."""
-    return {
-        group: float(100.0 * np.mean(source.values[:, g] == 0))
-        for g, group in enumerate(source.groups)
-    }
+    return group_percent(source.values == 0, True, source.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ def read_totals(path, h, ages: AgeSchema, groups: GroupSchema) -> tuple[Tabulati
     values = read_keyed(path, TOTALS_HEADER, axes, StandardizationError)
     check_cells(path, values, axes, values < 0, "negative count", StandardizationError)
     check_cells(path, values, axes, values != np.round(values), "non-integral count", StandardizationError)
-    return tuple(TabulationCube(h, 0, ages, groups, values[None, ..., m], True) for m in range(len(MEASURES)))
+    return tuple(TabulationCube(h, 0, ages, groups, values[None, ..., m]) for m in range(len(MEASURES)))
 
 
 def check_totals(cube: TabulationCube, cube_path, population: TabulationCube, totals_path, per_stratum: bool) -> None:

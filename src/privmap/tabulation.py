@@ -1,8 +1,8 @@
 """Stratified population count cubes over a geographic hierarchy.
 
-A cube holds one value per (unit, age band, group) cell for the units of a
-single level. Published and ground-truth cubes are integer valued; noisy
-intermediate cubes carry reals and may go negative.
+A cube holds one non-negative integer count per (unit, age band, group)
+cell for the units of a single level: ground truth, synthetic events and
+published mechanism output alike.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class TabulationCube:
         ages: AgeSchema,
         groups: GroupSchema,
         values: np.ndarray,
-        integer_valued: bool,
     ):
         self.hierarchy = hierarchy
         self.rank = rank
@@ -78,25 +77,19 @@ class TabulationCube:
         expect = (len(self.unit_ids), ages.n, groups.n)
         if values.shape != expect:
             raise TabulationError(f"cube shape {values.shape} does not match {expect}")
-        if integer_valued:
-            if np.any(values < 0):
-                raise TabulationError("integer cube contains negative cells")
-            if np.any(values != np.round(values)):
-                raise TabulationError("integer cube contains non-integral cells")
-            values = np.round(values)
-        else:
-            values = values.copy()  # the cube freezes its values, not the caller's array
-        self.values = values
+        if np.any(values < 0):
+            raise TabulationError("integer cube contains negative cells")
+        if np.any(values != np.round(values)):
+            raise TabulationError("integer cube contains non-integral cells")
+        self.values = np.round(values)  # a copy: the cube freezes its values, not the caller's array
         self.values.flags.writeable = False
-        self.integer_valued = integer_valued
 
     @property
     def total(self) -> float:
         return float(self.values.sum())
 
-    def with_values(self, values: np.ndarray, integer_valued: bool | None = None) -> "TabulationCube":
-        flag = self.integer_valued if integer_valued is None else integer_valued
-        return TabulationCube(self.hierarchy, self.rank, self.ages, self.groups, values, flag)
+    def with_values(self, values: np.ndarray) -> "TabulationCube":
+        return TabulationCube(self.hierarchy, self.rank, self.ages, self.groups, values)
 
 
 def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_column: str = "count") -> TabulationCube:
@@ -106,14 +99,13 @@ def ingest(path, ages: AgeSchema, groups: GroupSchema, h: Hierarchy, *, value_co
     values = read_keyed(path, ["unit_id", "age_band", "group", value_column], axes, TabulationError)
     check_cells(path, values, axes, values < 0, "negative count", TabulationError)
     check_cells(path, values, axes, values != np.round(values), "non-integral count", TabulationError)
-    return TabulationCube(h, h.depth - 1, ages, groups, values, integer_valued=True)
+    return TabulationCube(h, h.depth - 1, ages, groups, values)
 
 
 def write_tabulation(cube: TabulationCube, path, *, value_column: str = "count") -> None:
-    """Canonical ordering (unit, band, group); integers rendered without a point."""
-    values = cube.values.astype(np.int64) if cube.integer_valued else cube.values
+    """Canonical ordering (unit, band, group); counts rendered without a point."""
     axes = [cube.unit_ids, cube.ages.bands, cube.groups.groups]
-    write_cells(path, ["unit_id", "age_band", "group", value_column], [(axes, values)])
+    write_cells(path, ["unit_id", "age_band", "group", value_column], [(axes, cube.values.astype(np.int64))])
 
 
 def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
@@ -129,9 +121,7 @@ def aggregate(cube: TabulationCube, target_rank: int) -> TabulationCube:
     while current.rank > target_rank:
         out = np.zeros((len(h.units_at(current.rank - 1)), cube.ages.n, cube.groups.n))
         np.add.at(out, h.parent_index(current.rank), current.values)
-        current = TabulationCube(
-            h, current.rank - 1, cube.ages, cube.groups, out, cube.integer_valued
-        )
+        current = TabulationCube(h, current.rank - 1, cube.ages, cube.groups, out)
     return current
 
 

@@ -155,7 +155,7 @@ def test_criterion_3_hierarchical_consistency():
     for variant in ("v19", "v20", "v22"):
         for seed in range(20):
             protected, audit = run_topdown(cube, das_preset(variant, seed=seed))
-            assert protected.integer_valued and np.all(protected.values >= 0)
+            assert np.array_equal(protected.values, np.round(protected.values)) and np.all(protected.values >= 0)
             for rank in (0, 1):
                 agg = aggregate(protected, rank)
                 assert np.array_equal(agg.values, audit.published[rank].values), (
@@ -210,7 +210,7 @@ def test_criterion_5_glm_reduction():
     p_vals = rng.uniform(5, 50, (n, 2))
     ec = ExpectedCounts([f"u{i}" for i in range(n)], ("a", "b"), p_vals, "truth")
     cov = rng.uniform(0, 1, n)
-    spec = build_spec(ec, cov, None, include_spatial=False, include_overdispersion=False)
+    spec = build_spec(ec, cov, None, include_overdispersion=False)
     beta_true = np.array([0.0, 0.4, 0.01])
     y = rng.poisson(np.exp(spec.x @ beta_true + spec.offset))
     draws = fit(y, spec, McmcConfig(4000, 2000, 2, seed=5))

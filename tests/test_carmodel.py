@@ -192,6 +192,14 @@ def test_build_spec_excludes_zero_cells():
     assert spec.n_strata == 7
 
 
+@pytest.mark.parametrize("shared_plan", [False, True], ids=["adjacency", "car-plan"])
+def test_build_spec_rejects_adjacency_of_other_units(shared_plan):
+    _, adj = build_synthetic_geography(4, [2, 2], "grid", seed=1)
+    ec = ExpectedCounts(["a", "b", "c", "d"], ("x",), np.ones((4, 1)), "truth")
+    with pytest.raises(ModelError, match="adjacency leaves do not match expected-count units"):
+        build_spec(ec, None, CarPlan(adj) if shared_plan else adj)
+
+
 # ---------------------------------------------------------------------------
 # the sampler against independent oracles
 
@@ -237,7 +245,7 @@ def glm_fit():
     p_vals = r.uniform(5, 50, (n, 2))
     ec = ExpectedCounts([f"u{i}" for i in range(n)], ("a", "b"), p_vals, "truth")
     cov = r.uniform(0, 1, n)
-    spec = build_spec(ec, cov, None, include_spatial=False, include_overdispersion=False)
+    spec = build_spec(ec, cov, None, include_overdispersion=False)
     beta_true = np.array([0.0, 0.4, 0.01])
     lam = np.exp(spec.x @ beta_true + spec.offset)
     y = r.poisson(lam)
@@ -266,7 +274,7 @@ def test_posterior_contraction_with_more_data():
         r = rng(seed)
         p_vals = r.uniform(5, 50, (n, 2))
         ec = ExpectedCounts([f"u{i}" for i in range(n)], ("a", "b"), p_vals, "truth")
-        spec = build_spec(ec, None, None, include_spatial=False, include_overdispersion=False)
+        spec = build_spec(ec, None, None, include_overdispersion=False)
         lam = np.exp(spec.x @ np.array([0.0, 0.4]) + spec.offset)
         y = r.poisson(lam)
         draws = fit(y, spec, McmcConfig(2400, 1200, 2, seed=1))
@@ -285,7 +293,7 @@ def test_fit_flat_likelihood_recovers_prior():
     # sweep gave a rho mean of 0.40 and a tau2 median of 0.30.
     _, adj = build_synthetic_geography(16, [4, 4], "grid", seed=1)
     ec = ExpectedCounts(list(adj.leaf_ids), ("pop",), np.full((16, 1), 1e-8), "truth")
-    spec = build_spec(ec, None, adj, prior_beta_var=1.0, prior_ig_shape=3.0, prior_ig_scale=1.0)
+    spec = build_spec(ec, None, adj, beta_var=1.0, ig_shape=3.0, ig_scale=1.0)
     draws = fit(np.zeros(16), spec, McmcConfig(30_000, 2000, 10, seed=1))
     ig_median = 1 / scipy.stats.gamma.ppf(0.5, 3.0)
     assert abs(draws.rho.mean() - 0.5) < 0.03
@@ -363,7 +371,7 @@ BRANCH_PINS = {
         {"beta": 0.295, "theta": 0.4375, "phi": None, "rho": 0.7175},
     ),
     "no-spatial": (
-        {"include_spatial": False},
+        {"adjacency": None},
         "09dc2f4742c86e644ad146704bfd11bcc3fbcd48a97706c9b6abbbb10daa23f2",
         {"beta": 0.2675, "theta": None, "phi": 0.39422535211267606, "rho": None},
     ),
@@ -379,7 +387,7 @@ def test_fit_branch_draws_pinned(branch):
     vals = r.uniform(1.0, 8.0, (36, 2))
     vals[7, 1] = 0.0
     ec = ExpectedCounts(list(adj.leaf_ids), ("NHW", "Black"), vals, "truth")
-    spec = build_spec(ec, r.uniform(0, 1, 36), adj, **options)
+    spec = build_spec(ec, r.uniform(0, 1, 36), **{"adjacency": adj, **options})
     assert spec.excluded == [(adj.leaf_ids[7], "Black")]
     draws = fit(spec.flatten(r.poisson(vals)), spec, McmcConfig(400, 200, 2, seed=17))
     assert draws_digest(draws) == digest

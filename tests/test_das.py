@@ -390,7 +390,7 @@ def small_cube():
     h, _ = build_synthetic_geography(12, [3, 4], "grid", seed=2)
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x", "y"))
     vals = rng(5).integers(0, 60, (12, 2, 2)).astype(float)
-    return TabulationCube(h, 2, ages, groups, vals, integer_valued=True)
+    return TabulationCube(h, 2, ages, groups, vals)
 
 
 def test_inject_noise_requires_all_levels(small_cube):
@@ -419,7 +419,7 @@ def test_inject_noise_levels_independent():
     h, _ = build_synthetic_geography(48, [6, 8], "grid", seed=3)
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x", "y"))
     vals = rng(4).integers(0, 60, (48, 2, 2)).astype(float)
-    cubes = leveled_cubes(TabulationCube(h, 2, ages, groups, vals, integer_valued=True))
+    cubes = leveled_cubes(TabulationCube(h, 2, ages, groups, vals))
     n_pairs = cubes[1].values.size  # 24 parent cells per seed
     a, b = [], []
     for seed in range(4200):
@@ -452,7 +452,7 @@ def check_published_consistency(protected, audit, true_cube):
         pub = audit.published[rank]
         assert np.array_equal(agg.values, pub.values), f"rank {rank} inconsistent"
     assert protected.total == true_cube.total
-    assert protected.integer_valued
+    assert np.array_equal(protected.values, np.round(protected.values))
     assert np.all(protected.values >= 0)
 
 
@@ -600,7 +600,7 @@ def ragged_cube(seed, depth, max_fan):
     h = ragged_hierarchy(r, depth, max_fan)
     # mostly small counts with many zeros, so projections clamp and rows repair
     vals = (r.integers(0, 12, (len(h.leaf_ids), 2, 2)) * r.integers(0, 2, (len(h.leaf_ids), 2, 2))).astype(float)
-    return TabulationCube(h, depth - 1, AgeSchema(("a", "b")), GroupSchema(("x", "y")), vals, integer_valued=True)
+    return TabulationCube(h, depth - 1, AgeSchema(("a", "b")), GroupSchema(("x", "y")), vals)
 
 
 @settings(max_examples=40, deadline=None)

@@ -81,6 +81,9 @@ def test_load_config_validates_values(tmp_path):
         {"das": {"variant": "custom"}},  # custom requires epsilon_total
         {"das": {"variant": "v19", "epsilon_total": 0.5}},  # v19 pins 4.0
         {"sim": {"sources": ["v19"]}},   # truth required
+        {"sim": {"sources": ["truth", "v19", "v19"]}},  # a source named twice
+        {"sim": {"beta": [0.0, 0.4]}},  # the model has an intercept, one group contrast and the covariate
+        {"model": {"mcmc": {"iterations": 250, "burnin": 200, "thin": 1}}},  # keeps 50 draws, the summary needs 100
         {"model": {"mcmc": {"thin": 0}}},
         {"model": {"mcmc": {"iterations": 100, "burnin": 200}}},  # burn-in past the run
         {"model": {"mcmc": {"iterations": 100, "burnin": 100}}},
@@ -115,7 +118,8 @@ def test_load_config_validates_values(tmp_path):
         path = write_config(tmp_path, bad, name="bad.json")
         with pytest.raises(ConfigError):
             load_config(path)
-    # McmcConfig's range rules apply at load: no burn-in is allowed
+    # McmcConfig's range rules apply at load: no burn-in is allowed, and
+    # these settings keep exactly the 100 draws the fit summary needs
     cfg = load_config(write_config(tmp_path, {"model": {"mcmc": {"iterations": 100, "burnin": 0, "thin": 1}}}))
     assert cfg["model"]["mcmc"]["burnin"] == 0
 

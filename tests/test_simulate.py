@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,8 @@ def test_upward_fraction_rules():
     out2 = upward_fraction(with_nan, groups)
     assert out2["a"] == pytest.approx(100.0)
     assert out2["b"] == pytest.approx(50.0)
+    # a group with no cell in the metric base has no share
+    assert math.isnan(upward_fraction(np.array([[np.nan, 1.0], [np.nan, 0.0]]), groups)["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def test_synth_population_scales():
     per_unit = pop.values.sum(axis=1)
     assert per_unit[:, 0].mean() == pytest.approx(300.0, rel=0.2)
     assert per_unit[:, 1].mean() == pytest.approx(25.0, rel=0.5)
-    assert pop.integer_valued
+    assert np.array_equal(pop.values, np.round(pop.values))
 
 
 def test_synth_deaths_bounded_by_population():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from privmap.tabulation import AgeSchema, GroupSchema, TabulationCube, aggregate
 
 def make_cube(values, ages, groups, n_leaves=4, branching=(2, 2)):
     h, _ = build_synthetic_geography(n_leaves, list(branching), "grid", seed=1)
-    return TabulationCube(h, 2, ages, groups, values, integer_valued=True)
+    return TabulationCube(h, 2, ages, groups, values)
 
 
 def test_reference_rates_direct_ratio():
@@ -149,6 +151,14 @@ def test_underestimation_fraction_trivials():
     assert underestimation_fraction(mixed, truth)["x"] == pytest.approx(50.0)
 
 
+
+def test_underestimation_fraction_is_nan_for_a_group_without_positive_truth():
+    truth = ExpectedCounts(["a", "b"], ("x", "y"), np.array([[1.0, 0.0], [2.0, 0.0]]), "truth")
+    test = ExpectedCounts(["a", "b"], ("x", "y"), np.array([[0.5, 1.0], [2.0, 0.0]]), "v19")
+    under = underestimation_fraction(test, truth)
+    assert under["x"] == 50.0 and math.isnan(under["y"])
+
+
 def test_underestimation_alignment_required():
     a = ec([[1.0]])
     b = ExpectedCounts(["other"], ("x",), np.array([[1.0]]), "t")
@@ -267,7 +277,7 @@ def test_totals_file_rejects_a_count_that_is_not_a_non_negative_integer(tmp_path
 def test_check_totals_names_both_files():
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x",))
     pop = make_cube(np.arange(8).reshape(4, 2, 1), ages, groups)  # strata sums 12 and 16
-    totals = TabulationCube(pop.hierarchy, 0, ages, groups, np.array([[[12.0], [17.0]]]), True)
+    totals = TabulationCube(pop.hierarchy, 0, ages, groups, np.array([[[12.0], [17.0]]]))
     message = r"^pop\.csv: population 16 in \(b, x\) does not match 17 in tot\.csv$"
     with pytest.raises(StandardizationError, match=message):
         check_totals(pop, "pop.csv", totals, "tot.csv", per_stratum=True)

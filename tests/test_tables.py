@@ -46,9 +46,9 @@ def geo():
     return build_synthetic_geography(4, [2, 2], "grid", seed=1)
 
 
-def cube_at(h, rank, values, integer_valued=True):
+def cube_at(h, rank, values):
     values = np.asarray(values, dtype=float).reshape(len(h.units_at(rank)), AGES.n, GROUPS.n)
-    return TabulationCube(h, rank, AGES, GROUPS, values, integer_valued)
+    return TabulationCube(h, rank, AGES, GROUPS, values)
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +71,17 @@ def test_geo_writers_bytes(geo, tmp_path):
 def test_tabulation_writers_bytes(geo, tmp_path):
     h, _ = geo
     write_tabulation(cube_at(h, 1, np.arange(8)), tmp_path / "int.csv", value_column="deaths")
+    # reals go through write_cells' real-value path, which covariates share
     reals = [1 / 3, 2.5e-12, 1e10, -7.0, 0.1, 123456789.123, 0.0, 2 / 3]
-    write_tabulation(cube_at(h, 1, reals, integer_valued=False), tmp_path / "real.csv")
+    write_covariates(tmp_path / "real.csv", list("abcdefgh"), "x", np.array(reals))
     write_covariates(tmp_path / "cov.csv", ["a", "b", "c"], "poverty", np.array([0.1, 1 / 3, 12.0]))
     assert (tmp_path / "int.csv").read_bytes() == (
         b"unit_id,age_band,group,deaths\r\nU1-0,0-4,NHW,0\r\nU1-0,0-4,Black,1\r\nU1-0,5+,NHW,2\r\n"
         b"U1-0,5+,Black,3\r\nU1-1,0-4,NHW,4\r\nU1-1,0-4,Black,5\r\nU1-1,5+,NHW,6\r\nU1-1,5+,Black,7\r\n"
     )
     assert (tmp_path / "real.csv").read_bytes() == (
-        b"unit_id,age_band,group,count\r\nU1-0,0-4,NHW,0.3333333333\r\nU1-0,0-4,Black,2.5e-12\r\n"
-        b"U1-0,5+,NHW,1e+10\r\nU1-0,5+,Black,-7\r\nU1-1,0-4,NHW,0.1\r\nU1-1,0-4,Black,123456789.1\r\n"
-        b"U1-1,5+,NHW,0\r\nU1-1,5+,Black,0.6666666667\r\n"
+        b"unit_id,name,value\r\na,x,0.3333333333\r\nb,x,2.5e-12\r\nc,x,1e+10\r\nd,x,-7\r\n"
+        b"e,x,0.1\r\nf,x,123456789.1\r\ng,x,0\r\nh,x,0.6666666667\r\n"
     )
     assert (tmp_path / "cov.csv").read_bytes() == (
         b"unit_id,name,value\r\na,poverty,0.1\r\nb,poverty,0.3333333333\r\nc,poverty,12\r\n"

@@ -82,7 +82,7 @@ def test_aggregate_sums_children(tiny_geo):
     h, _ = tiny_geo
     ages, groups = AgeSchema(("all",)), GroupSchema(("pop",))
     vals = np.array([3.0, 7.0, 2.0, 5.0]).reshape(4, 1, 1)
-    cube = TabulationCube(h, 2, ages, groups, vals, integer_valued=True)
+    cube = TabulationCube(h, 2, ages, groups, vals)
     parents = aggregate(cube, 1)
     assert parents.values[0, 0, 0] == 10  # first parent holds first two leaves
     root = aggregate(cube, 0)
@@ -94,9 +94,7 @@ def test_aggregate_path_independence():
     h, _ = build_synthetic_geography(12, [3, 4], "grid", seed=2)
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x", "y", "z"))
     rng = np.random.default_rng(0)
-    cube = TabulationCube(
-        h, 2, ages, groups, rng.integers(0, 50, (12, 2, 3)).astype(float), integer_valued=True
-    )
+    cube = TabulationCube(h, 2, ages, groups, rng.integers(0, 50, (12, 2, 3)).astype(float))
     via_middle = aggregate(aggregate(cube, 1), 0)
     direct = aggregate(cube, 0)
     assert np.array_equal(via_middle.values, direct.values)
@@ -106,9 +104,7 @@ def test_aggregate_total_preserved_exactly():
     h, _ = build_synthetic_geography(30, [5, 6], "grid", seed=2)
     ages, groups = AgeSchema(("a", "b", "c")), GroupSchema(("x", "y"))
     rng = np.random.default_rng(1)
-    cube = TabulationCube(
-        h, 2, ages, groups, rng.integers(0, 99, (30, 3, 2)).astype(float), integer_valued=True
-    )
+    cube = TabulationCube(h, 2, ages, groups, rng.integers(0, 99, (30, 3, 2)).astype(float))
     for rank in (1, 0):
         assert aggregate(cube, rank).total == cube.total
 
@@ -118,9 +114,7 @@ def test_roundtrip_bit_exact(tiny_geo, tmp_path):
     ages = AgeSchema(("0-4", "5-14"))
     groups = GroupSchema(("NHW", "Black"))
     rng = np.random.default_rng(4)
-    cube = TabulationCube(
-        h, 2, ages, groups, rng.integers(0, 500, (4, 2, 2)).astype(float), integer_valued=True
-    )
+    cube = TabulationCube(h, 2, ages, groups, rng.integers(0, 500, (4, 2, 2)).astype(float))
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"
     write_tabulation(cube, f1)
@@ -134,16 +128,15 @@ def test_integer_cube_rejects_negative_and_fractional(tiny_geo):
     h, _ = tiny_geo
     ages, groups = AgeSchema(("a",)), GroupSchema(("x",))
     with pytest.raises(TabulationError):
-        TabulationCube(h, 2, ages, groups, -np.ones((4, 1, 1)), integer_valued=True)
+        TabulationCube(h, 2, ages, groups, -np.ones((4, 1, 1)))
     with pytest.raises(TabulationError):
-        TabulationCube(h, 2, ages, groups, np.full((4, 1, 1), 0.5), integer_valued=True)
+        TabulationCube(h, 2, ages, groups, np.full((4, 1, 1), 0.5))
 
 
-@pytest.mark.parametrize("integer_valued", [False, True])
-def test_cube_leaves_the_callers_array_writeable(tiny_geo, integer_valued):
+def test_cube_leaves_the_callers_array_writeable(tiny_geo):
     h, _ = tiny_geo
     values = np.zeros((4, 7, 2))
-    cube = TabulationCube(h, 2, AgeSchema(tuple("abcdefg")), GroupSchema(("x", "y")), values, integer_valued)
+    cube = TabulationCube(h, 2, AgeSchema(tuple("abcdefg")), GroupSchema(("x", "y")), values)
     assert values.flags.writeable and not cube.values.flags.writeable
     values[0, 0, 0] = 5.0
     assert cube.values[0, 0, 0] == 0.0
@@ -153,9 +146,7 @@ def test_leveled_cubes_and_unit_totals():
     h, _ = build_synthetic_geography(12, [3, 4], "grid", seed=2)
     ages, groups = AgeSchema(("a", "b")), GroupSchema(("x",))
     rng = np.random.default_rng(9)
-    cube = TabulationCube(
-        h, 2, ages, groups, rng.integers(0, 30, (12, 2, 1)).astype(float), integer_valued=True
-    )
+    cube = TabulationCube(h, 2, ages, groups, rng.integers(0, 30, (12, 2, 1)).astype(float))
     levels = leveled_cubes(cube)
     assert set(levels) == {0, 1, 2}
     assert levels[0].total == cube.total
