@@ -29,9 +29,9 @@ for variant in ("v19", "v20", "v22"):
     )
     eps_leaf = audit.epsilons[(h.depth - 1, "detail")]
     print(
-        f"\n{variant}: eps_total {cfg.budget.epsilon_total}, "
+        f"\n{variant}: eps_total {cfg.epsilon_total}, "
         f"leaf detail eps {eps_leaf:.3f}, "
-        f"{'multi-pass' if cfg.budget.multi_pass else 'single-pass'}"
+        f"{'multi-pass' if cfg.multi_pass else 'single-pass'}"
     )
     print(f"  root total exact: {protected.total == pop.total}; hierarchy consistent: {consistent}")
     print(f"  mean |cell error| {np.abs(err).mean():.3f}, max |cell error| {np.abs(err).max():.0f}")

@@ -32,8 +32,6 @@ from .tabulation import (
 )
 from .das import (
     DasConfig,
-    NoiseModel,
-    PrivacyBudget,
     controlled_round,
     das_preset,
     inject_noise,

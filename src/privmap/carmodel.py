@@ -56,7 +56,6 @@ class ModelSpec:
     fix_tau2: float | None = None
     fix_sigma2: float | None = None
     excluded: list[tuple[str, str]] = field(default_factory=list)
-    covariate_scaling: dict = field(default_factory=dict)
 
     @property
     def include_spatial(self) -> bool:
@@ -73,6 +72,18 @@ class ModelSpec:
     def flatten(self, per_cell: np.ndarray) -> np.ndarray:
         """Pull a (units x groups) matrix down to the included-strata vector."""
         return np.asarray(per_cell)[self.unit_idx, self.group_idx]
+
+
+def scale_covariate(covariate: np.ndarray, n: int) -> np.ndarray:
+    """The area covariate, one value per each of ``n`` units, centred and
+    scaled to unit SD, as the model and the generating process both use it."""
+    covariate = np.asarray(covariate, dtype=float)
+    if covariate.shape != (n,):
+        raise ModelError(f"covariate must have one value per unit, got {covariate.shape}")
+    mean, sd = float(covariate.mean()), float(covariate.std())
+    if sd == 0:
+        raise ModelError("covariate is constant; cannot scale")
+    return (covariate - mean) / sd
 
 
 def build_spec(
@@ -108,18 +119,9 @@ def build_spec(
     for g in range(1, n_groups):
         cols.append((group_idx == g).astype(float))
         colnames.append(f"group:{expected.groups[g]}")
-    scaling = {}
     if covariate is not None:
-        covariate = np.asarray(covariate, dtype=float)
-        if covariate.shape != (n,):
-            raise ModelError(f"covariate must have one value per unit, got {covariate.shape}")
-        mean, sd = float(covariate.mean()), float(covariate.std())
-        if sd == 0:
-            raise ModelError("covariate is constant; cannot scale")
-        scaled = (covariate - mean) / sd
-        cols.append(scaled[unit_idx])
+        cols.append(scale_covariate(covariate, n)[unit_idx])
         colnames.append("covariate")
-        scaling = {"mean": mean, "sd": sd}
 
     return ModelSpec(
         unit_ids=list(expected.unit_ids),
@@ -131,7 +133,6 @@ def build_spec(
         group_idx=group_idx,
         plan=plan,
         excluded=excluded,
-        covariate_scaling=scaling,
         **options,
     )
 
@@ -551,9 +552,8 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
 
     beta_root, theta_sd, phi_sd = _proposal_shapes(spec, exp_eta, tau2, sigma2)
     rho_step, rho_seen = 0.1, 0  # rho's step, and its acceptances before this window
-    # each block's accepted and proposed moves over the whole run
+    # each block's accepted moves over the whole run
     accepted = dict.fromkeys(("beta", "theta", "phi", "rho"), 0)
-    proposed = dict.fromkeys(accepted, 0)
 
     n_stored = mcmc.n_stored
     draws = PosteriorDraws(
@@ -588,7 +588,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             beta = b_new
             eta, exp_eta = new_eta, new_exp
         accepted["beta"] += accept
-        proposed["beta"] += 1
 
         # --- spatial effects, by color class
         if spec.include_spatial:
@@ -611,7 +610,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
                 exp_by_unit[members] = mu * np.exp(eps)
                 delta_unit[members] = eps
                 accepted["theta"] += int(np.count_nonzero(accept))
-                proposed["theta"] += members.size
             eta += delta_unit[spec.unit_idx]
             np.exp(eta, out=exp_eta)
             # intercept shift: beta_0 + c, theta - c (eta unchanged), c drawn
@@ -633,7 +631,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             eta += eps
             np.exp(eta, out=exp_eta)
             accepted["phi"] += int(np.count_nonzero(accept))
-            proposed["phi"] += s_count
 
             # coefficient shift: beta + delta, phi - X delta (eta unchanged),
             # delta ~ N(P^-1 r, P^-1) with r = X' phi / sigma2 - beta / V
@@ -672,7 +669,6 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             if accept:
                 rho, log_det_rho = rho_new, log_det_new
             accepted["rho"] += accept
-            proposed["rho"] += 1
 
         if in_burnin and sweep % _ADAPT_WINDOW == 0:
             nudge = 0.15 if (accepted["rho"] - rho_seen) / _ADAPT_WINDOW > _TARGET_ACCEPT else -0.15
@@ -689,7 +685,11 @@ def fit(y: np.ndarray, spec: ModelSpec, mcmc: McmcConfig | None = None) -> Poste
             draws.tau2[stored], draws.sigma2[stored], draws.rho[stored] = tau2, sigma2, rho
             stored += 1
 
-    draws.accept_rates = {b: accepted[b] / proposed[b] if proposed[b] else float("nan") for b in accepted}
+    # each sweep proposes one coefficient move, one move per spatial and per
+    # overdispersion effect and one rho move, for the blocks the spec has
+    spatial = spec.include_spatial
+    per_sweep = {"beta": 1, "theta": n_units * spatial, "phi": s_count * spec.include_overdispersion, "rho": int(spatial)}
+    draws.accept_rates = {b: accepted[b] / (mcmc.iterations * n) if n else float("nan") for b, n in per_sweep.items()}
     return draws
 
 

@@ -59,30 +59,21 @@ def _sample_dgauss(sigma2: float, n: int, rng: np.random.Generator) -> np.ndarra
 NOISE_FAMILIES = ("discrete-laplace", "discrete-gaussian")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Integer noise family; scale per query is derived from its allocated epsilon.
+def sample_noise(family: str, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` integer noise draws of ``family`` for a query with budget ``eps``.
 
     The discrete Gaussian is calibrated to match the discrete Laplace variance
     at the same epsilon, so the family acts as a pure shape-robustness knob.
     """
-
-    family: str = "discrete-laplace"
-
-    def __post_init__(self):
-        if self.family not in NOISE_FAMILIES:
-            raise ProtectionError(f"unknown noise family {self.family!r}")
-
-    def sample(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        if not (eps > 0) or not math.isfinite(eps):
-            raise ProtectionError(f"per-query epsilon must be positive and finite, got {eps}")
-        if self.family == "discrete-laplace":
-            return _sample_dlaplace(eps, n, rng)
-        return _sample_dgauss(dlaplace_variance(eps), n, rng)
+    if not (eps > 0) or not math.isfinite(eps):
+        raise ProtectionError(f"per-query epsilon must be positive and finite, got {eps}")
+    if family == "discrete-laplace":
+        return _sample_dlaplace(eps, n, rng)
+    return _sample_dgauss(dlaplace_variance(eps), n, rng)
 
 
 # ---------------------------------------------------------------------------
-# budgets and configuration
+# configuration
 
 
 def _check_shares(shares, what: str) -> tuple[float, ...]:
@@ -94,16 +85,30 @@ def _check_shares(shares, what: str) -> tuple[float, ...]:
     return shares
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total epsilon for the population tables and how it splits across
-    geolevels (and across passes for multi-pass variants)."""
+# variant -> (epsilon_total, multi-pass). v19/v20 share one population-table
+# budget and differ only in post-processing; v22 raises the budget
+# substantially. v19 is single-pass, the others multi-pass.
+PRESETS = {"v19": (4.0, False), "v20": (4.0, True), "v22": (20.82, True)}
+# the order keys each variant's DAS seed in the pipeline
+VARIANTS = (*PRESETS, "custom")
 
+
+@dataclass(frozen=True)
+class DasConfig:
+    """One setting of the mechanism: the total epsilon for the population
+    tables, how it splits across geolevels (and across passes for
+    multi-pass variants), the integer noise family and the noise seed."""
+
+    variant: str
     epsilon_total: float
     level_shares: tuple[float, ...] | None = None
     pass_shares: tuple[float, ...] | None = None
+    noise_family: str = "discrete-laplace"
+    seed: int = 0
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ProtectionError(f"unknown variant {self.variant!r}")
         if not (self.epsilon_total > 0):
             raise ProtectionError(f"epsilon_total must be positive, got {self.epsilon_total}")
         if self.level_shares is not None:
@@ -113,6 +118,18 @@ class PrivacyBudget:
             if len(shares) != 2:
                 raise ProtectionError("pass shares must have exactly two entries (totals, detail)")
             object.__setattr__(self, "pass_shares", shares)
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ProtectionError(f"unknown noise family {self.noise_family!r}")
+        if self.variant in PRESETS and not self.infinite:
+            want, multi_pass = PRESETS[self.variant]
+            if abs(self.epsilon_total - want) > 1e-9:
+                raise ProtectionError(
+                    f"epsilon_total {self.epsilon_total} differs from the {want} that variant "
+                    f"{self.variant} pins; use 'inf', the pinned value or variant 'custom'"
+                )
+            if self.multi_pass != multi_pass:
+                mode = "multi-pass" if multi_pass else "single-pass"
+                raise ProtectionError(f"variant {self.variant} is {mode}")
 
     @property
     def infinite(self) -> bool:
@@ -136,36 +153,6 @@ class PrivacyBudget:
         return self.epsilon_total * shares
 
 
-# variant -> (epsilon_total, multi-pass). v19/v20 share one population-table
-# budget and differ only in post-processing; v22 raises the budget
-# substantially. v19 is single-pass, the others multi-pass.
-PRESETS = {"v19": (4.0, False), "v20": (4.0, True), "v22": (20.82, True)}
-# the order keys each variant's DAS seed in the pipeline
-VARIANTS = (*PRESETS, "custom")
-
-
-@dataclass(frozen=True)
-class DasConfig:
-    variant: str
-    budget: PrivacyBudget
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ProtectionError(f"unknown variant {self.variant!r}")
-        if self.variant in PRESETS and not self.budget.infinite:
-            want, multi_pass = PRESETS[self.variant]
-            if abs(self.budget.epsilon_total - want) > 1e-9:
-                raise ProtectionError(
-                    f"epsilon_total {self.budget.epsilon_total} differs from the {want} that variant "
-                    f"{self.variant} pins; use 'inf', the pinned value or variant 'custom'"
-                )
-            if self.budget.multi_pass != multi_pass:
-                mode = "multi-pass" if multi_pass else "single-pass"
-                raise ProtectionError(f"variant {self.variant} is {mode}")
-
-
 def das_preset(
     variant: str,
     seed: int = 0,
@@ -179,15 +166,13 @@ def das_preset(
     which :class:`DasConfig` holds to the pin or to infinity, and a
     multi-pass preset splits each level's budget evenly between totals and
     detail unless given ``pass_shares``."""
-    if variant not in VARIANTS:
-        raise ProtectionError(f"unknown variant {variant!r}")
     if variant == "custom" and epsilon_total is None:
         raise ProtectionError("variant 'custom' requires epsilon_total")
     if variant in PRESETS:
         pinned, multi_pass = PRESETS[variant]
         epsilon_total = pinned if epsilon_total is None else epsilon_total
         pass_shares = (0.5, 0.5) if multi_pass and pass_shares is None else pass_shares
-    return DasConfig(variant, PrivacyBudget(epsilon_total, level_shares, pass_shares), NoiseModel(noise_family), seed)
+    return DasConfig(variant, epsilon_total, level_shares, pass_shares, noise_family, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +185,6 @@ class AuditRecord:
     noisy query, as :func:`inject_noise` draws them, and the published
     levels, as :func:`run_topdown` fills them in."""
 
-    variant: str
-    seed: int
     epsilons: dict[tuple[int, str], float]
     detail_noise: dict[int, np.ndarray]
     totals_noise: dict[int, np.ndarray] | None
@@ -231,21 +214,21 @@ def inject_noise(cubes: dict[int, TabulationCube], config: DasConfig) -> AuditRe
         if rank not in cubes:
             raise ProtectionError(f"missing cube for rank {rank}")
 
-    budget = config.budget
-    audit = AuditRecord(config.variant, config.seed, {}, {}, {} if budget.multi_pass else None)
-    eps_levels = budget.level_epsilons(len(ranks))
+    audit = AuditRecord({}, {}, {} if config.multi_pass else None)
+    eps_levels = config.level_epsilons(len(ranks))
     for rank in ranks:
         cube = cubes[rank]
         eps_l = float(eps_levels[rank])
-        eps_det = eps_l * budget.pass_shares[1] if budget.multi_pass else eps_l
+        eps_det = eps_l * config.pass_shares[1] if config.multi_pass else eps_l
         rng = _rng_for(config.seed, rank, "detail")
-        audit.detail_noise[rank] = config.noise.sample(eps_det, cube.values.size, rng).reshape(cube.values.shape)
+        noise = sample_noise(config.noise_family, eps_det, cube.values.size, rng)
+        audit.detail_noise[rank] = noise.reshape(cube.values.shape)
         audit.epsilons[(rank, "detail")] = eps_det
 
-        if budget.multi_pass and rank > 0:
-            eps_tot = eps_l * budget.pass_shares[0]
+        if config.multi_pass and rank > 0:
+            eps_tot = eps_l * config.pass_shares[0]
             rng = _rng_for(config.seed, rank, "totals")
-            audit.totals_noise[rank] = config.noise.sample(eps_tot, len(cube.unit_ids), rng)
+            audit.totals_noise[rank] = sample_noise(config.noise_family, eps_tot, len(cube.unit_ids), rng)
             audit.epsilons[(rank, "totals")] = eps_tot
 
     return audit
@@ -397,8 +380,8 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
         raise ProtectionError("true cube must sit at the leaf level")
 
     cubes = leveled_cubes(true_cube)
-    if config.budget.infinite:
-        return true_cube, AuditRecord(config.variant, config.seed, {}, {}, None, dict(cubes))
+    if config.infinite:
+        return true_cube, AuditRecord({}, {}, None, dict(cubes))
     audit = inject_noise(cubes, config)
 
     # the root grand total is the mechanism's one exact invariant: the noisy
@@ -409,7 +392,7 @@ def run_topdown(true_cube: TabulationCube, config: DasConfig) -> tuple[Tabulatio
     root_vals = _reconcile(root_total, root_cells, np.zeros(root_cells.size, dtype=np.intp))
     published = audit.published
     published[0] = cubes[0].with_values(root_vals.reshape(cubes[0].values.shape))
-    if config.budget.multi_pass:
+    if config.multi_pass:
         # pass 1: unit totals, reconciled top-down; the root total is truth
         pub_totals = audit.published_totals = {0: unit_totals(cubes[0]).astype(np.int64)}
         for rank in range(1, h.depth):

@@ -17,8 +17,6 @@ import resource
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .carmodel import MIN_STORED_DRAWS, McmcConfig, build_spec, fit, mrr_summary, predict_counts, write_draws
 from .das import VARIANTS, DasConfig, das_preset, run_topdown, write_audit
@@ -29,9 +27,9 @@ from .geo import (
     build_synthetic_geography, check_geography, read_adjacency, read_hierarchy, write_adjacency, write_hierarchy
 )
 from .simulate import (
-    DEFAULT_HAZARDS as DEFAULT_HAZARD_SCHEDULE,
     TABLES,
     DgpConfig,
+    derived_seed,
     run_study,
     synth_deaths,
     synth_population,
@@ -324,11 +322,6 @@ def _load_geo(st: _Stage):
     return h, read_adjacency(*st.inputs("geo/adjacency.csv"), h.leaf_ids)
 
 
-def _das_seed(cfg, variant: str) -> int:
-    vidx = VARIANTS.index(variant)
-    return int(np.random.SeedSequence([cfg["seed"], 7700 + vidx]).generate_state(1)[0])
-
-
 def _das_config(cfg, variant: str) -> DasConfig:
     """The mechanism configuration ``protect`` runs for ``variant``.
 
@@ -339,7 +332,7 @@ def _das_config(cfg, variant: str) -> DasConfig:
     """
     das = cfg["das"]
     eps = _parse_eps(das["epsilon_total"])
-    seed = _das_seed(cfg, variant)
+    seed = derived_seed(cfg["seed"], 7700 + VARIANTS.index(variant))
     shares, passes = das["level_shares"], das["pass_shares"]
     for key, value in (("level_shares", shares), ("pass_shares", passes)):
         if value is not None and not (isinstance(value, list) and all(map(_is_num, value))):
@@ -385,12 +378,7 @@ def stage_geo(cfg: dict, out_dir: Path) -> dict:
             minority_sigma=cfg["sim"]["minority_sigma"],
             seed=cfg["seed"],
         )
-        if ages.n == len(DEFAULT_HAZARD_SCHEDULE):
-            hazards = DEFAULT_HAZARD_SCHEDULE
-        else:  # resample the age-rising schedule onto the configured bands
-            xs = np.linspace(0, 1, len(DEFAULT_HAZARD_SCHEDULE))
-            hazards = tuple(np.interp(np.linspace(0, 1, ages.n), xs, DEFAULT_HAZARD_SCHEDULE))
-        deaths = synth_deaths(pop, hazards, seed=cfg["seed"], hazard_scale=cfg["sim"]["hazard_scale"])
+        deaths = synth_deaths(pop, seed=cfg["seed"], hazard_scale=cfg["sim"]["hazard_scale"])
         poverty = synth_poverty(len(h.leaf_ids), seed=cfg["seed"])
         write_hierarchy(h, st.out_dir / "geo/hierarchy.csv")
         write_adjacency(adj, st.out_dir / "geo/adjacency.csv")
@@ -409,7 +397,7 @@ def stage_protect(cfg: dict, out_dir: Path, variant: str | None = None) -> dict:
         h = _load_hierarchy(st)
         pop = ingest(*st.inputs("geo/population.csv"), ages, groups, h)
         config = _das_config(cfg, variant)
-        eps, passes = config.budget.epsilon_total, config.budget.pass_shares
+        eps, passes = config.epsilon_total, config.pass_shares
         st.extra.update(epsilon_total=eps if math.isfinite(eps) else "inf", pass_shares=passes)
         protected, audit = run_topdown(pop, config)
         write_tabulation(protected, st.out_dir / f"protect/protected_{variant}.csv")
@@ -454,7 +442,7 @@ def stage_fit(cfg: dict, out_dir: Path, source: str | None = None) -> dict:
         spec = build_spec(ec, poverty, adj, **cfg["model"]["priors"])
         plan_s = time.perf_counter() - start  # build_spec builds the CAR plan
         y = spec.flatten(deaths.values.sum(axis=1))  # events per (unit, group)
-        mcmc = _mcmc_config(cfg, int(np.random.SeedSequence([cfg["seed"], 8800]).generate_state(1)[0]))
+        mcmc = _mcmc_config(cfg, derived_seed(cfg["seed"], 8800))
         start = time.perf_counter()
         draws = fit(y, spec, mcmc)
         sweep_us = (time.perf_counter() - start) / mcmc.iterations * 1e6

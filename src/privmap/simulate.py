@@ -26,6 +26,7 @@ from .carmodel import (
     mrr_summary,
     predict_counts,
     sample_car_prior,
+    scale_covariate,
 )
 from .errors import SimulationError
 from .geo import Adjacency, Hierarchy
@@ -42,6 +43,11 @@ _STREAM_DEATHS = 11
 _STREAM_COV = 12
 
 
+def derived_seed(*key: int) -> int:
+    """A 32-bit seed drawn from the stream keyed by ``key``."""
+    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Generating parameters; defaults follow the simulation design."""
@@ -54,6 +60,8 @@ class DgpConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.car_scale <= 0:
+            raise SimulationError("CAR scale must be positive")
         if self.phi_var <= 0:
             raise SimulationError("phi variance must be positive")
         if self.n_reps < 1:
@@ -64,7 +72,6 @@ class DgpConfig:
 
 @dataclass
 class ReplicateData:
-    k: int
     y: np.ndarray       # (n_units, n_groups) integer counts
     lam: np.ndarray     # (n_units, n_groups) true Poisson means
     theta: np.ndarray   # (n_units,)
@@ -91,22 +98,19 @@ def generate_dataset(
             f"beta has {len(dgp.beta)} entries, need {n_groups + 1} "
             "(intercept, group contrasts, covariate)"
         )
-    covariate = np.asarray(covariate, dtype=float)
-    if covariate.shape != (n,):
-        raise SimulationError(f"covariate shape {covariate.shape} does not match {n} units")
+    cov_scaled = scale_covariate(covariate, n)
 
     rng = np.random.default_rng(np.random.SeedSequence([dgp.master_seed, k, _STREAM_DGP]))
     theta = sample_car_prior(adjacency, dgp.rho, dgp.car_scale, rng)
     phi = rng.normal(0.0, np.sqrt(dgp.phi_var), size=(n, n_groups))
 
-    cov_scaled = (covariate - covariate.mean()) / covariate.std()
     beta = np.asarray(dgp.beta)
     log_rate = beta[0] + beta[-1] * cov_scaled[:, None] + theta[:, None] + phi
     for g in range(1, n_groups):
         log_rate[:, g] += beta[g]
     lam = np.exp(log_rate) * truth_expected.values
     y = rng.poisson(lam).astype(np.int64)
-    return ReplicateData(k, y, lam, theta, phi)
+    return ReplicateData(y, lam, theta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +195,12 @@ def synth_deaths(
     seed: int = 0,
     hazard_scale: float = 1.0,
 ) -> TabulationCube:
-    """Binomial event counts per cell under an age-rising hazard schedule."""
-    hz = np.asarray(hazards if hazards is not None else DEFAULT_HAZARDS)
+    """Binomial event counts per cell under an age-rising hazard schedule,
+    by default :data:`DEFAULT_HAZARDS` resampled onto the cube's age bands."""
+    if hazards is None:
+        knots = np.linspace(0, 1, len(DEFAULT_HAZARDS))
+        hazards = np.interp(np.linspace(0, 1, population.ages.n), knots, DEFAULT_HAZARDS)
+    hz = np.asarray(hazards)
     if hz.size != population.ages.n:
         raise SimulationError(
             f"{hz.size} hazards for {population.ages.n} age bands"
@@ -332,9 +340,7 @@ def _replicate(
     smr_true = data.lam / np.where(truth.values > 0, truth.values, np.nan)
     coefs, smr_hats, converged = [], [], []
     for s_idx, spec in enumerate(specs):
-        seed = int(
-            np.random.SeedSequence([dgp.master_seed, k, _STREAM_FIT + s_idx]).generate_state(1)[0]
-        )
+        seed = derived_seed(dgp.master_seed, k, _STREAM_FIT + s_idx)
         draws = fit(spec.flatten(data.y), spec, dataclasses.replace(mcmc, seed=seed))
         converged.append(mrr_summary(draws).converged)
         coefs.append(draws.beta.mean(axis=0))

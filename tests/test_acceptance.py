@@ -19,12 +19,12 @@ from privmap import geo, pipeline, tables
 from privmap.carmodel import McmcConfig, build_spec, fit
 from privmap.cli import main as cli_main
 from privmap.das import (
-    NoiseModel,
     controlled_round,
     das_preset,
     dlaplace_variance,
     project_children,
     run_topdown,
+    sample_noise,
 )
 from privmap.simulate import (
     DgpConfig,
@@ -55,7 +55,7 @@ def test_criterion_1_noise_variance():
     details = []
     ok = True
     for i, eps in enumerate((0.5, 1.0, 4.0)):
-        draws = NoiseModel("discrete-laplace").sample(eps, 1_000_000, np.random.default_rng(100 + i))
+        draws = sample_noise("discrete-laplace", eps, 1_000_000, np.random.default_rng(100 + i))
         target = dlaplace_variance(eps)
         rel = abs(draws.var() - target) / target
         ok &= rel <= 0.05

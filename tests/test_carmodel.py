@@ -180,7 +180,6 @@ def test_build_spec_columns_and_scaling():
     col = spec.x[:, 2]
     scaled = (cov - cov.mean()) / cov.std()
     assert col == pytest.approx(scaled[spec.unit_idx])
-    assert spec.covariate_scaling["mean"] == pytest.approx(cov.mean())
 
 
 def test_build_spec_excludes_zero_cells():

@@ -11,8 +11,6 @@ from privmap.das import (
     NOISE_FAMILIES,
     PRESETS,
     DasConfig,
-    NoiseModel,
-    PrivacyBudget,
     _reconcile,
     controlled_round,
     das_preset,
@@ -20,6 +18,7 @@ from privmap.das import (
     inject_noise,
     project_children,
     run_topdown,
+    sample_noise,
     write_audit,
 )
 from privmap.errors import ProtectionError
@@ -50,7 +49,7 @@ def test_dlaplace_pmf_point_mass_at_zero():
     pmf = np.exp(-eps * np.abs(ks))
     pmf = pmf / pmf.sum()
     assert pmf[50] == pytest.approx(0.5, abs=1e-12)
-    draws = NoiseModel("discrete-laplace").sample(eps, 200_000, rng(1))
+    draws = sample_noise("discrete-laplace", eps, 200_000, rng(1))
     assert np.mean(draws == 0) == pytest.approx(0.5, abs=0.01)
 
 
@@ -58,28 +57,27 @@ def test_dlaplace_variance_monte_carlo():
     eps = 1.0
     target = dlaplace_variance(eps)
     assert target == pytest.approx(2 * math.exp(-1) / (1 - math.exp(-1)) ** 2, rel=1e-12)
-    draws = NoiseModel("discrete-laplace").sample(eps, 1_000_000, rng(2))
+    draws = sample_noise("discrete-laplace", eps, 1_000_000, rng(2))
     assert draws.var() == pytest.approx(target, rel=0.05)
 
 
 def test_dgauss_variance_matches_calibration():
     # discrete gaussian is variance-matched to the discrete laplace family
     eps = 1.0
-    draws = NoiseModel("discrete-gaussian").sample(eps, 400_000, rng(3))
+    draws = sample_noise("discrete-gaussian", eps, 400_000, rng(3))
     assert draws.var() == pytest.approx(dlaplace_variance(eps), rel=0.05)
     assert abs(draws.mean()) < 0.01
 
 
 def test_sample_noise_rejects_bad_epsilon():
-    model = NoiseModel()
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ProtectionError):
-            model.sample(eps, 10, rng(0))
+            sample_noise("discrete-laplace", eps, 10, rng(0))
 
 
 def test_noise_family_validation():
-    with pytest.raises(ProtectionError):
-        NoiseModel("continuous-laplace")
+    with pytest.raises(ProtectionError, match="unknown noise family 'continuous-laplace'"):
+        DasConfig("custom", 4.0, noise_family="continuous-laplace")
 
 
 # ---------------------------------------------------------------------------
@@ -87,44 +85,54 @@ def test_noise_family_validation():
 
 
 def test_budget_share_validation():
+    with pytest.raises(ProtectionError, match="level shares must sum to 1"):
+        DasConfig("custom", 4.0, level_shares=(0.5, 0.4))
     with pytest.raises(ProtectionError):
-        PrivacyBudget(4.0, level_shares=(0.5, 0.4))
+        DasConfig("custom", 4.0, pass_shares=(0.5, 0.6))
+    with pytest.raises(ProtectionError, match="exactly two entries"):
+        DasConfig("custom", 4.0, pass_shares=(0.2, 0.3, 0.5))
     with pytest.raises(ProtectionError):
-        PrivacyBudget(4.0, pass_shares=(0.5, 0.6))
-    with pytest.raises(ProtectionError):
-        PrivacyBudget(-1.0)
-    b = PrivacyBudget(4.0, level_shares=(0.25, 0.25, 0.5))
+        DasConfig("custom", -1.0)
+    b = DasConfig("custom", 4.0, level_shares=(0.25, 0.25, 0.5))
     assert b.level_epsilons(3) == pytest.approx([1.0, 1.0, 2.0])
 
 
 def test_equal_shares_arithmetic():
     # equal shares over a 3-level hierarchy split eps_total three ways
-    b = PrivacyBudget(4.0)
+    b = DasConfig("custom", 4.0)
     assert b.level_epsilons(3) == pytest.approx([4 / 3, 4 / 3, 4 / 3])
+
+
+def test_unknown_variant_is_named_before_the_budget_is_checked():
+    # the variant is checked first, so a missing budget never reaches `None > 0`
+    with pytest.raises(ProtectionError, match="unknown variant 'bogus'"):
+        das_preset("bogus")
+    with pytest.raises(ProtectionError, match="unknown variant 'bogus'"):
+        DasConfig("bogus", None)
 
 
 def test_presets_pin_epsilon_and_passes():
     v19 = das_preset("v19")
-    assert v19.budget.epsilon_total == 4.0
-    assert not v19.budget.multi_pass
+    assert v19.epsilon_total == 4.0
+    assert not v19.multi_pass
     v20 = das_preset("v20")
-    assert v20.budget.epsilon_total == 4.0
-    assert v20.budget.pass_shares == (0.5, 0.5)
+    assert v20.epsilon_total == 4.0
+    assert v20.pass_shares == (0.5, 0.5)
     v22 = das_preset("v22")
-    assert v22.budget.epsilon_total == pytest.approx(20.82)
-    assert v22.budget.multi_pass
+    assert v22.epsilon_total == pytest.approx(20.82)
+    assert v22.multi_pass
     with pytest.raises(ProtectionError):
-        DasConfig("v19", PrivacyBudget(5.0))
+        DasConfig("v19", 5.0)
     with pytest.raises(ProtectionError):
         das_preset("v19", pass_shares=(0.5, 0.5))
     # one resolver for every variant: custom needs a budget, a preset's is
     # its pin or infinity
-    assert das_preset("custom", epsilon_total=0.5).budget.epsilon_total == 0.5
+    assert das_preset("custom", epsilon_total=0.5).epsilon_total == 0.5
     with pytest.raises(ProtectionError, match="custom"):
         das_preset("custom")
     with pytest.raises(ProtectionError, match=r"4\.0 differs from the 20\.82 that variant v22 pins"):
         das_preset("v22", epsilon_total=4.0)
-    assert das_preset("v20", epsilon_total=math.inf).budget.pass_shares == (0.5, 0.5)
+    assert das_preset("v20", epsilon_total=math.inf).pass_shares == (0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +402,19 @@ def small_cube():
 
 
 def test_inject_noise_requires_all_levels(small_cube):
-    cfg = DasConfig("custom", PrivacyBudget(4.0), seed=1)
+    cfg = DasConfig("custom", 4.0, seed=1)
     with pytest.raises(ProtectionError, match="missing cube"):
         inject_noise({2: small_cube}, cfg)
 
 
 def test_inject_noise_epsilon_accounting(small_cube):
     cubes = leveled_cubes(small_cube)
-    cfg = DasConfig("custom", PrivacyBudget(4.0), seed=1)
+    cfg = DasConfig("custom", 4.0, seed=1)
     m = inject_noise(cubes, cfg)
     # depth-3 hierarchy: every level (root included) gets eps_total / 3
     assert m.epsilons[(0, "detail")] == pytest.approx(4 / 3)
     assert m.epsilons[(2, "detail")] == pytest.approx(4 / 3)
-    cfg2 = DasConfig("custom", PrivacyBudget(4.0, pass_shares=(0.5, 0.5)), seed=1)
+    cfg2 = DasConfig("custom", 4.0, pass_shares=(0.5, 0.5), seed=1)
     m2 = inject_noise(cubes, cfg2)
     assert m2.epsilons[(1, "totals")] == pytest.approx(4 / 6)
     assert m2.epsilons[(1, "detail")] == pytest.approx(4 / 6)
@@ -423,7 +431,7 @@ def test_inject_noise_levels_independent():
     n_pairs = cubes[1].values.size  # 24 parent cells per seed
     a, b = [], []
     for seed in range(4200):
-        cfg = DasConfig("custom", PrivacyBudget(2.0), seed=seed)
+        cfg = DasConfig("custom", 2.0, seed=seed)
         m = inject_noise(cubes, cfg)
         a.extend(m.detail_noise[1].ravel())
         b.extend(m.detail_noise[2].ravel()[:n_pairs])
@@ -433,7 +441,7 @@ def test_inject_noise_levels_independent():
 
 def test_inject_noise_deterministic(small_cube):
     cubes = leveled_cubes(small_cube)
-    cfg = DasConfig("custom", PrivacyBudget(4.0), seed=9)
+    cfg = DasConfig("custom", 4.0, seed=9)
     m1 = inject_noise(cubes, cfg)
     m2 = inject_noise(cubes, cfg)
     # the noisy values are each cube plus this noise
@@ -473,7 +481,7 @@ def test_topdown_multipass_detail_sums_match_published_totals(small_cube):
 
 
 def test_topdown_infinite_epsilon_identity(small_cube):
-    cfg = DasConfig("custom", PrivacyBudget(math.inf), seed=3)
+    cfg = DasConfig("custom", math.inf, seed=3)
     protected, _ = run_topdown(small_cube, cfg)
     assert np.array_equal(protected.values, small_cube.values)
 
@@ -523,7 +531,7 @@ def test_topdown_accuracy_monotone_in_epsilon(study_like_cube):
     for eps in (1.0, 4.0, 20.82):
         errs = []
         for seed in range(20):
-            cfg = DasConfig("custom", PrivacyBudget(eps), seed=seed)
+            cfg = DasConfig("custom", eps, seed=seed)
             protected, _ = run_topdown(study_like_cube, cfg)
             errs.append(np.abs(protected.values - study_like_cube.values).mean())
         means.append(np.mean(errs))

@@ -5,9 +5,10 @@ import pytest
 
 from privmap import carmodel, simulate
 from privmap.carmodel import McmcConfig
-from privmap.errors import SimulationError
+from privmap.errors import ModelError, SimulationError
 from privmap.geo import build_synthetic_geography
 from privmap.simulate import (
+    DEFAULT_HAZARDS,
     DgpConfig,
     bias,
     generate_dataset,
@@ -19,7 +20,7 @@ from privmap.simulate import (
     upward_fraction,
 )
 from privmap.standardize import ExpectedCounts, expected_counts, rates_from_cubes
-from privmap.tabulation import default_age_schema, default_group_schema
+from privmap.tabulation import AgeSchema, default_age_schema, default_group_schema
 
 
 def make_world(n=36, branching=(6, 6), seed=5, pop_scale=174.0, sigma=0.7):
@@ -80,7 +81,20 @@ def test_generate_dataset_beta_length_check():
         generate_dataset(DgpConfig(beta=(0.0, 0.4)), truth, pov, adj, 0)
 
 
+def test_generate_dataset_rejects_constant_covariate():
+    # the generating process scales the covariate as the model does, and
+    # fails as build_spec does rather than dividing by a zero SD
+    _, adj, truth, _ = make_world(n=24, branching=(4, 6))
+    with pytest.raises(ModelError, match="covariate is constant; cannot scale"):
+        generate_dataset(DgpConfig(), truth, np.full(24, 0.3), adj, 0)
+    with pytest.raises(ModelError, match="covariate is constant; cannot scale"):
+        carmodel.build_spec(truth, np.full(24, 0.3), adj)
+
+
 def test_dgp_config_validation():
+    for car_scale in (0.0, -1.0):
+        with pytest.raises(SimulationError, match="CAR scale"):
+            DgpConfig(car_scale=car_scale)
     with pytest.raises(SimulationError):
         DgpConfig(phi_var=0.0)
     with pytest.raises(SimulationError):
@@ -287,6 +301,16 @@ def test_synth_deaths_bounded_by_population():
         synth_deaths(pop, hazards=(0.5, 0.5))
     with pytest.raises(SimulationError):
         synth_deaths(pop, hazards=tuple([1.5] * 7))
+
+
+def test_synth_deaths_default_schedule_fits_the_age_bands():
+    # with no hazards given, the default schedule is resampled onto the
+    # cube's bands, as synth_population adapts its default age weights
+    h, _ = build_synthetic_geography(30, [5, 6], "grid", seed=3)
+    pop = synth_population(h, AgeSchema(("0-19", "20-44", "45-64")), default_group_schema(), seed=3)
+    hazards = np.interp(np.linspace(0, 1, 3), np.linspace(0, 1, len(DEFAULT_HAZARDS)), DEFAULT_HAZARDS)
+    expected = synth_deaths(pop, hazards=hazards, seed=3)
+    assert np.array_equal(synth_deaths(pop, seed=3).values, expected.values)
 
 
 def test_synth_poverty_range():

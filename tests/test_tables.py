@@ -93,8 +93,6 @@ def test_expected_audit_and_draws_writers_bytes(geo, tmp_path):
     ec = ExpectedCounts(["a", "b"], ("NHW", "Black"), [[1 / 3, 0.0], [2.5, 1e-7]], "truth")
     write_expected(ec, tmp_path / "exp.csv")
     audit = AuditRecord(
-        "v20",
-        1,
         {(0, "detail"): 0.5, (1, "detail"): 1 / 3, (1, "totals"): 0.25},
         {0: np.array([1, -1, 0, 2]).reshape(1, 2, 2), 1: np.arange(-4, 4).reshape(2, 2, 2)},
         {1: np.array([3, -2])},
